@@ -3,7 +3,7 @@
 // generators, SupaModel + InsLearnTrainer::Train, dur::DurabilityEngine +
 // dur::Recover, and serve::ServeEngine::Recommend.
 //
-//   perfbench --workload <movielens|wide_durable|serve_live> --seed <n>
+//   perfbench --workload <wide_durable|serve_live> --seed <n>
 //             --seconds <s> --trace <0|1> --workdir <dir>
 //             [--trace-out <file>] [--quick]
 //
@@ -12,17 +12,21 @@
 //            engine start and warm-up; repeated, reported as the median
 //   window   InsLearnTrainer::Train over a stream sized to --seconds, plus
 //            the final DurabilityEngine::Flush on wide_durable and the
-//            open-loop request stream on serve_live
-//   serve    on movielens and wide_durable: the same open-loop request
-//            stream against the trained model, after the window
+//            open-loop request stream on serve_live; in laps on fresh
+//            set-ups (see Workload::laps), every lap ending in the same
+//            state
+//   serve    on wide_durable: the same open-loop request stream against
+//            the trained model, after the window
 //   check    the engine's top-K lists must equal RecommendTopK
 //   recover  dur::Recover into fresh models, repeated; every recovered
 //            state must equal the live model's final state
 //
 // Every phase is timed from outside, at the calls into the library, plus
-// the counters the library already exports. With --trace 1 the library's
-// PerfProfiler and trace recorder are on and the recovery steps are
-// re-timed one by one; those numbers fill the per-layer metrics.
+// the counters the library already exports. With --trace 1 the window is
+// one untraced lap and then one traced lap: from the traced lap's set-up
+// on, the library's PerfProfiler and trace recorder are on and the
+// recovery steps are re-timed one by one; those numbers fill the
+// per-layer metrics.
 //
 // The last stdout line is one JSON object with the checks, the counts of
 // attempted and failed operations, every metric with its unit, and the
@@ -86,6 +90,8 @@ constexpr size_t kWarmupRequests = 100;
 // pay one-off allocator costs.
 constexpr double kLoadWarmupSeconds = 1.0;
 constexpr double kQuickLoadWarmupSeconds = 0.25;
+// Senders sleep until this long before a request is due, then spin.
+constexpr std::chrono::microseconds kSpinBeforeDue{200};
 // serve.p99_ms is the median of the p99s of consecutive slices of this
 // many timed requests (at least 10 beyond each slice's p99), so one burst
 // of host stalls moves one slice, not the whole figure.
@@ -110,12 +116,19 @@ struct Workload {
   size_t serve_requests;
   size_t setup_repeats;
   size_t recover_repeats;
+  /// Untraced runs split the window into this many laps: each lap trains
+  /// a fresh model of the same set-up on the same stream (--seconds / laps
+  /// long) and must end in the same state. ingest_eps and cpu_us_per_edge
+  /// come from the median lap, and the requests of every lap are pooled.
+  /// Traced runs make two laps of this length, the first untraced.
+  size_t laps;
 };
 
 constexpr Workload kWorkloads[] = {
-    {"movielens", 1200.0, false, false, 1000.0, 5000, 15, 31},
-    {"wide_durable", 1000.0, true, false, 500.0, 2500, 3, 7},
-    {"serve_live", 1000.0, false, true, 300.0, 0, 15, 31},
+    {"wide_durable", 1150.0, true, false, 500.0, 2500, 3, 7, 1},
+    // At --seconds 30 each of the two laps covers the whole 16k-edge
+    // Taobao train split.
+    {"serve_live", 1100.0, false, true, 300.0, 0, 15, 31, 2},
 };
 
 const Workload* FindWorkload(std::string_view name) {
@@ -148,7 +161,6 @@ Result<Dataset> MakeWideStream(size_t train_edges, uint64_t seed) {
 
 Result<Dataset> MakeInput(const Workload& w, size_t train_edges,
                           uint64_t seed) {
-  if (w.name == "movielens") return MakeMovielens(1.0, seed);
   if (w.name == "serve_live") return MakeTaobao(1.0, seed);
   return MakeWideStream(train_edges, seed);
 }
@@ -290,6 +302,20 @@ struct LoadResult {
   uint64_t failed = 0;
 };
 
+/// Appends `part`'s requests to `into`, in order after those already there.
+void Append(const LoadResult& part, LoadResult* into) {
+  const auto extend = [](std::vector<double>* a, const std::vector<double>& b) {
+    a->insert(a->end(), b.begin(), b.end());
+  };
+  extend(&into->latency_ms, part.latency_ms);
+  extend(&into->engine_ms, part.engine_ms);
+  extend(&into->staleness_edges, part.staleness_edges);
+  into->late_max_ms = std::max(into->late_max_ms, part.late_max_ms);
+  into->sent += part.sent;
+  into->rejected += part.rejected;
+  into->failed += part.failed;
+}
+
 /// Sends a fixed request list on a fixed schedule (request j is due at
 /// start + j / rate) from kSenders threads, regardless of how long earlier
 /// requests took. Each request is timed from its due time; requests due
@@ -334,17 +360,7 @@ class OpenLoop {
     for (double ms : latency_ms_) {
       if (!std::isnan(ms)) out.latency_ms.push_back(ms);
     }
-    for (const LoadResult& p : parts_) {
-      out.engine_ms.insert(out.engine_ms.end(), p.engine_ms.begin(),
-                           p.engine_ms.end());
-      out.staleness_edges.insert(out.staleness_edges.end(),
-                                 p.staleness_edges.begin(),
-                                 p.staleness_edges.end());
-      out.late_max_ms = std::max(out.late_max_ms, p.late_max_ms);
-      out.sent += p.sent;
-      out.rejected += p.rejected;
-      out.failed += p.failed;
-    }
+    for (const LoadResult& p : parts_) Append(p, &out);
     return out;
   }
 
@@ -357,7 +373,12 @@ class OpenLoop {
           start_ + std::chrono::duration_cast<Clock::duration>(
                        std::chrono::duration<double>(
                            static_cast<double>(j) / rate_));
-      std::this_thread::sleep_until(due);
+      // Sleep to just short of the due time, then spin to it: a sleeping
+      // thread wakes late by a host-dependent amount, which would time the
+      // generator's own wake-up rather than the engine.
+      std::this_thread::sleep_until(due - kSpinBeforeDue);
+      while (Clock::now() < due) {
+      }
       if (stop_.load(std::memory_order_acquire)) return;
       const Clock::time_point sent = Clock::now();
       out.late_max_ms = std::max(out.late_max_ms, 1e3 * Seconds(due, sent));
@@ -590,6 +611,7 @@ class MetricSet {
 /// Registry difference between two snapshots.
 class RegistryDelta {
  public:
+  RegistryDelta() = default;
   RegistryDelta(obs::MetricsSnapshot before, obs::MetricsSnapshot after)
       : before_(std::move(before)), after_(std::move(after)) {}
   double Counter(std::string_view name) const {
@@ -634,7 +656,8 @@ struct Args {
   std::string trace_out;
 };
 
-/// Everything a set-up builds; the last repeat's instance is measured.
+/// Everything a set-up builds; the last repeat's instance runs the first
+/// lap, and every further lap gets a fresh one.
 struct World {
   Dataset data;
   EdgeRange range;
@@ -643,6 +666,20 @@ struct World {
   std::unique_ptr<serve::ServeEngine> engine;
   double generate_s = 0.0;
   double construct_s = 0.0;
+};
+
+/// What one lap of the window measured.
+struct Lap {
+  double window_s = 0.0;
+  double cpu_s = 0.0;  // process CPU time, all threads
+  double train_call_s = 0.0;
+  double flush_s = 0.0;
+  uint64_t epochs = 0;  // store epochs published
+  InsLearnReport report;
+  std::vector<double> cut_seconds;
+  LoadResult load;  // requests sent during the lap
+  RegistryDelta registry;
+  StateDigest digest;  // the model's state at the end of the lap
 };
 
 int Fail(const std::string& what, const Status& st) {
@@ -696,18 +733,20 @@ int Run(const Args& args) {
                  args.workload.c_str());
     return 2;
   }
-  if (args.trace) {
-    obs::PerfProfiler::Global().Enable(true);
-    obs::TraceRecorder::Global().Enable(true);
-  }
   const uint64_t data_seed = SplitMix64At(args.seed, 0);
   const uint64_t model_seed = SplitMix64At(args.seed, 1);
   const uint64_t valid_seed = SplitMix64At(args.seed, 2);
   const uint64_t load_seed = SplitMix64At(args.seed, 3);
+  // Edges per lap.
   const size_t want_edges = std::max<size_t>(
-      1024, static_cast<size_t>(std::llround(args.seconds * w->edges_per_second)));
+      1024, static_cast<size_t>(std::llround(args.seconds * w->edges_per_second /
+                                             static_cast<double>(w->laps))));
   const size_t setup_repeats = args.quick ? 2 : w->setup_repeats;
   const size_t recover_repeats = args.quick ? 2 : w->recover_repeats;
+  // A traced run makes two laps: the first untraced, the second traced.
+  // Quick runs keep two laps where there are several, so the lap check runs.
+  const size_t num_laps =
+      args.trace ? 2 : (args.quick ? std::min<size_t>(2, w->laps) : w->laps);
   const double load_warmup_s =
       args.quick ? kQuickLoadWarmupSeconds : kLoadWarmupSeconds;
   const size_t serve_requests =
@@ -719,37 +758,31 @@ int Run(const Args& args) {
   model_config.seed = model_seed;
   model_config.shards = 1;
 
-  // ---- set-up, repeated; the last repeat's world is kept ----
-  std::vector<double> setup_s, generate_s, construct_s;
-  std::unique_ptr<World> world;
-  for (size_t rep = 0; rep < setup_repeats; ++rep) {
-    world.reset();  // one model in memory at a time
-    if (w->durable) {
-      if (Status st = ResetDir(dur_dir); !st.ok()) return Fail("set-up", st);
-    }
+  // One set-up: input generation, model construction, durability attach,
+  // engine start and warm-up. The durability directory is reset first,
+  // outside the timed part.
+  const auto build_world = [&](std::unique_ptr<World>* out,
+                               double* setup_seconds) -> Status {
+    out->reset();  // one model in memory at a time
+    if (w->durable) SUPA_RETURN_NOT_OK(ResetDir(dur_dir));
     const Clock::time_point t0 = Clock::now();
     auto next = std::make_unique<World>();
     {
       CallTimer timer("setup/generate", &next->generate_s);
-      auto data = MakeInput(*w, want_edges, data_seed);
-      if (!data.ok()) return Fail("generate", data.status());
-      next->data = std::move(data).value();
+      SUPA_ASSIGN_OR_RETURN(next->data, MakeInput(*w, want_edges, data_seed));
     }
-    auto split = SplitTemporal(next->data);
-    if (!split.ok()) return Fail("split", split.status());
-    const EdgeRange train = split.value().train;
-    next->range = {train.begin,
-                   train.begin + std::min(want_edges, train.size())};
+    SUPA_ASSIGN_OR_RETURN(const TemporalSplit split, SplitTemporal(next->data));
+    next->range = {split.train.begin,
+                   split.train.begin + std::min(want_edges, split.train.size())};
     {
       CallTimer timer("setup/construct", &next->construct_s);
       next->model = std::make_unique<SupaModel>(next->data, model_config);
     }
     if (w->durable) {
       CallTimer timer("setup/attach", &next->construct_s);
-      auto engine =
-          dur::DurabilityEngine::Attach(*next->model, DurableOptions(dur_dir));
-      if (!engine.ok()) return Fail("attach", engine.status());
-      next->durability = std::move(engine).value();
+      SUPA_ASSIGN_OR_RETURN(
+          next->durability,
+          dur::DurabilityEngine::Attach(*next->model, DurableOptions(dur_dir)));
     }
     if (w->serve_in_window) {
       next->engine = std::make_unique<serve::ServeEngine>(next->model.get(),
@@ -757,68 +790,124 @@ int Run(const Args& args) {
       next->engine->Start();
       WarmUp(next->engine.get(), next->data, load_seed);
     }
-    setup_s.push_back(Seconds(t0, Clock::now()));
-    generate_s.push_back(next->generate_s);
-    construct_s.push_back(next->construct_s);
-    world = std::move(next);
+    *setup_seconds = Seconds(t0, Clock::now());
+    *out = std::move(next);
+    return Status::OK();
+  };
+
+  // One lap of the timed window on `world`'s fresh model.
+  const auto run_lap = [&](World& world, Lap* lap) -> Status {
+    InsLearnConfig trainer_config;
+    trainer_config.seed = valid_seed;
+    trainer_config.threads = 1;
+    trainer_config.writer_threads = 1;
+    std::unique_ptr<TimedCheckpointSink> cuts;
+    if (w->durable) {
+      cuts = std::make_unique<TimedCheckpointSink>(world.durability.get());
+      trainer_config.checkpoint_sink = cuts.get();
+    }
+    InsLearnTrainer trainer(trainer_config);
+    std::unique_ptr<OpenLoop> live_load;
+    if (w->serve_in_window) {
+      // Enough requests for three times the nominal lap.
+      const size_t count = static_cast<size_t>(
+          w->request_rate * (3.0 * args.seconds / static_cast<double>(w->laps) +
+                             10.0));
+      live_load = std::make_unique<OpenLoop>(
+          world.engine.get(),
+          MakeRequests(world.data, count, SplitMix64At(load_seed, 1)),
+          w->request_rate, load_warmup_s);
+    }
+    const uint64_t epoch0 = world.model->graph_store().epoch();
+    const obs::MetricsSnapshot reg0 = Registry();
+    const double cpu0 = ProcessCpuSeconds();
+    const Clock::time_point w0 = Clock::now();
+    if (live_load) live_load->Start();
+    Result<InsLearnReport> trained = InsLearnReport{};
+    {
+      CallTimer timer("train", &lap->train_call_s);
+      trained = trainer.Train(*world.model, world.data, world.range);
+    }
+    Status flushed;
+    if (trained.ok() && w->durable) {
+      CallTimer timer("dur/flush", &lap->flush_s);
+      flushed = world.durability->Flush();
+    }
+    const Clock::time_point w1 = Clock::now();
+    const double cpu1 = ProcessCpuSeconds();
+    if (live_load) {
+      live_load->Stop();
+      lap->load = live_load->Collect();
+    }
+    lap->registry = RegistryDelta(reg0, Registry());
+    lap->epochs = world.model->graph_store().epoch() - epoch0;
+    SUPA_RETURN_NOT_OK(trained.status());
+    SUPA_RETURN_NOT_OK(flushed);
+    lap->report = std::move(trained).value();
+    lap->window_s = Seconds(w0, w1);
+    lap->cpu_s = cpu1 - cpu0;
+    if (cuts) lap->cut_seconds = cuts->cut_seconds;
+    lap->digest = Digest(*world.model);
+    return Status::OK();
+  };
+
+  // ---- set-up, repeated; the last repeat's world is kept ----
+  std::vector<double> setup_s, generate_s, construct_s;
+  std::unique_ptr<World> world;
+  for (size_t rep = 0; rep < setup_repeats; ++rep) {
+    double seconds = 0.0;
+    if (Status st = build_world(&world, &seconds); !st.ok()) {
+      return Fail("set-up", st);
+    }
+    setup_s.push_back(seconds);
+    generate_s.push_back(world->generate_s);
+    construct_s.push_back(world->construct_s);
   }
+
+  // ---- timed window, in laps; each lap after the first on a new world ----
+  std::vector<Lap> laps(num_laps);
+  for (size_t i = 0; i < num_laps; ++i) {
+    if (args.trace && i + 1 == num_laps) {
+      // The traced lap: the library's profiler and trace recorder record
+      // from its set-up to the end of the run.
+      obs::PerfProfiler::Global().Enable(true);
+      obs::TraceRecorder::Global().Enable(true);
+    }
+    if (i > 0) {
+      double seconds = 0.0;  // not a set-up sample: it may be traced
+      if (Status st = build_world(&world, &seconds); !st.ok()) {
+        return Fail("set-up", st);
+      }
+    }
+    if (Status st = run_lap(*world, &laps[i]); !st.ok()) {
+      return Fail("window", st);
+    }
+  }
+  // Per-layer figures come from the last lap (the traced one when traced).
+  const Lap& last = laps.back();
+  const InsLearnReport& report = last.report;
+  const RegistryDelta& win = last.registry;
   const Dataset& data = world->data;
   const EdgeRange range = world->range;
   const size_t edges = range.size();
-
-  // ---- timed window ----
-  InsLearnConfig trainer_config;
-  trainer_config.seed = valid_seed;
-  trainer_config.threads = 1;
-  trainer_config.writer_threads = 1;
-  std::unique_ptr<TimedCheckpointSink> cuts;
-  if (w->durable) {
-    cuts = std::make_unique<TimedCheckpointSink>(world->durability.get());
-    trainer_config.checkpoint_sink = cuts.get();
+  std::vector<double> lap_window_s, lap_cpu_s;
+  bool laps_identical = true;
+  for (const Lap& lap : laps) {
+    lap_window_s.push_back(lap.window_s);
+    lap_cpu_s.push_back(lap.cpu_s);
+    laps_identical = laps_identical && lap.digest == last.digest &&
+                     lap.report.batch_scores == report.batch_scores;
   }
-  InsLearnTrainer trainer(trainer_config);
-
-  std::unique_ptr<OpenLoop> live_load;
-  if (w->serve_in_window) {
-    // Enough requests for three times the nominal window.
-    const size_t count = static_cast<size_t>(
-        w->request_rate * (3.0 * args.seconds + 10.0));
-    live_load = std::make_unique<OpenLoop>(
-        world->engine.get(), MakeRequests(data, count, SplitMix64At(load_seed, 1)),
-        w->request_rate, load_warmup_s);
-  }
-  const uint64_t epoch0 = world->model->graph_store().epoch();
-  const obs::MetricsSnapshot reg0 = Registry();
-  double train_call_s = 0.0, flush_s = 0.0;
-  const double cpu0 = ProcessCpuSeconds();
-  const Clock::time_point w0 = Clock::now();
-  if (live_load) live_load->Start();
-  Result<InsLearnReport> trained = InsLearnReport{};
-  {
-    CallTimer timer("train", &train_call_s);
-    trained = trainer.Train(*world->model, data, range);
-  }
-  Status flushed;
-  if (trained.ok() && w->durable) {
-    CallTimer timer("dur/flush", &flush_s);
-    flushed = world->durability->Flush();
-  }
-  const Clock::time_point w1 = Clock::now();
-  const double cpu1 = ProcessCpuSeconds();
-  if (live_load) live_load->Stop();
-  const obs::MetricsSnapshot reg1 = Registry();
-  const uint64_t epoch1 = world->model->graph_store().epoch();
-  if (!trained.ok()) return Fail("train", trained.status());
-  if (!flushed.ok()) return Fail("flush", flushed);
-  const InsLearnReport& report = trained.value();
-  const double window_s = Seconds(w0, w1);
-  const RegistryDelta win(reg0, reg1);
+  const double window_s = Median(lap_window_s);
 
   // ---- serve phase (after the window unless serving ran inside it) ----
   LoadResult load;
-  RegistryDelta serve_delta(reg0, reg1);
-  if (live_load) {
-    load = live_load->Collect();
+  RegistryDelta serve_delta = win;
+  if (w->serve_in_window) {
+    // A traced run's serving figures are the traced lap's alone.
+    for (size_t i = args.trace ? laps.size() - 1 : 0; i < laps.size(); ++i) {
+      Append(laps[i].load, &load);
+    }
   } else {
     world->engine =
         std::make_unique<serve::ServeEngine>(world->model.get(), &data);
@@ -848,7 +937,7 @@ int Run(const Args& args) {
   for (size_t s = 0; s < world->model->graph_store().num_shards(); ++s) {
     store_bytes += world->model->graph_store().ShardBytesEstimate(s);
   }
-  const StateDigest live_digest = Digest(*world->model);
+  const StateDigest live_digest = last.digest;
   if (!w->durable) {
     if (Status st = WriteFinalStateDir(data, model_config, *world->model,
                                        range, dur_dir);
@@ -912,7 +1001,7 @@ int Run(const Args& args) {
                           win.Counter("snapshot.fallback_restores") +
                           win.Counter("snapshot.full_restores");
   const double restore_s = win.TaskClock("snapshot_restore");
-  const double epochs = static_cast<double>(epoch1 - epoch0);
+  const double epochs = static_cast<double>(last.epochs);
   const double scored = serve_delta.Counter("serve.requests");
   const double serve_batches = serve_delta.HistCount("serve.batch_size");
 
@@ -920,8 +1009,8 @@ int Run(const Args& args) {
   // End-to-end.
   m.Add("setup_s", Median(setup_s), "s");
   m.Add("ingest_eps", static_cast<double>(edges) / window_s, "edges/s");
-  m.Add("cpu_us_per_edge", 1e6 * (cpu1 - cpu0) / static_cast<double>(edges),
-        "us");
+  m.Add("cpu_us_per_edge",
+        1e6 * Median(lap_cpu_s) / static_cast<double>(edges), "us");
   m.Add("valid_mrr", mrr, "ratio");
   m.Add("peak_rss_mb", PeakRssMiB(), "MiB");
   m.Add("recover_s", Median(recovered.seconds), "s");
@@ -945,7 +1034,7 @@ int Run(const Args& args) {
   m.Add("inslearn.snapshot_s", report.snapshot_seconds, "s");
   m.Add("inslearn.observe_s", report.observe_seconds, "s");
   m.Add("inslearn.checkpoint_s", report.checkpoint_seconds, "s");
-  m.Add("inslearn.other_s", train_call_s - phase_sum_s, "s");
+  m.Add("inslearn.other_s", last.train_call_s - phase_sum_s, "s");
   m.Add("inslearn.train_steps", static_cast<double>(report.train_steps), "count");
   m.Add("inslearn.batches", static_cast<double>(report.num_batches), "count");
   // store: Φ_best snapshots. The take scope nests a full take inside every
@@ -966,8 +1055,8 @@ int Run(const Args& args) {
   m.Add("store.publish_mb", epochs * static_cast<double>(store_bytes) / (1 << 20),
         "MiB");
   // dur: writing during the window.
-  m.Add("dur.cut_ms", cuts ? 1e3 * Median(cuts->cut_seconds) : 0.0, "ms");
-  m.Add("dur.flush_s", flush_s, "s");
+  m.Add("dur.cut_ms", 1e3 * Median(last.cut_seconds), "ms");
+  m.Add("dur.flush_s", last.flush_s, "s");
   m.Add("dur.wal_appends", win.Counter("dur.wal_appends"), "count");
   m.Add("dur.wal_syncs", win.Counter("dur.wal_syncs"), "count");
   m.Add("dur.base_links", win.Counter("dur.ckpt_base_links"), "count");
@@ -999,6 +1088,10 @@ int Run(const Args& args) {
   m.Add("eval.valid_rounds", win.Counter("inslearn.valid_rounds"), "count");
   m.Add("data.generate_s", Median(generate_s), "s");
   m.Add("setup.construct_s", Median(construct_s), "s");
+  if (args.trace) {
+    m.Add("obs.trace_overhead", laps.back().window_s / laps.front().window_s,
+          "ratio");
+  }
   m.Add("obs.trace_dropped",
         static_cast<double>(obs::TraceRecorder::Global().dropped_events()),
         "count");
@@ -1016,6 +1109,7 @@ int Run(const Args& args) {
       {"valid_mrr_in_range", mrr > 0.0 && mrr <= 1.0},
       {"recover_all_succeeded",
        recovered.failed == 0 && !recovered.seconds.empty()},
+      {"laps_identical", laps_identical},
       {"recovered_state_equals_live", recovered.mismatched == 0},
       {"recovered_edges_equal_stream",
        live_digest.edges == edges && recovered.records >= edges},
@@ -1026,7 +1120,8 @@ int Run(const Args& args) {
   bool correct = true;
   for (const Check& c : checks) correct = correct && c.ok;
 
-  const uint64_t attempted = edges + recover_repeats + load.sent + topk.checked;
+  const uint64_t attempted =
+      edges * laps.size() + recover_repeats + load.sent + topk.checked;
   const uint64_t failed =
       recovered.failed + load.failed + load.rejected + topk.mismatched;
 
@@ -1045,6 +1140,9 @@ int Run(const Args& args) {
   out.Key("metrics");
   m.Write(&out);
   out.Field("window_s", window_s);
+  out.Key("lap_window_s").BeginArray();
+  for (double t : lap_window_s) out.Double(t);
+  out.EndArray();
   out.Key("checks").BeginObject();
   for (const Check& c : checks) out.Field(c.name, c.ok);
   out.EndObject();
@@ -1055,11 +1153,11 @@ int Run(const Args& args) {
   out.Field("serve_p99_slices", static_cast<uint64_t>(p99_slices));
   out.Field("serve_beyond_p99_per_slice", static_cast<uint64_t>(beyond_p99));
   out.Field("engine_latencies", static_cast<uint64_t>(engine_ms.size()));
-  out.Field("durable_cuts",
-            static_cast<uint64_t>(cuts ? cuts->cut_seconds.size() : 0));
+  out.Field("laps", static_cast<uint64_t>(laps.size()));
+  out.Field("durable_cuts", static_cast<uint64_t>(last.cut_seconds.size()));
   out.EndObject();
   out.Key("operations").BeginObject();
-  out.Field("edges_committed", static_cast<uint64_t>(edges));
+  out.Field("edges_committed", static_cast<uint64_t>(edges * laps.size()));
   out.Field("recover_calls", static_cast<uint64_t>(recover_repeats));
   out.Field("recover_failed", recovered.failed);
   out.Field("requests_sent", load.sent);

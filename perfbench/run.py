@@ -9,17 +9,17 @@ builds perfbench/ (the library from src/ plus the benchmark executable)
 into .bench_build/perfbench; later calls only re-check the build.
 
 --trace 0 makes one untraced run and reports the end-to-end metrics named
-in BENCHMARK.json. --trace 1 makes the same untraced run, then a traced
-run with the same seed (the library's PerfProfiler and trace recorder on),
-checks that both reach the same valid_mrr, and reports the per-layer
-metrics. --quick shrinks every fixed-size phase for the benchmark's own
-test.
+in BENCHMARK.json. --trace 1 makes one run whose window is an untraced lap
+and then a traced lap (the library's PerfProfiler and trace recorder on),
+checks that both laps end in the same state with the same valid_mrr, and
+reports the per-layer metrics. --quick shrinks every fixed-size phase for
+the benchmark's own test.
 
 The last line of stdout is one JSON object with exactly the keys
-correct, attempted, failed and metrics; the lines before it carry the
-checks, the operation counts, the sample counts behind each percentile
-and the provenance of every run. The exit code is 0 only when the build
-succeeded, every run finished, and every check passed.
+correct, attempted, failed and metrics; the line before it carries the
+checks, the operation counts, the sample counts behind each percentile,
+the lap times and the provenance of the run. The exit code is 0 only when
+the build succeeded, the run finished, and every check passed.
 """
 
 import argparse
@@ -63,12 +63,12 @@ def build():
     return BINARY.exists()
 
 
-def run_once(args, traced, workdir, deadline):
+def run_once(args, workdir, deadline):
     """Runs the executable once; returns its parsed result object."""
     cmd = [str(BINARY), "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "1" if traced else "0",
+           "--seconds", str(args.seconds), "--trace", str(args.trace),
            "--workdir", str(workdir)]
-    if traced:
+    if args.trace:
         cmd += ["--trace-out", str(BUILD_DIR / f"trace-{args.workload}.json")]
     if args.quick:
         cmd.append("--quick")
@@ -126,49 +126,35 @@ def main():
     workdir = ROOT / ".bench_build" / f"run-{args.workload}-{os.getpid()}"
     deadline = time.monotonic() + RUN_BUDGET_S
     try:
-        untraced = run_once(args, False, workdir, deadline)
-        runs = [untraced]
-        if args.trace:
-            runs.append(run_once(args, True, workdir, deadline))
+        result = run_once(args, workdir, deadline)
     except (RuntimeError, subprocess.TimeoutExpired, ValueError) as err:
         log(f"perfbench: {err}")
         return 1
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
-    checks = {}
-    for label, r in zip(("untraced", "traced"), runs):
-        for name, ok in r["checks"].items():
-            checks[f"{label}.{name}"] = ok
-        print(json.dumps({"run": label, "checks": r["checks"],
-                          "operations": r["operations"],
-                          "samples": r["samples"], "window_s": r["window_s"],
-                          "provenance": r["provenance"]}))
+    print(json.dumps({"run": "traced" if args.trace else "untraced",
+                      "checks": result["checks"],
+                      "operations": result["operations"],
+                      "samples": result["samples"],
+                      "window_s": result["window_s"],
+                      "lap_window_s": result["lap_window_s"],
+                      "provenance": result["provenance"]}))
     try:
-        if args.trace:
-            traced = runs[1]
-            # Tracing must not change what the model learns.
-            checks["traced_valid_mrr_equals_untraced"] = (
-                traced["metrics"]["valid_mrr"]["value"] ==
-                untraced["metrics"]["valid_mrr"]["value"])
-            traced["metrics"]["obs.trace_overhead"] = {
-                "value": traced["window_s"] / untraced["window_s"],
-                "unit": "ratio"}
-            metrics = pick(traced, spec["per_layer"])
-        else:
-            metrics = pick(untraced, spec["end_to_end"])
+        metrics = pick(result, spec["per_layer"] if args.trace
+                       else spec["end_to_end"])
     except RuntimeError as err:
         log(f"perfbench: {err}")
         return 1
 
-    correct = all(checks.values()) and all(r["correct"] for r in runs)
-    failing = [name for name, ok in checks.items() if not ok]
+    failing = [name for name, ok in result["checks"].items() if not ok]
     if failing:
         log("perfbench: failed checks:", ", ".join(failing))
+    correct = result["correct"] and not failing
     print(json.dumps({
         "correct": correct,
-        "attempted": sum(r["attempted"] for r in runs),
-        "failed": sum(r["failed"] for r in runs),
+        "attempted": result["attempted"],
+        "failed": result["failed"],
         "metrics": metrics,
     }))
     return 0 if correct else 1

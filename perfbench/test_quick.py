@@ -89,7 +89,7 @@ class QuickRunTest(unittest.TestCase):
         shutil.copytree(ROOT / "perfbench", bare / "perfbench")
         shutil.copy(ROOT / "BENCHMARK.json", bare / "BENCHMARK.json")
         try:
-            done = run_bench("movielens", 0, root=bare)
+            done = run_bench(SPEC["workloads"][0]["name"], 0, root=bare)
         finally:
             shutil.rmtree(bare, ignore_errors=True)
         self.assertNotEqual(done.returncode, 0)
