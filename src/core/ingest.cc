@@ -250,13 +250,16 @@ void IngestPipeline::Commit(
         if (!inserted) stale = true;
       });
       if (stale) conflict_counter_.Increment();
-      model_.CommitPlanDeferred(g->plans[i]);
+      model_.CommitPlanDeferred(g->plans[i], &g->lease);
     } else {
       model_.CommitPlan(g->plans[i]);
     }
     committed_.fetch_add(1, std::memory_order_relaxed);
     if (on_edge) on_edge(g->plans[i].stats);
   }
+  // kFast commits record every row they write; kStrict's executors write
+  // unrecorded, so its lease stays undeclared (all-changed).
+  if (deferred) g->lease.DeclareComplete();
   g->lease.Release();
   groups_counter_.Increment();
   group_edges_hist_.Observe(static_cast<double>(g->count));

@@ -439,11 +439,12 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
   // A full training step scatters embedding writes across arbitrary rows
   // (walk and negative contexts land anywhere), so it holds the
   // whole-store write lease; concurrent snapshot publishes wait for the
-  // step boundary. With propagation AND negative sampling both disabled
-  // the writes provably stay on the endpoints' rows, so those
-  // configurations — ablations and DeleteEdge-heavy maintenance flows on
-  // such models — lease just the endpoint shards (+ shard 0 for the α
-  // tail) instead of serializing against the whole store.
+  // step boundary and then copy only the rows the step recorded. With
+  // propagation AND negative sampling both disabled the writes provably
+  // stay on the endpoints' rows, so those configurations — ablations and
+  // DeleteEdge-heavy maintenance flows on such models — lease just the
+  // endpoint shards (+ shard 0 for the α tail) instead of serializing
+  // against the whole store.
   store::ShardWriteLease lease =
       (!config_.use_prop_loss && !config_.use_neg_loss)
           ? graph_store_->LeaseMask(
@@ -467,6 +468,8 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
     adam_->Step(serial_scratch_.grads, store_->data(),
                 monitored ? &step_stats : nullptr);
   }
+  RecordStepWrites(e, serial_scratch_.grads, &lease);
+  lease.DeclareComplete();
   if (monitored) {
     monitor.RecordTrainStep(stats.loss_inter, stats.loss_prop,
                             stats.loss_neg,
@@ -476,6 +479,18 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                             std::sqrt(step_stats.sum_param_sq_after));
   }
   return stats;
+}
+
+void SupaModel::RecordStepWrites(const TemporalEdge& e,
+                                 const GradBuffer& grads,
+                                 store::ShardWriteLease* lease) const {
+  grads.ForEach([lease](size_t offset, const float*, size_t) {
+    lease->RecordRow(offset);
+  });
+  if (config_.use_short_term && config_.use_update_decay) {
+    lease->RecordRow(store_->ShortMemOffset(e.src));
+    lease->RecordRow(store_->ShortMemOffset(e.dst));
+  }
 }
 
 void SupaModel::ExecutePlan(EdgePlan* plan, ExecScratch* scratch) {
@@ -578,7 +593,8 @@ void SupaModel::ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch) {
   plan->stats = RunEdgeMath(*plan, scratch, sink);
 }
 
-void SupaModel::CommitPlanDeferred(const EdgePlan& plan) {
+void SupaModel::CommitPlanDeferred(const EdgePlan& plan,
+                                   store::ShardWriteLease* lease) {
   SUPA_TRACE_SPAN_CAT("optimize", "model");
   SUPA_PERF_SCOPE(kOptimize);
   const size_t d = static_cast<size_t>(config_.dim);
@@ -595,6 +611,7 @@ void SupaModel::CommitPlanDeferred(const EdgePlan& plan) {
   const bool monitored = monitor.enabled();
   SparseAdam::StepStats step_stats;
   adam_->Step(plan.grads, store_->data(), monitored ? &step_stats : nullptr);
+  RecordStepWrites(plan.edge, plan.grads, lease);
   if (monitored) {
     monitor.RecordTrainStep(plan.stats.loss_inter, plan.stats.loss_prop,
                             plan.stats.loss_neg, GradBufferL2(plan.grads),

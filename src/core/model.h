@@ -161,7 +161,9 @@ class SupaModel {
   void FinalEmbedding(NodeId v, EdgeTypeId r, float* out) const;
 
   /// Publishes (or reuses) the storage engine's current epoch. The view
-  /// is immutable and never blocks subsequent training.
+  /// is immutable; the publish itself holds each changed shard's mutex
+  /// while it copies that shard's recorded rows and node chunks, so a
+  /// training step that needs the shard waits for the copy.
   std::shared_ptr<const store::StoreSnapshot> AcquireSnapshot() const;
 
   /// Score / final embedding evaluated against an epoch snapshot rather
@@ -321,11 +323,13 @@ class SupaModel {
   /// plan until commit.
   void ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch);
 
-  /// kFast stage 3, dispatcher-side, arrival order, under a store lease:
+  /// kFast stage 3, dispatcher-side, arrival order, under `lease`:
   /// scales the banked forgetting into the live h^S rows, merges dirty
   /// rows, and applies plan->grads via the ordinary serial optimizer step
-  /// (which advances the step counter to exactly plan->step).
-  void CommitPlanDeferred(const EdgePlan& plan);
+  /// (which advances the step counter to exactly plan->step). Records
+  /// every row it writes on `lease`; the lease holder declares the lease
+  /// complete once all of its plans are committed.
+  void CommitPlanDeferred(const EdgePlan& plan, store::ShardWriteLease* lease);
 
   /// Optimizer step counter — the ingest dispatcher pins per-edge step
   /// numbers starting from here.
@@ -357,6 +361,12 @@ class SupaModel {
   void RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
                   UpdateContext* ctx, const MathSink& sink,
                   double* deferred_gamma);
+
+  /// Records on `lease` every row a step on `e` wrote: its gradient rows
+  /// plus both endpoints' h^S rows, which the forgetting decay scales
+  /// outside the optimizer step.
+  void RecordStepWrites(const TemporalEdge& e, const GradBuffer& grads,
+                        store::ShardWriteLease* lease) const;
 
   /// Routes dL/dh* into h^L, h^S, and α gradients.
   void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,

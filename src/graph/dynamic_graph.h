@@ -91,8 +91,8 @@ class DynamicGraph {
   /// t'_v), or kNeverActive when the node has no edges yet.
   Timestamp LastActive(NodeId v) const { return store_->LastActive(v); }
 
-  /// Overrides a node's last-active timestamp (used by the model when it
-  /// processes a training edge; the model holds a write lease there).
+  /// Overrides a node's last-active timestamp. Leases v's shard, so the
+  /// caller must not hold a lease on it.
   void SetLastActive(NodeId v, Timestamp t) { store_->SetLastActive(v, t); }
 
   /// The node type φ(v).

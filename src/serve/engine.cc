@@ -45,9 +45,6 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
-  if (options_.snapshot_refresh_batches == 0) {
-    options_.snapshot_refresh_batches = 1;
-  }
   candidates_ = data_->TargetNodes();
 
   auto& reg = obs::MetricsRegistry::Global();
@@ -154,8 +151,6 @@ Status ServeEngine::Recommend(const RecommendRequest& request,
 
 void ServeEngine::WorkerLoop(size_t worker_index) {
   ScoringArena* arena = arenas_[worker_index].get();
-  std::shared_ptr<const store::StoreSnapshot> snapshot;
-  size_t batches_on_snapshot = 0;
 
   while (true) {
     arena->batch.clear();
@@ -176,21 +171,18 @@ void ServeEngine::WorkerLoop(size_t worker_index) {
       if (queue_size_ > 0) queue_cv_.notify_one();
     }
 
-    // One snapshot acquisition serves the whole batch; refresh at the
-    // configured cadence so a long-lived worker tracks ingest.
-    if (snapshot == nullptr ||
-        ++batches_on_snapshot >= options_.snapshot_refresh_batches) {
-      snapshot = model_->AcquireSnapshot();
-      batches_on_snapshot = 0;
-      serving_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
-      epoch_gauge_.Set(static_cast<double>(snapshot->epoch()));
-      const uint64_t live_edges =
-          static_cast<uint64_t>(model_->graph_store().num_edges());
-      const uint64_t snap_edges = static_cast<uint64_t>(snapshot->num_edges());
-      const uint64_t gap = live_edges > snap_edges ? live_edges - snap_edges : 0;
-      staleness_edges_.store(gap, std::memory_order_relaxed);
-      staleness_gauge_.Set(static_cast<double>(gap));
-    }
+    // One snapshot serves the whole batch and is dropped with it, so an
+    // idle worker pins no old epoch.
+    const std::shared_ptr<const store::StoreSnapshot> snapshot =
+        model_->AcquireSnapshot();
+    serving_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
+    epoch_gauge_.Set(static_cast<double>(snapshot->epoch()));
+    const uint64_t live_edges =
+        static_cast<uint64_t>(model_->graph_store().num_edges());
+    const uint64_t snap_edges = static_cast<uint64_t>(snapshot->num_edges());
+    const uint64_t gap = live_edges > snap_edges ? live_edges - snap_edges : 0;
+    staleness_edges_.store(gap, std::memory_order_relaxed);
+    staleness_gauge_.Set(static_cast<double>(gap));
 
     batches_counter_.Increment();
     batch_size_hist_.Observe(static_cast<double>(arena->batch.size()));

@@ -29,11 +29,14 @@
 //     heap) that is allocated once and reused forever — the WalkBuffer
 //     idiom; steady-state serving does not allocate on the scoring path.
 //
-// Snapshot freshness: workers re-acquire the store epoch at most every
-// `snapshot_refresh_batches` batches (default 1: every batch serves the
-// newest published epoch; AcquireSnapshot of a clean store is a shared_ptr
-// copy, so "fresh" is cheap). Staleness is exported as the edge-count gap
-// between the live store and the snapshot being served.
+// Snapshot freshness: every batch serves the newest epoch. A worker
+// acquires it when the batch starts and drops it when the batch ends, so
+// an idle worker pins no old epoch. On a clean store the acquisition is a
+// shared_ptr copy; under training it publishes an epoch, which copies the
+// rows and node chunks written since the previous one while holding each
+// changed shard's mutex (DESIGN.md §11.4, §12.2). Staleness is exported
+// as the edge-count gap between the live store and the snapshot being
+// served.
 
 #ifndef SUPA_SERVE_ENGINE_H_
 #define SUPA_SERVE_ENGINE_H_
@@ -65,8 +68,6 @@ struct ServeOptions {
   size_t max_queue = 1024;
   /// K when a request leaves `k` as 0.
   size_t default_k = 10;
-  /// Re-acquire the store epoch every N batches (1 = every batch).
-  size_t snapshot_refresh_batches = 1;
   /// Remove items the user already interacted with under the query
   /// relation (read from the snapshot's adjacency).
   bool exclude_seen = true;

@@ -30,13 +30,17 @@ EmbeddingLayout::EmbeddingLayout(std::shared_ptr<const NodeShardMap> map,
   size_ = base + num_node_types_;
 }
 
+size_t EmbeddingLayout::ShardOfOffset(size_t offset) const {
+  // Last emb_base_ entry <= offset.
+  const auto it =
+      std::upper_bound(emb_base_.begin(), emb_base_.end(), offset);
+  return static_cast<size_t>(it - emb_base_.begin()) - 1;
+}
+
 size_t EmbeddingLayout::PhysicalToLogical(size_t offset) const {
   // The α tail sits at the same trailing offsets in both layouts.
   if (offset >= alpha_off_) return offset;
-  // Shard owning the offset: last emb_base_ entry <= offset.
-  const auto it =
-      std::upper_bound(emb_base_.begin(), emb_base_.end(), offset);
-  const size_t s = static_cast<size_t>(it - emb_base_.begin()) - 1;
+  const size_t s = ShardOfOffset(offset);
   const std::vector<NodeId>& nodes = map_raw_->shard_nodes(s);
   if (offset < short_base_[s]) {
     const size_t local = offset - emb_base_[s];

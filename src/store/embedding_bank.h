@@ -2,7 +2,7 @@
 //
 // One contiguous float buffer, laid out shard-major so every row a shard
 // owns (its nodes' h^L, h^S, and c^r rows) is a single cache-friendly
-// region that snapshots can memcpy independently:
+// region addressed by shard-local row numbers:
 //
 //   [shard 0: h^L rows | h^S rows | c^r rows][shard 1: ...]...[α tail]
 //
@@ -52,6 +52,20 @@ class EmbeddingLayout {
   }
   size_t AlphaOffset(NodeTypeId o) const { return alpha_off_ + o; }
 
+  // -- Rows (dim floats each), numbered from 0 within the owning shard in
+  //    physical order: row i starts at shard_begin(s) + i * dim. --
+  size_t LongMemRow(NodeId v) const { return map_raw_->local_of(v); }
+  size_t ShortMemRow(NodeId v) const {
+    return map_raw_->shard_size(map_raw_->shard_of(v)) + map_raw_->local_of(v);
+  }
+  size_t ContextRow(NodeId v, EdgeTypeId r) const {
+    return 2 * map_raw_->shard_size(map_raw_->shard_of(v)) +
+           static_cast<size_t>(map_raw_->local_of(v)) * num_relations_ + r;
+  }
+  /// The shard whose region holds physical `offset` (< alpha_begin()).
+  /// O(log S).
+  size_t ShardOfOffset(size_t offset) const;
+
   // -- Logical offsets (the canonical S=1 order; checkpoint format) --
   size_t LogicalLongMemOffset(NodeId v) const { return v * dim_; }
   size_t LogicalShortMemOffset(NodeId v) const {
@@ -74,6 +88,9 @@ class EmbeddingLayout {
   //    tail belongs to no shard; it rides with shard 0's write ordering. --
   size_t shard_begin(size_t s) const { return emb_base_[s]; }
   size_t shard_end(size_t s) const { return emb_base_[s + 1]; }
+  size_t shard_rows(size_t s) const {
+    return (shard_end(s) - shard_begin(s)) / dim_;
+  }
   size_t alpha_begin() const { return alpha_off_; }
 
   size_t size() const { return size_; }

@@ -6,14 +6,18 @@
 //   - Each shard owns its nodes' adjacency lists, last-active timestamps,
 //     and — when a bank is attached — their h^L/h^S/c^r embedding rows.
 //   - Mutations happen under *write leases* (per-shard mutexes, always
-//     acquired in ascending shard order). AddEdge / RemoveEdge lease their
-//     two endpoint shards internally; a trainer that scatters embedding
-//     writes across the whole parameter buffer takes LeaseAll() around
-//     each training step.
+//     acquired in ascending shard order). AddEdge / RemoveEdge /
+//     SetLastActive lease the shards they touch internally; a trainer
+//     that scatters embedding writes across the whole parameter buffer
+//     takes LeaseAll() around each training step.
+//   - A lease records what its holder changed (embedding rows, nodes) and
+//     is declared complete once every write is recorded. An undeclared
+//     lease marks its shards all-changed.
 //   - Concurrent readers never touch the live structures: they call
-//     AcquireSnapshot(), which publishes a copy-on-write epoch (dirty
-//     shards copied under their mutex, clean shards shared with the
-//     previous epoch) and hand back an immutable StoreSnapshot.
+//     AcquireSnapshot(), which publishes a copy-on-write epoch (changed
+//     rows and node chunks copied under their shard's mutex, everything
+//     else shared with the previous epoch) and hand back an immutable
+//     StoreSnapshot.
 //   - Live (unlocked) read accessors remain for the single-writer hot
 //     path: the thread holding the write story may read its own state
 //     freely. Any *other* thread must read through a snapshot.
@@ -52,28 +56,49 @@ class GraphStore;
 /// ascending shard order (deadlock-free against other leases and against
 /// the snapshot publisher, which holds at most one shard at a time) and
 /// each covered shard's version is bumped on release so the next publish
-/// knows to re-copy it.
+/// knows to look at it.
+///
+/// The lease also carries the change set the next publish copies. A
+/// holder that records every row and node it writes and then calls
+/// DeclareComplete() makes that publish copy just those; a lease released
+/// undeclared marks every covered shard all-changed, so writers that
+/// record nothing (restores, recovery, strict ingest) stay correct.
 class ShardWriteLease {
  public:
   ShardWriteLease() = default;
   ShardWriteLease(ShardWriteLease&& other) noexcept
-      : store_(other.store_), mask_(other.mask_) {
+      : store_(other.store_), mask_(other.mask_), complete_(other.complete_) {
     other.store_ = nullptr;
     other.mask_ = 0;
+    other.complete_ = false;
   }
   ShardWriteLease& operator=(ShardWriteLease&& other) noexcept {
     if (this != &other) {
       Release();
       store_ = other.store_;
       mask_ = other.mask_;
+      complete_ = other.complete_;
       other.store_ = nullptr;
       other.mask_ = 0;
+      other.complete_ = false;
     }
     return *this;
   }
   ShardWriteLease(const ShardWriteLease&) = delete;
   ShardWriteLease& operator=(const ShardWriteLease&) = delete;
   ~ShardWriteLease() { Release(); }
+
+  /// Records a write to the embedding row starting at physical `offset`,
+  /// which must lie on a leased shard. α-tail offsets are ignored: α is
+  /// re-copied whenever shard 0 is.
+  void RecordRow(size_t offset);
+
+  /// Records a change to node `v`'s adjacency or last-active timestamp;
+  /// `v` must live on a leased shard.
+  void RecordNode(NodeId v);
+
+  /// Declares that every write made under this lease has been recorded.
+  void DeclareComplete() { complete_ = true; }
 
   /// Unlocks early (idempotent).
   void Release();
@@ -89,6 +114,7 @@ class ShardWriteLease {
 
   GraphStore* store_ = nullptr;
   uint64_t mask_ = 0;
+  bool complete_ = false;
 };
 
 /// The engine. Owns the shard map, the per-shard adjacency, and (once
@@ -130,13 +156,9 @@ class GraphStore {
   /// NotFound when no such edge exists.
   Status RemoveEdge(NodeId u, NodeId v, EdgeTypeId r);
 
-  /// Overrides a node's last-active timestamp. Unlike the edge ops this
-  /// does NOT lease: it is called from the trainer's hot loop, which
-  /// already holds LeaseAll() (or is the sole thread touching the store).
-  void SetLastActive(NodeId v, Timestamp t) {
-    Shard& sh = *shards_[map_->shard_of(v)];
-    sh.last_active[map_->local_of(v)] = t;
-  }
+  /// Overrides a node's last-active timestamp. Leases `v`'s shard, so the
+  /// caller must not hold a lease on it.
+  void SetLastActive(NodeId v, Timestamp t);
 
   // -- Write leases --
   ShardWriteLease LeaseAll();
@@ -208,9 +230,17 @@ class GraphStore {
   // -- Epoch snapshots --
 
   /// Publishes (or reuses) the current epoch and returns its read view.
-  /// Thread-safe; concurrent with ingest. Cost is proportional to the
-  /// state of *dirty* shards only.
+  /// Thread-safe; concurrent with ingest, though each changed shard's
+  /// copy holds that shard's mutex. Cost follows the change sets since
+  /// the previous publish: per changed shard, its pointer tables plus the
+  /// recorded rows and node chunks (every row and chunk when the shard is
+  /// all-changed, or when its slabs outgrow kRebaseSlabFactor × its rows).
   std::shared_ptr<const StoreSnapshot> AcquireSnapshot();
+
+  /// A shard's published slabs may hold this many times its row floats
+  /// before a publish re-bases it onto one full slab; it bounds snapshot
+  /// memory to about (1 + kRebaseSlabFactor) × the live bank.
+  static constexpr size_t kRebaseSlabFactor = 2;
 
   /// Epoch of the most recent publish (0 = never published).
   uint64_t epoch() const {
@@ -253,16 +283,56 @@ class GraphStore {
  private:
   friend class ShardWriteLease;
 
+  /// One mark per index plus the number marked. The marks are sized at
+  /// the shard's first publish; until then the shard is all-changed and
+  /// records nothing.
+  struct ChangeSet {
+    std::vector<uint8_t> marked;
+    size_t count = 0;
+
+    void Insert(size_t i) {
+      count += marked[i] == 0 ? 1 : 0;
+      marked[i] = 1;
+    }
+    /// Calls fn(i) in ascending order for every i in [0, universe) when
+    /// `all`, else for every marked i, and clears the set. One loop serves
+    /// the full copy and the incremental one.
+    template <typename Fn>
+    void Drain(bool all, size_t universe, Fn&& fn) {
+      marked.resize(universe, 0);
+      for (size_t i = 0; i < universe; ++i) {
+        if (all || marked[i] != 0) fn(i);
+        marked[i] = 0;
+      }
+      count = 0;
+    }
+  };
+
   struct Shard {
     std::vector<std::vector<Neighbor>> adj;  // by local id
     std::vector<Timestamp> last_active;      // by local id
     mutable std::mutex mu;
     std::atomic<uint64_t> version{0};
     std::atomic<size_t> edge_slots{0};
+    // Changes since the last publish, guarded by `mu`. While all_changed
+    // is set the sets stay empty: the next publish copies everything.
+    bool all_changed = true;
+    ChangeSet rows;    // embedding rows (EmbeddingLayout row numbering)
+    ChangeSet chunks;  // local id / kChunkNodes
   };
 
-  void AppendHalfEdge(NodeId from, const Neighbor& n);
-  bool EraseLatestHalfEdge(NodeId from, NodeId to, EdgeTypeId r);
+  /// Re-publishes shard `s` on top of its previous publish `prev` (null
+  /// before the first) and resets its change set. Caller holds the shard
+  /// mutex. Adds the bytes it copied to `*bytes`.
+  std::shared_ptr<const ShardSnapshot> PublishShard(
+      size_t s, const ShardSnapshot* prev, size_t* bytes);
+
+  // Write helpers for the edge ops; each records what it changes on the
+  // caller's lease.
+  void AppendHalfEdge(ShardWriteLease& lease, NodeId from, const Neighbor& n);
+  bool EraseLatestHalfEdge(ShardWriteLease& lease, NodeId from, NodeId to,
+                           EdgeTypeId r);
+  void WriteLastActive(ShardWriteLease& lease, NodeId v, Timestamp t);
 
   /// Records a blocked lease acquisition on shard `s`
   /// (store.lease_contention.<s>; metrics-publishing stores only).
@@ -279,9 +349,11 @@ class GraphStore {
   std::atomic<Timestamp> latest_time_{kNeverActive};
   std::atomic<size_t> neighbor_cap_{0};
   obs::Counter cap_hit_counter_;
+  obs::Counter publish_bytes_counter_;
+  obs::Counter publish_rebases_counter_;
 
   // Publish state: previous epoch's per-shard views and the versions they
-  // captured, so clean shards are reused instead of re-copied.
+  // captured, so clean shards are reused and changed ones build on them.
   mutable std::mutex publish_mu_;
   std::vector<std::shared_ptr<const ShardSnapshot>> published_;
   std::vector<uint64_t> published_version_;

@@ -4,7 +4,9 @@
 // Run under TSan in CI (the ingest-vs-scrape interleaving is exactly what
 // it exists to vet).
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -151,6 +153,115 @@ TEST(StoreConcurrentTest, LeasedEmbeddingWritesNeverTearUnderScrape) {
   EXPECT_GT(scrapes, 0u);
   auto final_snap = store.AcquireSnapshot();
   EXPECT_EQ(final_snap->LongMem(0)[0], 2000.0f);
+}
+
+TEST(StoreConcurrentTest, DeclaredWritesPublishConsistentlyUnderScrape) {
+  constexpr size_t kNodes = 64;
+  constexpr int kDim = 8;
+  constexpr int kIters = 3000;
+  GraphStore store(2, std::vector<NodeTypeId>(kNodes, 0), Quiet(8));
+  Rng init(29);
+  store.AttachEmbeddings(2, 1, kDim, 0.0, init);  // scale 0: all rows 0
+  const EmbeddingLayout& layout = store.embeddings().layout();
+  const NodeShardMap& map = store.shard_map();
+  // A shard is copied atomically under its own mutex (shards one after
+  // another), so each shard carries its own marker: the h^L row of its
+  // first node.
+  std::vector<NodeId> marker_node(store.num_shards(), kInvalidNode);
+  for (size_t s = 0; s < store.num_shards(); ++s) {
+    if (!map.shard_nodes(s).empty()) marker_node[s] = map.shard_nodes(s)[0];
+  }
+
+  // Iteration i picks a shard, rewrites its marker and a few random rows
+  // of its nodes to the value i under the all-shard lease, records exactly
+  // those rows and declares the lease complete — the trainer's write
+  // pattern. Every 16th iteration also adds an edge.
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    Rng rng(31);
+    for (int iter = 1; iter <= kIters; ++iter) {
+      const size_t s = static_cast<size_t>(iter) % store.num_shards();
+      if (marker_node[s] != kInvalidNode) {
+        ShardWriteLease lease = store.LeaseAll();
+        auto write = [&](size_t offset) {
+          float* row = store.embeddings().data() + offset;
+          for (int k = 0; k < kDim; ++k) row[k] = static_cast<float>(iter);
+          lease.RecordRow(offset);
+        };
+        write(layout.LongMemOffset(marker_node[s]));
+        const std::vector<NodeId>& nodes = map.shard_nodes(s);
+        for (int i = 0; i < 4; ++i) {
+          const NodeId v = nodes[rng.Index(nodes.size())];
+          write(rng.Bernoulli(0.5)
+                    ? layout.ShortMemOffset(v)
+                    : layout.ContextOffset(
+                          v, static_cast<EdgeTypeId>(rng.Index(2))));
+        }
+        lease.DeclareComplete();
+      }
+      if (iter % 16 == 0) {
+        const NodeId u = static_cast<NodeId>(rng.Index(kNodes));
+        EXPECT_TRUE(store
+                        .AddEdge(u, static_cast<NodeId>((u + 1) % kNodes), 0,
+                                 static_cast<Timestamp>(iter))
+                        .ok());
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  // A row written in iteration i was recorded under the same lease as its
+  // shard's marker value i, so no row of an epoch may be newer than its
+  // shard's marker, markers never move backwards, and no row may tear.
+  size_t scrapes = 0;
+  std::vector<float> last_marker(store.num_shards(), 0.0f);
+  do {
+    auto snap = store.AcquireSnapshot();
+    for (NodeId v = 0; v < kNodes; ++v) {
+      const uint32_t s = map.shard_of(v);
+      const float marker = snap->LongMem(marker_node[s])[0];
+      ASSERT_GE(marker, last_marker[s]);
+      last_marker[s] = marker;
+      for (const float* row :
+           {snap->LongMem(v), snap->ShortMem(v), snap->Context(v, 0),
+            snap->Context(v, 1)}) {
+        for (int k = 1; k < kDim; ++k) {
+          ASSERT_EQ(row[k], row[0]) << "torn row for node " << v;
+        }
+        ASSERT_LE(row[0], marker) << "row newer than its epoch, node " << v;
+      }
+    }
+    ++scrapes;
+  } while (!done.load(std::memory_order_acquire));
+  writer.join();
+  EXPECT_GT(scrapes, 0u);
+
+  // Quiescent: the final epoch equals the live store row for row, so no
+  // recorded write was lost between publishes.
+  auto final_snap = store.AcquireSnapshot();
+  for (NodeId v = 0; v < kNodes; ++v) {
+    ASSERT_EQ(std::memcmp(final_snap->LongMem(v),
+                          store.embeddings().LongMem(v), kDim * sizeof(float)),
+              0)
+        << "node " << v;
+    ASSERT_EQ(std::memcmp(final_snap->ShortMem(v),
+                          store.embeddings().ShortMem(v),
+                          kDim * sizeof(float)),
+              0)
+        << "node " << v;
+    for (EdgeTypeId r = 0; r < 2; ++r) {
+      ASSERT_EQ(std::memcmp(final_snap->Context(v, r),
+                            store.embeddings().Context(v, r),
+                            kDim * sizeof(float)),
+                0)
+          << "node " << v;
+    }
+    auto live = store.AllNeighbors(v);
+    auto frozen = final_snap->AllNeighbors(v);
+    ASSERT_TRUE(std::equal(live.begin(), live.end(), frozen.begin(),
+                           frozen.end()))
+        << "node " << v;
+  }
 }
 
 }  // namespace
