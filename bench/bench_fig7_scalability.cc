@@ -249,11 +249,11 @@ int main(int argc, char** argv) {
 
   // Writer sweep: the multi-writer ingest pipeline (DESIGN.md §13) at a
   // fixed 8-shard store. writers=1 is the serial trainer baseline; the
-  // fast rows (2/4/8 writers) must be bit-identical to EACH OTHER (group
-  // formation is writer-count independent) and the strict row must be
-  // bit-identical to serial. Only wall time may move.
+  // pipeline rows (2/4/8 writers) must be bit-identical to EACH OTHER
+  // (grouping and the per-step RNG are writer-count independent). Only
+  // wall time may move.
   struct WriterPoint {
-    std::string label;  // "1".."8" or "4_strict" — JSON sample key stem
+    std::string label;  // "1".."8" — JSON sample key stem
     size_t writers = 1;
     std::vector<double> fit_samples;  // per-repeat Fit wall seconds
     double edges_per_s = 0.0;         // from the best repeat
@@ -262,7 +262,7 @@ int main(int argc, char** argv) {
   std::vector<WriterPoint> writer_points;
   Report writer_report("Figure 7d — multi-writer ingest sweep (8 shards)");
   writer_report.SetHeader(
-      {"writers", "mode", "fit_s", "edges_per_s", "speedup", "H@50", "MRR"});
+      {"writers", "fit_s", "edges_per_s", "speedup", "H@50", "MRR"});
   if (SectionEnabled("writers")) {
     // Speedup needs spare cores: with fewer hardware threads than
     // writers the sweep measures pipeline overhead, not scaling. Say so
@@ -274,21 +274,10 @@ int main(int argc, char** argv) {
           << "parallelism-starved — ratios measure pipeline overhead, "
           << "not multi-core scaling";
     }
-    struct WriterCell {
-      size_t writers;
-      IngestMode mode;
-    };
-    const WriterCell cells[] = {{1, IngestMode::kFast},
-                                {2, IngestMode::kFast},
-                                {4, IngestMode::kFast},
-                                {8, IngestMode::kFast},
-                                {4, IngestMode::kStrict}};
-    for (const WriterCell& cell : cells) {
-      const bool strict = cell.mode == IngestMode::kStrict;
+    for (const size_t writers : {1, 2, 4, 8}) {
       WriterPoint point;
-      point.writers = cell.writers;
-      point.label =
-          std::to_string(cell.writers) + (strict ? "_strict" : "");
+      point.writers = writers;
+      point.label = std::to_string(writers);
       for (size_t rep = 0; rep < shard_repeats; ++rep) {
         SupaConfig model_config;
         model_config.dim = 64;
@@ -298,8 +287,7 @@ int main(int argc, char** argv) {
         train_config.max_iters =
             std::max(1, static_cast<int>(8 * env.effort));
         train_config.valid_interval = 4;
-        train_config.writer_threads = cell.writers;
-        train_config.ingest_mode = cell.mode;
+        train_config.writer_threads = writers;
         SupaRecommender model(model_config, train_config);
         Timer timer;
         Status st = model.Fit(data, split.train);
@@ -327,17 +315,13 @@ int main(int argc, char** argv) {
       for (double s : point.fit_samples) best_s = std::min(best_s, s);
       point.edges_per_s = static_cast<double>(split.train.size()) / best_s;
 
-      // Determinism cross-checks against the rows already collected.
-      auto same = [](const RankingResult& a, const RankingResult& b) {
-        return a.mrr == b.mrr && a.hit20 == b.hit20 && a.hit50 == b.hit50 &&
-               a.ndcg10 == b.ndcg10;
-      };
+      // Determinism cross-check: every writers>1 row equals writers=2.
       for (const WriterPoint& prev : writer_points) {
-        const bool prev_serial = prev.label == "1";
-        const bool prev_fast = !prev_serial && prev.label.back() != 't';
-        const bool want_equal =
-            strict ? prev_serial : (cell.writers > 1 && prev_fast);
-        if (want_equal && !same(point.metrics, prev.metrics)) {
+        if (writers <= 2 || prev.writers != 2) continue;
+        const RankingResult& a = point.metrics;
+        const RankingResult& b = prev.metrics;
+        if (a.mrr != b.mrr || a.hit20 != b.hit20 || a.hit50 != b.hit50 ||
+            a.ndcg10 != b.ndcg10) {
           std::fprintf(stderr,
                        "determinism violation: writers=%s diverged from "
                        "writers=%s\n",
@@ -354,8 +338,7 @@ int main(int argc, char** argv) {
         }
       }
       writer_report.AddRow(
-          {std::to_string(cell.writers), strict ? "strict" : "fast",
-           Fmt(best_s, 4), Fmt(point.edges_per_s, 0),
+          {point.label, Fmt(best_s, 4), Fmt(point.edges_per_s, 0),
            Fmt(base_best / best_s, 2), Fmt(point.metrics.hit50),
            Fmt(point.metrics.mrr)});
       SUPA_LOG(INFO) << "fig7d: writers=" << point.label << " fit " << best_s
@@ -366,7 +349,7 @@ int main(int argc, char** argv) {
   writer_report.Print();
 
   // Hardware profile of the ingest pipeline stages (DESIGN.md §14): a
-  // dedicated profiled loop at the representative writers=4 fast config,
+  // dedicated profiled loop at the representative writers=4 config,
   // kept out of the timing sweep above so fit_wall_s samples stay
   // comparable with unprofiled baselines. Each repeat is one Fit; the
   // per-repeat counter deltas become bench_compare sample arrays. On
@@ -398,7 +381,6 @@ int main(int argc, char** argv) {
       train_config.max_iters = std::max(1, static_cast<int>(8 * env.effort));
       train_config.valid_interval = 4;
       train_config.writer_threads = 4;
-      train_config.ingest_mode = IngestMode::kFast;
       SupaRecommender model(model_config, train_config);
       Status st = model.Fit(data, split.train);
       if (!st.ok()) {

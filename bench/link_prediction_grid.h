@@ -15,7 +15,7 @@
 #include "bench/bench_common.h"
 #include "data/synthetic.h"
 #include "eval/protocols.h"
-#include "eval/stats.h"
+#include "util/stats.h"
 #include "util/timer.h"
 
 namespace supa::bench {

@@ -1,65 +1,47 @@
-// Multi-writer ingest pipeline (DESIGN.md §13): parallel execution of
-// training-step math behind a serial planner and a deterministic,
+// Multi-writer ingest pipeline (DESIGN.md §13): parallel sampling and
+// gradient math behind a serial planner and a deterministic,
 // arrival-order commit protocol.
 //
-// Architecture — plan / execute / commit:
+// Plan / execute / commit, one group of consecutive edges at a time:
 //
-//   * The *dispatcher* (the thread calling TrainSpan) plans edges strictly
-//     in arrival order, pinning each edge's optimizer step number, and
-//     batches consecutive plans into a *group* fanned out to writer tasks
-//     on the shared thread pool.
-//   * Writer tasks execute the plans' embedding math — never the graph,
-//     the model RNG, or the optimizer's counters.
-//   * When the group's math has drained, the dispatcher *commits* each
-//     plan in arrival order and releases the store lease, so the applied
-//     update sequence is pinned to batch-arrival order at any writer
-//     count.
+//   * The *dispatcher* (the thread calling TrainSpan) plans up to
+//     max_group_edges edges in arrival order, pinning each edge's
+//     optimizer step number.
+//   * Writer tasks on the shared thread pool execute the plans: each
+//     draws its walks and negatives from a private counter-based RNG
+//     keyed by (seed, step) and computes the edge's full gradient against
+//     the frozen group-start embeddings. Executors only read, so no lease
+//     is held while they run.
+//   * When the group's math has drained, the dispatcher takes the store
+//     lease and commits each plan in arrival order with the ordinary
+//     optimizer step.
 //
-// Modes (IngestMode in core/config.h):
-//   * kStrict caps groups at one edge. PlanEdge banks the full serial RNG
-//     draw (walks, then negatives) on the dispatcher; ExecutePlan applies
-//     row updates via StepAt under the group lease while the next edge is
-//     being planned. Results are bit-identical to the serial trainer at
-//     any writer count (pinned by core_ingest_pipeline_test) — the
-//     pipeline only overlaps planning with math.
-//   * kFast batches up to max_group_edges consecutive edges per group and
-//     moves the sampling *into* the parallel execute stage: each executor
-//     draws from a private counter-based RNG keyed by (seed, step) and
-//     computes the edge's full gradient against the frozen group-start
-//     embeddings (reads only — no lease held during execution). The
-//     dispatcher then applies each plan with the ordinary serial
-//     optimizer step at commit, under the store lease, in arrival order.
-//     Results are deterministic and writer-count-independent — grouping
-//     and the per-step RNG depend only on the edge sequence — but diverge
-//     from the serial trainer in two documented ways: the per-step RNG
-//     streams differ from the serial draw order, and edges sharing rows
-//     within one group compute gradients against group-start values
-//     (stale reads, surfaced as ingest.conflict_serializations; the
-//     arrival-order commit means no update is ever lost).
+// Results are deterministic and independent of the writer count —
+// grouping and the per-step RNG depend only on the edge sequence — but
+// they are a different byte stream from the serial trainer's, in two
+// documented ways: the per-step RNG streams replace the serial draw
+// order, and edges sharing rows within one group compute gradients
+// against group-start values (stale reads, surfaced as
+// ingest.conflict_serializations; the arrival-order commit means no
+// update is ever lost).
 //
-// Deadlock/overlap rule: while the dispatcher holds a group lease it must
-// not observe edges (ObserveEdge leases endpoint shards and would block on
-// locks the dispatcher itself holds). TrainSpan therefore overlaps
-// planning with group execution only on non-observing iterations; on the
-// observing (first) iteration of a batch it plans between commits. kFast
-// keeps the same rule for a second reason: ObserveEdge mutates the graph
-// adjacency and periodically rebuilds the negative table, which executors
-// read while sampling — observing strictly between groups keeps those
-// reads race-free and the sampled graph state writer-count-independent.
+// The dispatcher observes edges only while no group executes: ObserveEdge
+// mutates the graph adjacency and periodically rebuilds the negative
+// table, which executors read while sampling, so observing strictly
+// between groups keeps those reads race-free and the sampled graph state
+// independent of the writer count.
 
 #ifndef SUPA_CORE_INGEST_H_
 #define SUPA_CORE_INGEST_H_
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "core/config.h"
 #include "core/model.h"
 #include "obs/metrics.h"
 #include "obs/perf_counters.h"
@@ -68,27 +50,12 @@
 
 namespace supa {
 
-/// Resolves the writer-thread knob: explicit request, then the
-/// SUPA_WRITER_THREADS environment variable, then 1 (serial).
-inline size_t ResolveWriterThreads(size_t requested) {
-  if (requested == 0) {
-    if (const char* env = std::getenv("SUPA_WRITER_THREADS")) {
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(env, &end, 10);
-      if (end != env && *end == '\0') requested = parsed;
-    }
-  }
-  if (requested == 0) requested = 1;
-  return requested;
-}
-
 struct IngestOptions {
-  /// Concurrent executor tasks per group (resolved; >= 1).
+  /// Concurrent executor tasks per group (>= 1).
   size_t writers = 1;
-  IngestMode mode = IngestMode::kStrict;
-  /// Group-size cap in kFast mode. Writer-count-independent on purpose:
-  /// grouping (and therefore every result) depends only on the edge
-  /// sequence, so fast-mode output is identical at 2 or 8 writers.
+  /// Group-size cap. Writer-count-independent on purpose: grouping (and
+  /// therefore every result) depends only on the edge sequence, so the
+  /// output is identical at 2 or 8 writers.
   size_t max_group_edges = 32;
 };
 
@@ -103,61 +70,41 @@ class IngestPipeline {
   IngestPipeline(const IngestPipeline&) = delete;
   IngestPipeline& operator=(const IngestPipeline&) = delete;
 
-  /// Trains edges [begin, end) of `edges`, equivalent to the serial loop
+  /// Trains edges [begin, end) of `edges`, the pipeline's counterpart of
+  /// the serial loop
   ///   for i: TrainEdge(edges[i]); if (observe_edges) ObserveEdge(edges[i]);
-  /// under this pipeline's mode semantics. `on_edge` runs on the
-  /// dispatcher once per committed edge, in arrival order. Wall time
-  /// spent inside ObserveEdge is added to *observe_seconds, the rest of
-  /// the span to *train_seconds.
+  /// `on_edge` runs on the dispatcher once per committed edge, in arrival
+  /// order. Wall time spent inside ObserveEdge is added to
+  /// *observe_seconds, the rest of the span to *train_seconds.
   Status TrainSpan(const std::vector<TemporalEdge>& edges, size_t begin,
                    size_t end, bool observe_edges,
                    const std::function<void(const TrainStats&)>& on_edge,
                    double* train_seconds, double* observe_seconds);
 
-  const IngestOptions& options() const { return options_; }
-
  private:
-  /// One in-flight group of row-disjoint plans plus its fan-out state.
-  /// Two instances alternate so the dispatcher can plan the next group
-  /// while the current one executes.
-  struct Group {
-    std::vector<EdgePlan> plans;  // capacity = group cap; [0, count) live
-    size_t count = 0;
-    uint64_t mask = 0;
-    store::ShardWriteLease lease;
-    std::atomic<size_t> next_plan{0};
-    std::atomic<size_t> pending_tasks{0};
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;  // guarded by mu
-  };
+  /// Plans the next group: up to max_group_edges edges from the span,
+  /// observing each right after its plan when `observe_edges`. Stops
+  /// early on an error.
+  void FormGroup(const std::vector<TemporalEdge>& edges, bool observe_edges,
+                 double* observe_seconds);
 
-  /// Plans edges into `g` until the cap, the end of the span, or an
-  /// error. Must not run while the dispatcher holds a group lease if
-  /// observe_edges (see deadlock rule in the file comment).
-  void FormGroup(Group* g, const std::vector<TemporalEdge>& edges,
-                 bool observe_edges, double* observe_seconds);
+  /// Fans the group's plans out to the shared thread pool.
+  void Launch();
 
-  /// Takes the group's store lease: non-blocking first (counting shard
-  /// contention), then mask-wait, timing the wait into
-  /// ingest.lease_wait_us.
-  void AcquireCommitLease(Group* g);
+  /// Executes unclaimed plans of the group on the calling thread,
+  /// charging them to writer slot `slot`, until none are left.
+  void ExecuteClaimed(size_t slot);
 
-  /// Fans the group's plans out to the shared thread pool. kStrict takes
-  /// the store lease here (executors write rows); kFast executors only
-  /// read, so the lease waits until Commit.
-  void Launch(Group* g);
+  /// Waits until every plan in the group has executed, stealing remaining
+  /// plans onto the dispatcher instead of idling (slot options_.writers).
+  void WaitExecuted();
 
-  /// Waits until every plan in `g` has executed, stealing remaining
-  /// plans onto the dispatcher instead of idling (scratch slot
-  /// options_.writers).
-  void WaitExecuted(Group* g);
-
-  /// Commits `g`'s plans in arrival order, runs callbacks, releases the
-  /// lease. kFast acquires the lease here and counts stale-read overlaps
-  /// between same-group gradient row sets.
-  void Commit(Group* g,
-              const std::function<void(const TrainStats&)>& on_edge);
+  /// Takes the store lease (non-blocking first, counting shard
+  /// contention, then blocking, timing the wait into
+  /// ingest.lease_wait_us), commits the group's plans in arrival order,
+  /// runs callbacks, and counts stale-read overlaps between the plans'
+  /// gradient row sets.
+  void Commit(const std::function<void(const TrainStats&)>& on_edge);
 
   /// Adds one execute loop's accumulated perf delta to writer slot `w`'s
   /// atomics (no-op for an all-zero delta — profiling off).
@@ -167,12 +114,19 @@ class IngestPipeline {
 
   SupaModel& model_;
   const IngestOptions options_;
-  const size_t group_cap_;
 
-  Group groups_[2];
+  // The group in flight.
+  std::vector<EdgePlan> plans_;  // size = max_group_edges; [0, count_) live
+  size_t count_ = 0;
+  std::atomic<size_t> next_plan_{0};
+  std::atomic<size_t> pending_tasks_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;  // guarded by mu_
+
   std::vector<SupaModel::ExecScratch> scratches_;  // one per writer
-  /// Commit-time row set (kFast): gradient rows committed so far in the
-  /// current group, probed to count stale-read overlaps.
+  /// Commit-time row set: gradient rows committed so far in the current
+  /// group, probed to count stale-read overlaps.
   RowIndex footprint_;
 
   // Span-scoped dispatcher state.

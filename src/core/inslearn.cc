@@ -222,6 +222,58 @@ class Heartbeat {
                                    // atomics above are already constructed
 };
 
+/// Runs training passes over spans of edges, routed once per run: the
+/// serial TrainEdge loop at writer_threads <= 1 (the bit-identical
+/// reference), else the multi-writer IngestPipeline (DESIGN.md §13). Every
+/// trained edge counts one report step and ticks the heartbeat.
+class SpanTrainer {
+ public:
+  SpanTrainer(SupaModel& model, size_t writer_threads,
+              InsLearnReport* report, Heartbeat* heartbeat)
+      : model_(model), report_(report), heartbeat_(heartbeat) {
+    if (writer_threads > 1) {
+      IngestOptions options;
+      options.writers = writer_threads;
+      pipeline_ = std::make_unique<IngestPipeline>(model, options);
+    }
+  }
+
+  /// Trains edges [begin, end) of `edges` once, observing each edge after
+  /// its step when `observe` (the first pass over a batch).
+  Status Train(const std::vector<TemporalEdge>& edges, size_t begin,
+               size_t end, bool observe) {
+    if (pipeline_ != nullptr) {
+      return pipeline_->TrainSpan(
+          edges, begin, end, observe, [this](const TrainStats&) { Count(); },
+          &report_->train_seconds, &report_->observe_seconds);
+    }
+    for (size_t i = begin; i < end; ++i) {
+      {
+        StopwatchGuard guard(&report_->train_seconds);
+        auto stats = model_.TrainEdge(edges[i]);
+        if (!stats.ok()) return stats.status();
+      }
+      Count();
+      if (observe) {
+        StopwatchGuard guard(&report_->observe_seconds);
+        SUPA_RETURN_NOT_OK(model_.ObserveEdge(edges[i]));
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  void Count() {
+    ++report_->train_steps;
+    heartbeat_->Tick();
+  }
+
+  SupaModel& model_;
+  InsLearnReport* report_;
+  Heartbeat* heartbeat_;
+  std::unique_ptr<IngestPipeline> pipeline_;
+};
+
 /// Copies a finished report into the process-wide metrics registry.
 /// Handles are looked up by name here — this runs once per Train() call,
 /// not in the per-edge hot path.
@@ -355,21 +407,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
     return st;
   };
 
-  // With > 1 resolved writer threads the per-edge loops route through the
-  // multi-writer ingest pipeline (DESIGN.md §13); otherwise they stay on
-  // the historical serial TrainEdge loop.
-  const size_t writers = ResolveWriterThreads(config_.writer_threads);
-  std::unique_ptr<IngestPipeline> pipeline;
-  if (writers > 1) {
-    IngestOptions ingest;
-    ingest.writers = writers;
-    ingest.mode = config_.ingest_mode;
-    pipeline = std::make_unique<IngestPipeline>(model, ingest);
-  }
-  auto on_edge = [&](const TrainStats&) {
-    ++report.train_steps;
-    heartbeat.Tick();
-  };
+  SpanTrainer spans(model, config_.writer_threads, &report, &heartbeat);
 
   // Initial cut: guards the killed-during-first-batch window — recovery
   // always has at least this link to restart from.
@@ -393,25 +431,8 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
 
     bool first_iteration = true;
     for (int iter = 1; iter <= config_.max_iters; ++iter) {
-      if (pipeline != nullptr) {
-        SUPA_RETURN_NOT_OK(pipeline->TrainSpan(
-            data.edges, b0, train_end, first_iteration, on_edge,
-            &report.train_seconds, &report.observe_seconds));
-      } else {
-        for (size_t i = b0; i < train_end; ++i) {
-          {
-            StopwatchGuard guard(&report.train_seconds);
-            auto stats = model.TrainEdge(data.edges[i]);
-            if (!stats.ok()) return stats.status();
-          }
-          ++report.train_steps;
-          heartbeat.Tick();
-          if (first_iteration) {
-            StopwatchGuard guard(&report.observe_seconds);
-            SUPA_RETURN_NOT_OK(model.ObserveEdge(data.edges[i]));
-          }
-        }
-      }
+      SUPA_RETURN_NOT_OK(
+          spans.Train(data.edges, b0, train_end, first_iteration));
       first_iteration = false;
       ++report.iterations;
 
@@ -491,20 +512,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
   Rng valid_rng(config_.seed);
   Heartbeat heartbeat(config_.heartbeat_seconds, range);
 
-  // Same routing rule as TrainSinglePass: the pipeline takes over the
-  // per-edge loop when more than one writer thread is resolved.
-  const size_t writers = ResolveWriterThreads(config_.writer_threads);
-  std::unique_ptr<IngestPipeline> pipeline;
-  if (writers > 1) {
-    IngestOptions ingest;
-    ingest.writers = writers;
-    ingest.mode = config_.ingest_mode;
-    pipeline = std::make_unique<IngestPipeline>(model, ingest);
-  }
-  auto on_edge = [&](const TrainStats&) {
-    ++report.train_steps;
-    heartbeat.Tick();
-  };
+  SpanTrainer spans(model, config_.writer_threads, &report, &heartbeat);
 
   const size_t n = range.size();
   size_t valid_len = std::min(config_.valid_size, n / 5);
@@ -520,25 +528,8 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
 
   for (int epoch = 1; epoch <= config_.full_pass_epochs; ++epoch) {
     SUPA_TRACE_SPAN_CAT("inslearn/epoch", "inslearn");
-    if (pipeline != nullptr) {
-      SUPA_RETURN_NOT_OK(pipeline->TrainSpan(
-          data.edges, range.begin, train_end, epoch == 1, on_edge,
-          &report.train_seconds, &report.observe_seconds));
-    } else {
-      for (size_t i = range.begin; i < train_end; ++i) {
-        {
-          StopwatchGuard guard(&report.train_seconds);
-          auto stats = model.TrainEdge(data.edges[i]);
-          if (!stats.ok()) return stats.status();
-        }
-        ++report.train_steps;
-        heartbeat.Tick();
-        if (epoch == 1) {
-          StopwatchGuard guard(&report.observe_seconds);
-          SUPA_RETURN_NOT_OK(model.ObserveEdge(data.edges[i]));
-        }
-      }
-    }
+    SUPA_RETURN_NOT_OK(
+        spans.Train(data.edges, range.begin, train_end, epoch == 1));
     ++report.iterations;
     if (valid_len > 0) {
       double score = 0.0;

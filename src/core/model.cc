@@ -129,10 +129,6 @@ Status SupaModel::RebuildNegativeTable() {
   return neg_table_.Build(neg_weight_scratch_);
 }
 
-NodeId SupaModel::SampleNegative(NodeId u, NodeId v) {
-  return SampleNegative(u, v, rng_);
-}
-
 NodeId SupaModel::SampleNegative(NodeId u, NodeId v, Rng& rng) const {
   for (int attempt = 0; attempt < 8; ++attempt) {
     NodeId cand = static_cast<NodeId>(neg_table_.Sample(rng));
@@ -142,8 +138,7 @@ NodeId SupaModel::SampleNegative(NodeId u, NodeId v, Rng& rng) const {
 }
 
 void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
-                           UpdateContext* ctx, const MathSink& sink,
-                           double* deferred_gamma) {
+                           UpdateContext* ctx) {
   const size_t d = static_cast<size_t>(config_.dim);
   ctx->node = node;
   ctx->grad_h_star.assign(d, 0.0f);
@@ -158,45 +153,25 @@ void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
   ctx->alpha_offset = store_->AlphaOffset(otype);
 
   const float* hl = store_->LongMem(node);
-  float* hs = store_->ShortMem(node);
+  const float* hs = store_->ShortMem(node);
 
   if (config_.use_short_term) {
     ctx->delta =
         (last_active == kNeverActive) ? 0.0 : std::max(0.0, t - last_active);
+    ctx->short_before.assign(hs, hs + d);
     if (config_.use_update_decay) {
       const double alpha = *store_->Alpha(otype);
       ctx->decay_input = Sigmoid(alpha) * ctx->delta;
       ctx->gamma = DecayG(ctx->decay_input);
-      ctx->short_before.assign(hs, hs + d);
       // Persistent forgetting: the short-term memory itself decays, and the
-      // new interaction's gradient signal is re-encoded into it. This
-      // mutates parameters outside the optimizer, so the row is marked
-      // dirty here rather than relying on the optimizer step that
-      // normally follows (TrainEdge can error out in between). Pipeline
-      // executors bank the mark instead — the shared dirty set is not
-      // thread-safe.
-      if (sink.dirty != nullptr) {
-        sink.dirty->emplace_back(store_->ShortMemOffset(node),
-                                 static_cast<uint32_t>(d));
-      } else {
-        adam_->MarkDirty(store_->ShortMemOffset(node),
-                         static_cast<uint32_t>(d));
-      }
-      if (deferred_gamma != nullptr) {
-        // Deferred decay: bank γ and work on a scratch copy. The live row
-        // is scaled at commit, in arrival order, so a shared endpoint
-        // keeps earlier in-group commits instead of being overwritten
-        // with a group-start value. The scale-then-read sequence matches
-        // the in-place path bit-for-bit when rows don't overlap.
-        *deferred_gamma = ctx->gamma;
-        ctx->short_scaled.assign(hs, hs + d);
-        Scale(ctx->gamma, ctx->short_scaled.data(), d);
-        hs = ctx->short_scaled.data();
-      } else {
-        Scale(ctx->gamma, hs, d);
-      }
-    } else {
-      ctx->short_before.assign(hs, hs + d);
+      // new interaction's gradient signal is re-encoded into it. The math
+      // reads a decayed copy; CommitPlan scales the live row by the same γ,
+      // in arrival order, so a pipeline edge sharing this endpoint keeps
+      // earlier in-group commits instead of overwriting them with a
+      // group-start value.
+      ctx->short_scaled.assign(hs, hs + d);
+      Scale(ctx->gamma, ctx->short_scaled.data(), d);
+      hs = ctx->short_scaled.data();
     }
     simd::Add(hl, hs, ctx->h_star.data(), d);
   } else {
@@ -205,8 +180,7 @@ void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
   }
 }
 
-void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
-                                const MathSink& sink) {
+void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads) {
   const size_t d = static_cast<size_t>(config_.dim);
   const float* g = ctx.grad_h_star.data();
   grads.Accumulate(store_->LongMemOffset(ctx.node), d, 1.0, g);
@@ -222,29 +196,12 @@ void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
         DecayGPrime(ctx.decay_input) * sig * (1.0 - sig) * ctx.delta;
     const double inner =
         Dot(g, ctx.short_before.data(), d) * dgamma_dalpha;
-    if (sink.alpha != nullptr) {
-      // Deferred α: accumulate in float exactly like the GradBuffer row
-      // the serial path uses (u's and v's contributions may share one α).
-      float* cell = nullptr;
-      for (auto& entry : *sink.alpha) {
-        if (entry.first == ctx.alpha_offset) {
-          cell = &entry.second;
-          break;
-        }
-      }
-      if (cell == nullptr) {
-        sink.alpha->emplace_back(ctx.alpha_offset, 0.0f);
-        cell = &sink.alpha->back().second;
-      }
-      *cell += static_cast<float>(inner);
-    } else {
-      grads.AccumulateScalar(ctx.alpha_offset, inner);
-    }
+    grads.AccumulateScalar(ctx.alpha_offset, inner);
   }
 }
 
 Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
-                           bool want_footprint, EdgePlan* plan) {
+                           EdgePlan* plan) {
   if (e.src >= graph_->num_nodes() || e.dst >= graph_->num_nodes()) {
     return Status::OutOfRange("train edge endpoint out of range");
   }
@@ -257,82 +214,43 @@ Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
   // step start, before the edge is observed, so they are banked here.
   plan->last_active_u = graph_->LastActive(e.src);
   plan->last_active_v = graph_->LastActive(e.dst);
-  plan->u_walk_count = 0;
-  plan->negatives.clear();
-  plan->rows.clear();
-  plan->shard_mask = 0;
-
-  // RNG draw order matches the serial trainer exactly: walks first, then
-  // the (possibly rebuilt) negative table's draws.
-  if (config_.use_prop_loss) {
-    SUPA_TRACE_SPAN_CAT("sample", "model");
-    SUPA_PERF_SCOPE(kSample);
-    sampler_->SampleInto(e.src, e.dst, rng_, &plan->walks,
-                         &plan->u_walk_count);
-  }
-  if (config_.use_neg_loss) {
-    if (!neg_table_.built()) {
-      SUPA_RETURN_NOT_OK(RebuildNegativeTable());
-    }
-    const size_t total = 2 * static_cast<size_t>(config_.num_neg);
-    plan->negatives.reserve(total);
-    for (size_t j = 0; j < total; ++j) {
-      plan->negatives.push_back(SampleNegative(e.src, e.dst));
-    }
-  }
-
-  if (want_footprint) {
-    const EdgeTypeId r_ctx = CtxRel(e.type);
-    auto touch = [&](NodeId node, size_t offset) {
-      plan->rows.push_back(offset);
-      plan->shard_mask |= graph_store_->ShardMaskOf(node);
-    };
-    touch(e.src, store_->LongMemOffset(e.src));
-    touch(e.dst, store_->LongMemOffset(e.dst));
-    if (config_.use_short_term) {
-      touch(e.src, store_->ShortMemOffset(e.src));
-      touch(e.dst, store_->ShortMemOffset(e.dst));
-    }
-    if (config_.use_inter_loss && options.use_inter_loss) {
-      touch(e.src, store_->ContextOffset(e.src, r_ctx));
-      touch(e.dst, store_->ContextOffset(e.dst, r_ctx));
-    }
-    if (config_.use_prop_loss) {
-      // Every walk row, including those the filter D(.) would terminate
-      // before — the footprint must be a superset of the writes, and
-      // termination depends on edge time, cheap to over-approximate.
-      for (size_t w = 0; w < plan->walks.num_walks(); ++w) {
-        const WalkBuffer::Span& span = plan->walks.walk(w);
-        const WalkStep* steps = plan->walks.steps_of(span);
-        for (size_t si = 0; si < span.size(); ++si) {
-          touch(steps[si].node,
-                store_->ContextOffset(steps[si].node,
-                                      CtxRel(steps[si].via_type)));
-        }
-      }
-    }
-    if (config_.use_neg_loss) {
-      for (NodeId neg : plan->negatives) {
-        if (neg == kInvalidNode) continue;
-        touch(neg, store_->ContextOffset(neg, r_ctx));
-      }
-    }
-    if (config_.use_short_term && config_.use_update_decay) {
-      // The α tail rides with shard 0's write ordering; the α row itself
-      // is excluded from `rows` (dispatcher-committed, never raced).
-      plan->shard_mask |= uint64_t{1};
-    }
+  // Pipeline executors sample the table concurrently and must never mutate
+  // it, so a pending build happens here, on the dispatcher. It consumes no
+  // RNG and the walks never read it, so building it before the serial
+  // step's walk draw leaves that step's draws unchanged.
+  if (config_.use_neg_loss && !neg_table_.built()) {
+    SUPA_RETURN_NOT_OK(RebuildNegativeTable());
   }
   return Status::OK();
 }
 
-TrainStats SupaModel::RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
-                                  const MathSink& sink) {
+void SupaModel::SampleStep(EdgePlan* plan, Rng& rng) const {
+  const TemporalEdge& e = plan->edge;
+  plan->u_walk_count = 0;
+  plan->negatives.clear();
+  // Walks first, then negatives: the serial trainer's draw order.
+  if (config_.use_prop_loss) {
+    SUPA_TRACE_SPAN_CAT("sample", "model");
+    SUPA_PERF_SCOPE(kSample);
+    sampler_->SampleInto(e.src, e.dst, rng, &plan->walks,
+                         &plan->u_walk_count);
+  }
+  if (config_.use_neg_loss) {
+    const size_t total = 2 * static_cast<size_t>(config_.num_neg);
+    plan->negatives.reserve(total);
+    for (size_t j = 0; j < total; ++j) {
+      plan->negatives.push_back(SampleNegative(e.src, e.dst, rng));
+    }
+  }
+}
+
+void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
+  const EdgePlan& plan = *out;
   const TemporalEdge& e = plan.edge;
   const size_t d = static_cast<size_t>(config_.dim);
   const EdgeTypeId r_ctx = CtxRel(e.type);
   TrainStats stats;
-  GradBuffer& grads = sink.grads != nullptr ? *sink.grads : scratch->grads;
+  GradBuffer& grads = out->grads;
   UpdateContext& ctx_u = scratch->ctx_u;
   UpdateContext& ctx_v = scratch->ctx_v;
 
@@ -340,9 +258,11 @@ TrainStats SupaModel::RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
   {
     SUPA_TRACE_SPAN_CAT("update", "model");
     SUPA_PERF_SCOPE(kUpdate);
-    RunUpdater(e.src, e.time, plan.last_active_u, &ctx_u, sink, sink.gamma_u);
-    RunUpdater(e.dst, e.time, plan.last_active_v, &ctx_v, sink, sink.gamma_v);
+    RunUpdater(e.src, e.time, plan.last_active_u, &ctx_u);
+    RunUpdater(e.dst, e.time, plan.last_active_v, &ctx_v);
   }
+  out->gamma_u = ctx_u.gamma;
+  out->gamma_v = ctx_v.gamma;
 
   // ---- interaction loss (Eq. 6–7) ----------------------------------------
   if (config_.use_inter_loss && plan.options.use_inter_loss) {
@@ -423,18 +343,18 @@ TrainStats SupaModel::RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
   {
     SUPA_TRACE_SPAN_CAT("optimize", "model");
     SUPA_PERF_SCOPE(kOptimize);
-    BackpropUpdater(ctx_u, grads, sink);
-    BackpropUpdater(ctx_v, grads, sink);
+    BackpropUpdater(ctx_u, grads);
+    BackpropUpdater(ctx_v, grads);
   }
-  return stats;
+  out->stats = stats;
 }
 
 Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                                         const TrainOptions& options) {
   SUPA_TRACE_SPAN_CAT("train_edge", "model");
   SUPA_PERF_SCOPE(kTrainEdge);
-  SUPA_RETURN_NOT_OK(
-      PlanEdge(e, options, /*want_footprint=*/false, &serial_plan_));
+  SUPA_RETURN_NOT_OK(PlanEdge(e, options, &serial_plan_));
+  SampleStep(&serial_plan_, rng_);
 
   // A full training step scatters embedding writes across arbitrary rows
   // (walk and negative contexts land anywhere), so it holds the
@@ -455,30 +375,10 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                      : uint64_t{0}))
           : graph_store_->LeaseAll();
 
-  // Serial sink: dirty rows and α gradients flow straight into the
-  // optimizer, exactly as before the plan/execute split.
-  const MathSink sink;
-  const TrainStats stats = RunEdgeMath(serial_plan_, &serial_scratch_, sink);
-  auto& monitor = obs::ModelMonitor::Global();
-  const bool monitored = monitor.enabled();
-  SparseAdam::StepStats step_stats;
-  {
-    SUPA_TRACE_SPAN_CAT("optimize", "model");
-    SUPA_PERF_SCOPE(kOptimize);
-    adam_->Step(serial_scratch_.grads, store_->data(),
-                monitored ? &step_stats : nullptr);
-  }
-  RecordStepWrites(e, serial_scratch_.grads, &lease);
+  RunEdgeMath(&serial_plan_, &serial_scratch_);
+  CommitPlan(serial_plan_, &lease);
   lease.DeclareComplete();
-  if (monitored) {
-    monitor.RecordTrainStep(stats.loss_inter, stats.loss_prop,
-                            stats.loss_neg,
-                            GradBufferL2(serial_scratch_.grads),
-                            std::sqrt(step_stats.sum_update_sq),
-                            std::sqrt(step_stats.sum_param_sq_before),
-                            std::sqrt(step_stats.sum_param_sq_after));
-  }
-  return stats;
+  return serial_plan_.stats;
 }
 
 void SupaModel::RecordStepWrites(const TemporalEdge& e,
@@ -494,118 +394,30 @@ void SupaModel::RecordStepWrites(const TemporalEdge& e,
 }
 
 void SupaModel::ExecutePlan(EdgePlan* plan, ExecScratch* scratch) {
-  plan->dirty.clear();
-  plan->alpha_grads.clear();
-  MathSink sink;
-  sink.dirty = &plan->dirty;
-  sink.alpha = &plan->alpha_grads;
-  plan->stats = RunEdgeMath(*plan, scratch, sink);
-  // Row updates land now, at the plan's pinned step; α and the dirty merge
-  // wait for CommitPlan. Per-row Adam math depends only on the step number
-  // and the row's own state, so disjoint-row plans commute bit-exactly.
-  plan->mon_sampled = obs::ModelMonitor::Global().enabled();
-  SparseAdam::StepStats step_stats;
-  adam_->StepAt(plan->step, scratch->grads, store_->data(), &plan->dirty,
-                plan->mon_sampled ? &step_stats : nullptr);
-  if (plan->mon_sampled) {
-    // Banked for CommitPlan: the monitor's mutex stays off the worker.
-    plan->mon_grad_norm = GradBufferL2(scratch->grads);
-    plan->mon_step_norm = std::sqrt(step_stats.sum_update_sq);
-    plan->mon_row_norm_before = std::sqrt(step_stats.sum_param_sq_before);
-    plan->mon_row_norm_after = std::sqrt(step_stats.sum_param_sq_after);
-  }
-}
-
-void SupaModel::CommitPlan(const EdgePlan& plan) {
-  for (const auto& [offset, len] : plan.dirty) {
-    adam_->MarkDirty(offset, len);
-  }
-  for (const auto& [offset, grad] : plan.alpha_grads) {
-    adam_->StepScalarAt(plan.step, offset, grad, store_->data());
-  }
-  adam_->set_step_count(plan.step);
-  auto& monitor = obs::ModelMonitor::Global();
-  if (plan.mon_sampled && monitor.enabled()) {
-    monitor.RecordTrainStep(plan.stats.loss_inter, plan.stats.loss_prop,
-                            plan.stats.loss_neg, plan.mon_grad_norm,
-                            plan.mon_step_norm, plan.mon_row_norm_before,
-                            plan.mon_row_norm_after);
-  }
-}
-
-Status SupaModel::PlanEdgeDeferred(const TemporalEdge& e,
-                                   const TrainOptions& options,
-                                   EdgePlan* plan) {
-  if (e.src >= graph_->num_nodes() || e.dst >= graph_->num_nodes()) {
-    return Status::OutOfRange("train edge endpoint out of range");
-  }
-  if (e.src == e.dst) {
-    return Status::InvalidArgument("self loop in training stream");
-  }
-  plan->edge = e;
-  plan->options = options;
-  plan->last_active_u = graph_->LastActive(e.src);
-  plan->last_active_v = graph_->LastActive(e.dst);
-  plan->u_walk_count = 0;
-  plan->negatives.clear();
-  plan->rows.clear();
-  plan->shard_mask = 0;
-  // Executors sample the table concurrently and must never mutate it, so
-  // a pending rebuild happens here, on the dispatcher, before launch.
-  if (config_.use_neg_loss && !neg_table_.built()) {
-    SUPA_RETURN_NOT_OK(RebuildNegativeTable());
-  }
-  return Status::OK();
-}
-
-void SupaModel::ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch) {
-  plan->dirty.clear();
-  plan->alpha_grads.clear();
-  plan->grads.Clear();
-  plan->gamma_u = 1.0;
-  plan->gamma_v = 1.0;
-  const TemporalEdge& e = plan->edge;
   // Counter-based stream: one private RNG keyed by (seed, step), so the
   // draws depend only on the edge's arrival index — never on the writer
   // count or the execution interleaving.
   Rng rng(0x9E3779B97F4A7C15ULL * (plan->step + 1) ^
           (static_cast<uint64_t>(config_.seed) + 0x632BE59BD9B4E019ULL));
-  if (config_.use_prop_loss) {
-    SUPA_TRACE_SPAN_CAT("sample", "model");
-    SUPA_PERF_SCOPE(kSample);
-    sampler_->SampleInto(e.src, e.dst, rng, &plan->walks,
-                         &plan->u_walk_count);
-  }
-  if (config_.use_neg_loss) {
-    const size_t total = 2 * static_cast<size_t>(config_.num_neg);
-    plan->negatives.reserve(total);
-    for (size_t j = 0; j < total; ++j) {
-      plan->negatives.push_back(SampleNegative(e.src, e.dst, rng));
-    }
-  }
-  MathSink sink;
-  sink.dirty = &plan->dirty;
-  sink.grads = &plan->grads;
-  sink.gamma_u = &plan->gamma_u;
-  sink.gamma_v = &plan->gamma_v;
-  // α rides in `grads` as a scalar row (sink.alpha stays null) — the
-  // commit-time Step applies it exactly like the serial trainer.
-  plan->stats = RunEdgeMath(*plan, scratch, sink);
+  SampleStep(plan, rng);
+  RunEdgeMath(plan, scratch);
 }
 
-void SupaModel::CommitPlanDeferred(const EdgePlan& plan,
-                                   store::ShardWriteLease* lease) {
+void SupaModel::CommitPlan(const EdgePlan& plan,
+                           store::ShardWriteLease* lease) {
   SUPA_TRACE_SPAN_CAT("optimize", "model");
   SUPA_PERF_SCOPE(kOptimize);
   const size_t d = static_cast<size_t>(config_.dim);
   if (config_.use_short_term && config_.use_update_decay) {
     // The banked forgetting scales the *live* rows — layered on top of
-    // any earlier in-group commits to the same endpoints.
+    // any earlier in-group commits to the same endpoints. It mutates
+    // parameters outside the optimizer, so the rows are marked dirty here.
     Scale(plan.gamma_u, store_->ShortMem(plan.edge.src), d);
     Scale(plan.gamma_v, store_->ShortMem(plan.edge.dst), d);
-  }
-  for (const auto& [offset, len] : plan.dirty) {
-    adam_->MarkDirty(offset, len);
+    adam_->MarkDirty(store_->ShortMemOffset(plan.edge.src),
+                     static_cast<uint32_t>(d));
+    adam_->MarkDirty(store_->ShortMemOffset(plan.edge.dst),
+                     static_cast<uint32_t>(d));
   }
   auto& monitor = obs::ModelMonitor::Global();
   const bool monitored = monitor.enabled();

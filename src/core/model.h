@@ -41,24 +41,23 @@ struct TrainOptions {
   bool use_inter_loss = true;
 };
 
-/// A banked training step (DESIGN.md §13). Two pipelines share it:
+/// One training step's inputs and outputs (DESIGN.md §13), shared by the
+/// serial TrainEdge and the multi-writer pipeline:
 ///
-///   * kStrict: PlanEdge banks everything TrainEdge consumes from the RNG
-///     stream and the graph in arrival order; ExecutePlan (any thread)
-///     applies row updates via SparseAdam::StepAt under the group lease;
-///     CommitPlan folds the banked side effects in arrival order.
-///     Bit-identical to the serial trainer.
-///   * kFast: PlanEdgeDeferred only validates and banks graph reads; the
-///     sampling moves into ExecutePlanDeferred with a per-step
-///     counter-based RNG so workers sample and compute gradients in
-///     parallel against the frozen group-start state (reads only); the
-///     gradients land in `grads` and CommitPlanDeferred applies the
-///     ordinary serial optimizer step in arrival order.
+///   * PlanEdge validates the edge and banks what must be read before the
+///     edge is observed.
+///   * The step draws its influenced graph and negatives — from the model
+///     RNG in TrainEdge, from a per-step counter-based RNG in ExecutePlan
+///     — and computes its full gradient into `grads` while reading, never
+///     writing, the embeddings.
+///   * CommitPlan applies the banked forgetting and `grads` with the
+///     ordinary optimizer step.
 struct EdgePlan {
   TemporalEdge edge;
   TrainOptions options;
-  /// Optimizer step number this edge commits as (arrival order; the
-  /// serial trainer's Step() would have assigned exactly this number).
+  /// Pipeline only: the optimizer step number this edge commits as
+  /// (arrival order; the serial trainer's Step() would have assigned
+  /// exactly this number). Keys ExecutePlan's RNG.
   uint64_t step = 0;
   /// Last-active timestamps at plan time — the serial trainer reads them
   /// before the edge is observed.
@@ -67,50 +66,18 @@ struct EdgePlan {
   /// Sampled influenced graph: walks from u first, then from v.
   WalkBuffer walks;
   size_t u_walk_count = 0;
-  /// Banked negative draws, num_neg for u then num_neg for v;
-  /// kInvalidNode marks an exhausted draw (the loss loop skips it exactly
-  /// like the serial path).
+  /// Sampled negatives, num_neg for u then num_neg for v; kInvalidNode
+  /// marks an exhausted draw (the loss loop skips it).
   std::vector<NodeId> negatives;
 
-  // -- Scheduling footprint (PlanEdge with want_footprint only) --
-  /// Every embedding row the step writes (each dim floats; the α tail is
-  /// excluded — α commits are serialized by the dispatcher). Walk rows
-  /// are included even when propagation terminates early, so the
-  /// footprint is a conservative superset of the rows actually touched.
-  std::vector<size_t> rows;
-  /// Shards covered by `rows`, widened with shard 0 whenever the step may
-  /// carry α gradients (the α tail rides with shard 0's write ordering).
-  uint64_t shard_mask = 0;
-
-  // -- Execution outputs (ExecutePlan / ExecutePlanDeferred) --
   TrainStats stats;
-  /// Rows to mark dirty at commit.
-  SparseAdam::BankedDirty dirty;
-  /// Deferred α gradients (offset, float-accumulated like GradBuffer's
-  /// scalar rows), applied by CommitPlan at this plan's step number.
-  /// (kStrict only — the deferred pipeline routes α through `grads`.)
-  std::vector<std::pair<size_t, float>> alpha_grads;
-
-  // -- Deferred-apply outputs (kFast; ExecutePlanDeferred) --
-  /// The step's full gradient accumulation, applied by
-  /// CommitPlanDeferred via the ordinary serial optimizer step.
+  /// The step's full gradient accumulation.
   GradBuffer grads;
-  /// Banked forgetting factors γ = g(σ(α)·Δ) for src/dst: the h^S decay
-  /// is scaled into the live rows at commit (in arrival order) rather
-  /// than during execution, so shared endpoints lose no updates.
+  /// Forgetting factors γ = g(σ(α)·Δ) for src/dst: the h^S decay is
+  /// scaled into the live rows at commit rather than during the math, so
+  /// pipeline edges that share an endpoint lose no updates.
   double gamma_u = 1.0;
   double gamma_v = 1.0;
-
-  // -- Model-monitor sample (kStrict; banked by ExecutePlan) --
-  /// True when the executor collected monitor signals; CommitPlan then
-  /// records them on the dispatcher, in arrival order, so the monitor's
-  /// mutex never sits on a worker's critical path. Norms are L2 over the
-  /// step's gradient rows; the dispatcher-committed α tail is excluded.
-  bool mon_sampled = false;
-  double mon_grad_norm = 0.0;
-  double mon_step_norm = 0.0;
-  double mon_row_norm_before = 0.0;
-  double mon_row_norm_after = 0.0;
 };
 
 /// A trainable SUPA instance bound to one dataset's node universe, schema,
@@ -263,16 +230,15 @@ class SupaModel {
     double decay_input = 0.0; // σ(α)·Δ
     double gamma = 1.0;       // g(σ(α)·Δ)
     std::vector<float> short_before;  // h^S prior to forgetting
-    std::vector<float> short_scaled;  // γ·h^S when the decay is deferred
+    std::vector<float> short_scaled;  // γ·h^S (the live row decays at commit)
     std::vector<float> h_star;        // target embedding
     std::vector<float> grad_h_star;   // accumulated dL/dh*
   };
 
  public:
-  /// Per-executor reusable scratch for ExecutePlan. One per writer thread;
-  /// never shared across concurrent executions.
+  /// Per-executor reusable scratch for the step math. One per writer
+  /// thread; never shared across concurrent executions.
   struct ExecScratch {
-    GradBuffer grads;
     UpdateContext ctx_u;
     UpdateContext ctx_v;
     std::vector<float> hr_u;
@@ -281,86 +247,38 @@ class SupaModel {
 
   // -- Plan/execute/commit split (multi-writer ingest; DESIGN.md §13) --
 
-  /// Stage 1 of a training step: validates the edge and banks everything
-  /// the step consumes from the RNG stream and the graph, in exactly the
-  /// serial trainer's draw order (walks first, then negatives). Must run
-  /// on the dispatcher thread in arrival order; never writes embeddings.
-  /// With `want_footprint`, additionally records the step's embedding-row
-  /// write set and conservative shard mask for the group scheduler.
+  /// Stage 1: validates the edge, banks the pre-observation last-active
+  /// timestamps, and builds the negative table if it is still pending.
+  /// Consumes nothing from any RNG. Dispatcher thread, arrival order.
   Status PlanEdge(const TemporalEdge& e, const TrainOptions& options,
-                  bool want_footprint, EdgePlan* plan);
+                  EdgePlan* plan);
 
-  /// Stage 2: the banked step's embedding math. Touches only embedding
-  /// rows — never the graph, the RNG, or the optimizer's counters — so
-  /// plans with disjoint row footprints may execute concurrently, each
-  /// with its own scratch. Row updates apply via SparseAdam::StepAt at
-  /// plan->step; dirty rows and α gradients are banked into the plan for
-  /// CommitPlan. The caller must hold a write lease covering
-  /// plan->shard_mask.
-  void ExecutePlan(EdgePlan* plan, ExecScratch* scratch);
-
-  /// Stage 3, dispatcher-side, in arrival order: merges the banked dirty
-  /// rows, applies the deferred α gradients at the plan's pinned step
-  /// number, and advances the optimizer's step counter.
-  void CommitPlan(const EdgePlan& plan);
-
-  // -- Deferred-apply pipeline (kFast; DESIGN.md §13) --
-
-  /// kFast stage 1: validates the edge and banks only what must be read
-  /// before observation (last-active timestamps) plus the negative table
-  /// rebuild. Consumes nothing from the model's RNG stream — sampling is
-  /// deferred to ExecutePlanDeferred under a per-step counter-based seed,
-  /// so results are independent of the writer count (but diverge from the
-  /// serial trainer's draw order). Dispatcher thread, arrival order.
-  Status PlanEdgeDeferred(const TemporalEdge& e, const TrainOptions& options,
-                          EdgePlan* plan);
-
-  /// kFast stage 2, any thread, no lease required: samples the influenced
+  /// Stage 2, any thread, no lease required: samples the influenced
   /// graph and negatives from Rng(seed ⊕ plan->step) against the frozen
   /// group-start graph, then computes the step's full gradient into
-  /// plan->grads. Reads embeddings, never writes them — the forgetting
-  /// decay is banked as plan->gamma_{u,v} and all gradients stay in the
-  /// plan until commit.
-  void ExecutePlanDeferred(EdgePlan* plan, ExecScratch* scratch);
+  /// plan->grads. Reads embeddings, never writes them. The per-step
+  /// stream makes results independent of the writer count, but it is a
+  /// different stream from the serial trainer's.
+  void ExecutePlan(EdgePlan* plan, ExecScratch* scratch);
 
-  /// kFast stage 3, dispatcher-side, arrival order, under `lease`:
-  /// scales the banked forgetting into the live h^S rows, merges dirty
-  /// rows, and applies plan->grads via the ordinary serial optimizer step
-  /// (which advances the step counter to exactly plan->step). Records
-  /// every row it writes on `lease`; the lease holder declares the lease
-  /// complete once all of its plans are committed.
-  void CommitPlanDeferred(const EdgePlan& plan, store::ShardWriteLease* lease);
+  /// Stage 3, in arrival order, under `lease`: scales the banked
+  /// forgetting into the live h^S rows, marks them dirty, and applies
+  /// plan.grads via the ordinary optimizer step (which advances the step
+  /// counter to exactly plan.step). Records every row it writes on
+  /// `lease`; the lease holder declares the lease complete once all of
+  /// its plans are committed.
+  void CommitPlan(const EdgePlan& plan, store::ShardWriteLease* lease);
 
   /// Optimizer step counter — the ingest dispatcher pins per-edge step
   /// numbers starting from here.
   uint64_t optimizer_step_count() const { return adam_->step_count(); }
 
  private:
-  /// Where the training-step math routes its side effects: straight into
-  /// the optimizer (serial TrainEdge) or banked into the plan (pipeline).
-  struct MathSink {
-    /// Dirty sink for pre-optimizer row writes (updater forgetting);
-    /// null → adam_->MarkDirty directly.
-    SparseAdam::BankedDirty* dirty = nullptr;
-    /// α gradient sink; null → GradBuffer::AccumulateScalar (serial).
-    std::vector<std::pair<size_t, float>>* alpha = nullptr;
-    /// Gradient accumulator override; null → scratch->grads (serial and
-    /// kStrict). The deferred pipeline points this at plan->grads.
-    GradBuffer* grads = nullptr;
-    /// Deferred forgetting sinks: when set, RunUpdater banks γ here and
-    /// decays a scratch copy of h^S instead of the live row (the scale is
-    /// applied at commit). Null → in-place decay (serial and kStrict).
-    double* gamma_u = nullptr;
-    double* gamma_v = nullptr;
-  };
-
-  /// Eq. 5: applies forgetting to h^S (in place, or — when
-  /// `deferred_gamma` is non-null — to a scratch copy, banking γ for the
-  /// commit-time scale) and fills `ctx`. `last_active` is the banked
-  /// pre-observation timestamp.
+  /// Eq. 5: decays a scratch copy of h^S by γ (banked in ctx->gamma; the
+  /// live row is scaled at commit) and fills `ctx`. `last_active` is the
+  /// banked pre-observation timestamp.
   void RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
-                  UpdateContext* ctx, const MathSink& sink,
-                  double* deferred_gamma);
+                  UpdateContext* ctx);
 
   /// Records on `lease` every row a step on `e` wrote: its gradient rows
   /// plus both endpoints' h^S rows, which the forgetting decay scales
@@ -369,15 +287,17 @@ class SupaModel {
                         store::ShardWriteLease* lease) const;
 
   /// Routes dL/dh* into h^L, h^S, and α gradients.
-  void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads,
-                       const MathSink& sink);
+  void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads);
 
-  /// The full per-edge loss/gradient computation over a banked plan.
-  /// Clears scratch->grads, fills it (and the sink's banked outputs), and
-  /// returns the step's stats. Shared verbatim by the serial TrainEdge
-  /// and ExecutePlan — the two differ only in how gradients are applied.
-  TrainStats RunEdgeMath(const EdgePlan& plan, ExecScratch* scratch,
-                         const MathSink& sink);
+  /// Draws the step's walks and negatives from `rng`: the model RNG in
+  /// TrainEdge, the per-step stream in ExecutePlan. Thread-safe on a
+  /// frozen graph and negative table.
+  void SampleStep(EdgePlan* plan, Rng& rng) const;
+
+  /// The full per-edge loss/gradient computation over a sampled plan:
+  /// fills out->grads, out->gamma_{u,v} and out->stats. Shared verbatim
+  /// by TrainEdge and ExecutePlan.
+  void RunEdgeMath(EdgePlan* out, ExecScratch* scratch);
 
   /// Maps an edge type to its context-embedding slot (shared-context
   /// ablation collapses all relations onto slot 0).
@@ -385,10 +305,8 @@ class SupaModel {
     return config_.shared_context ? static_cast<EdgeTypeId>(0) : r;
   }
 
-  /// Samples one negative node id != u, v from the model's RNG stream.
-  NodeId SampleNegative(NodeId u, NodeId v);
-  /// Same, drawing from an external RNG (the deferred pipeline's
-  /// per-step stream). Thread-safe on a frozen negative table.
+  /// Samples one negative node id != u, v from `rng`. Thread-safe on a
+  /// frozen negative table.
   NodeId SampleNegative(NodeId u, NodeId v, Rng& rng) const;
 
   /// Drops the delta baseline (after a whole-buffer restore) so stale

@@ -62,7 +62,7 @@ class GraphStore;
 /// holder that records every row and node it writes and then calls
 /// DeclareComplete() makes that publish copy just those; a lease released
 /// undeclared marks every covered shard all-changed, so writers that
-/// record nothing (restores, recovery, strict ingest) stay correct.
+/// record nothing (restores, checkpoint loads, recovery) stay correct.
 class ShardWriteLease {
  public:
   ShardWriteLease() = default;

@@ -5,6 +5,9 @@
 // validation scores, and a graph rebuilt from the WAL that matches the
 // edge stream exactly (node/edge sets and degrees). Crashes are simulated
 // by truncating a copy of the durability directory at byte granularity.
+// Every crash case runs under the serial trainer (at SUPA_SHARDS, else 1
+// shard) and under the 4-writer ingest pipeline at 8 shards, each against
+// a reference run at the same setting.
 
 #include "dur/recovery.h"
 
@@ -40,17 +43,35 @@ std::string ReadBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// A storage and trainer setting the crash cases run under. shards = 0
+/// defers to SUPA_SHARDS, then 1.
+struct Setting {
+  const char* name;
+  size_t shards;
+  size_t writers;
+};
+constexpr Setting kSettings[] = {{"serial", 0, 1},
+                                 {"writers4_8shards", 8, 4}};
+
 class DurRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     root_ = ::testing::TempDir() + "/supa_dur_rec_" + info->name();
     fs::remove_all(root_);
-    fs::create_directories(root_);
     data_ = MakeTaobao(0.15, 81).value();
     n_ = std::min<size_t>(1536, data_.edges.size());
+    UseSetting(kSettings[0]);
   }
   void TearDown() override { fs::remove_all(root_); }
+
+  /// Switches every later run to `setting`, in a directory of its own.
+  void UseSetting(const Setting& setting) {
+    setting_ = setting;
+    fs::create_directories(Dir(""));
+    ref_scores_.clear();
+    ref_bytes_.clear();
+  }
 
   SupaConfig ModelConfig() {
     SupaConfig c;
@@ -59,6 +80,7 @@ class DurRecoveryTest : public ::testing::Test {
     c.walk_len = 3;
     c.num_neg = 3;
     c.seed = 5;
+    c.shards = setting_.shards;
     return c;
   }
 
@@ -72,10 +94,13 @@ class DurRecoveryTest : public ::testing::Test {
     c.valid_negatives = 30;
     c.threads = 1;
     c.ckpt_interval = 1;
+    c.writer_threads = setting_.writers;
     return c;
   }
 
-  std::string Dir(const std::string& name) const { return root_ + "/" + name; }
+  std::string Dir(const std::string& name) const {
+    return root_ + "/" + setting_.name + "/" + name;
+  }
 
   /// The uninterrupted no-durability run every crash variant must match.
   void RunReference() {
@@ -188,6 +213,7 @@ class DurRecoveryTest : public ::testing::Test {
   }
 
   std::string root_;
+  Setting setting_ = kSettings[0];
   Dataset data_;
   size_t n_ = 0;
   std::vector<double> ref_scores_;
@@ -195,77 +221,95 @@ class DurRecoveryTest : public ::testing::Test {
 };
 
 TEST_F(DurRecoveryTest, EngineLeavesTrainingBitIdentical) {
-  // Attaching the engine must not perturb training: same checkpoint bytes
-  // with durability on and off.
-  RunReference();
-  RunDurable(Dir("full"), /*compact_threshold=*/3);
-  EXPECT_EQ(ReadBytes(Dir("full") + "/final.bin"), ref_bytes_);
+  for (const Setting& setting : kSettings) {
+    SCOPED_TRACE(setting.name);
+    UseSetting(setting);
+    // Attaching the engine must not perturb training: same checkpoint
+    // bytes with durability on and off.
+    RunReference();
+    RunDurable(Dir("full"), /*compact_threshold=*/3);
+    EXPECT_EQ(ReadBytes(Dir("full") + "/final.bin"), ref_bytes_);
 
-  // The run left a well-formed chain behind: a base first, several links,
-  // and (threshold 3 over ~8 cuts) at least one compaction fold.
-  auto manifest = LoadManifest(Dir("full"));
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  ASSERT_GE(manifest.value().links.size(), 2u);
-  EXPECT_EQ(manifest.value().links[0].kind, ManifestLink::Kind::kBase);
+    // The run left a well-formed chain behind: a base first, several
+    // links, and (threshold 3 over ~8 cuts) at least one compaction fold.
+    auto manifest = LoadManifest(Dir("full"));
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    ASSERT_GE(manifest.value().links.size(), 2u);
+    EXPECT_EQ(manifest.value().links[0].kind, ManifestLink::Kind::kBase);
+  }
 }
 
 TEST_F(DurRecoveryTest, RecoversBitIdenticallyAtSeveralWalOffsets) {
-  RunReference();
-  RunDurable(Dir("full"), /*compact_threshold=*/3);
-  ASSERT_EQ(ReadBytes(Dir("full") + "/final.bin"), ref_bytes_);
+  for (const Setting& setting : kSettings) {
+    SCOPED_TRACE(setting.name);
+    UseSetting(setting);
+    RunReference();
+    RunDurable(Dir("full"), /*compact_threshold=*/3);
+    ASSERT_EQ(ReadBytes(Dir("full") + "/final.bin"), ref_bytes_);
 
-  auto manifest = LoadManifest(Dir("full"));
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  const std::vector<ManifestLink>& links = manifest.value().links;
-  ASSERT_GE(links.size(), 3u);
+    auto manifest = LoadManifest(Dir("full"));
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    const std::vector<ManifestLink>& links = manifest.value().links;
+    ASSERT_GE(links.size(), 3u);
 
-  // Crash exactly at an early link's cut, mid-chain with half a torn
-  // record dangling, and mid-way between two cuts. Every variant must
-  // recover and resume to the reference bytes.
-  struct Variant {
-    const char* name;
-    uint64_t keep;
-    size_t torn;
-  };
-  const std::vector<Variant> variants = {
-      {"at_first_link", links.front().wal_seq, 0},
-      {"mid_chain_torn", links[links.size() / 2].wal_seq, 13},
-      {"between_cuts", (links.front().wal_seq + links.back().wal_seq) / 2, 0},
-  };
-  for (const Variant& variant : variants) {
-    SCOPED_TRACE(variant.name);
-    const std::string dir = Dir(variant.name);
-    CrashCopy(Dir("full"), dir, variant.keep, variant.torn);
-    RecoverResumeAndCompare(dir);
+    // Crash exactly at an early link's cut, mid-chain with half a torn
+    // record dangling, and mid-way between two cuts. Every variant must
+    // recover and resume to the reference bytes.
+    struct Variant {
+      const char* name;
+      uint64_t keep;
+      size_t torn;
+    };
+    const std::vector<Variant> variants = {
+        {"at_first_link", links.front().wal_seq, 0},
+        {"mid_chain_torn", links[links.size() / 2].wal_seq, 13},
+        {"between_cuts", (links.front().wal_seq + links.back().wal_seq) / 2,
+         0},
+    };
+    for (const Variant& variant : variants) {
+      SCOPED_TRACE(variant.name);
+      const std::string dir = Dir(variant.name);
+      CrashCopy(Dir("full"), dir, variant.keep, variant.torn);
+      RecoverResumeAndCompare(dir);
+    }
   }
 }
 
 TEST_F(DurRecoveryTest, RecoversFromTornFinalRecord) {
-  // The canonical kill -9: the very last append torn mid-write. The final
-  // manifest link is no longer covered, so recovery must fall back to the
-  // previous one and regenerate the rest.
-  RunReference();
-  RunDurable(Dir("full"), /*compact_threshold=*/100);
-  auto replay = ReadWal(Dir("full"));
-  ASSERT_TRUE(replay.ok());
-  const uint64_t total = replay.value().records.size();
-  ASSERT_GT(total, 1u);
+  for (const Setting& setting : kSettings) {
+    SCOPED_TRACE(setting.name);
+    UseSetting(setting);
+    // The canonical kill -9: the very last append torn mid-write. The
+    // final manifest link is no longer covered, so recovery must fall back
+    // to the previous one and regenerate the rest.
+    RunReference();
+    RunDurable(Dir("full"), /*compact_threshold=*/100);
+    auto replay = ReadWal(Dir("full"));
+    ASSERT_TRUE(replay.ok());
+    const uint64_t total = replay.value().records.size();
+    ASSERT_GT(total, 1u);
 
-  CrashCopy(Dir("full"), Dir("torn"), total - 1, kRecordBytes / 2);
-  auto check = ReadWal(Dir("torn"));
-  ASSERT_TRUE(check.ok());
-  EXPECT_TRUE(check.value().torn_tail);
-  EXPECT_EQ(check.value().records.size(), total - 1);
-  RecoverResumeAndCompare(Dir("torn"));
+    CrashCopy(Dir("full"), Dir("torn"), total - 1, kRecordBytes / 2);
+    auto check = ReadWal(Dir("torn"));
+    ASSERT_TRUE(check.ok());
+    EXPECT_TRUE(check.value().torn_tail);
+    EXPECT_EQ(check.value().records.size(), total - 1);
+    RecoverResumeAndCompare(Dir("torn"));
+  }
 }
 
 TEST_F(DurRecoveryTest, RecoversFromCrashBeforeAnyBatch) {
-  // Killed after the initial cut but before any edge hit the WAL: recovery
-  // restarts from the initial base and regenerates the entire run.
-  RunReference();
-  RunDurable(Dir("full"), /*compact_threshold=*/100);
-  CrashCopy(Dir("full"), Dir("early"), 0, 0);
-  RecoverResumeAndCompare(Dir("early"));
+  for (const Setting& setting : kSettings) {
+    SCOPED_TRACE(setting.name);
+    UseSetting(setting);
+    // Killed after the initial cut but before any edge hit the WAL:
+    // recovery restarts from the initial base and regenerates the entire
+    // run.
+    RunReference();
+    RunDurable(Dir("full"), /*compact_threshold=*/100);
+    CrashCopy(Dir("full"), Dir("early"), 0, 0);
+    RecoverResumeAndCompare(Dir("early"));
+  }
 }
 
 TEST_F(DurRecoveryTest, RecoverRejectsBadPreconditions) {

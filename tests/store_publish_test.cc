@@ -17,10 +17,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
 #include "core/ingest.h"
 #include "core/model.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "obs/metrics.h"
 #include "store/graph_store.h"
 #include "util/rng.h"
@@ -382,12 +382,11 @@ TEST_P(ModelPublishTest, EveryWriterPublishesWhatItWrote) {
                   .ok());
   Check(model, "DeleteEdge");
 
-  // A 4-writer fast-ingest span, observing, while another thread keeps
+  // A 4-writer ingest-pipeline span, observing, while another thread keeps
   // publishing so epochs land between group commits.
   {
     IngestOptions options;
     options.writers = 4;
-    options.mode = IngestMode::kFast;
     options.max_group_edges = 8;
     IngestPipeline pipeline(model, options);
     std::atomic<bool> done{false};
@@ -397,7 +396,7 @@ TEST_P(ModelPublishTest, EveryWriterPublishesWhatItWrote) {
     const Status st = pipeline.TrainSpan(edges, next, next + 120,
                                          /*observe_edges=*/true, nullptr,
                                          nullptr, nullptr);
-    Check(model, "fast span (observing)");
+    Check(model, "pipeline span (observing)");
     const Status again = pipeline.TrainSpan(edges, next, next + 120,
                                             /*observe_edges=*/false, nullptr,
                                             nullptr, nullptr);
@@ -406,7 +405,7 @@ TEST_P(ModelPublishTest, EveryWriterPublishesWhatItWrote) {
     ASSERT_TRUE(st.ok()) << st.ToString();
     ASSERT_TRUE(again.ok()) << again.ToString();
     next += 120;
-    Check(model, "fast span");
+    Check(model, "pipeline span");
   }
 
   ASSERT_TRUE(SaveCheckpoint(model, path_).ok());

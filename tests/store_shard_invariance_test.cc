@@ -13,11 +13,11 @@
 #include <vector>
 
 #include "baselines/recommender.h"
-#include "core/checkpoint.h"
 #include "core/inslearn.h"
 #include "core/model.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "eval/protocols.h"
 
 namespace supa {

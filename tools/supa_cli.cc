@@ -16,18 +16,20 @@
 // `--threads` sets the evaluation/validation worker count (0 = all cores,
 // the default); results are bit-identical at every setting.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "baselines/recommender.h"
-#include "core/checkpoint.h"
 #include "data/synthetic.h"
+#include "dur/checkpoint.h"
 #include "dur/engine.h"
 #include "dur/recovery.h"
 #include "eval/export.h"
@@ -69,16 +71,37 @@ struct Args {
   }
 };
 
+/// Every flag some command reads. ParseArgs rejects any other name, so a
+/// mistyped or retired flag fails instead of being silently ignored.
+constexpr const char* kKnownFlags[] = {
+    "admin-port",    "checkpoint",     "ckpt-interval", "compact-threshold",
+    "dataset",       "dim",            "duration-s",    "heartbeat",
+    "iters",         "k",              "metrics-out",   "model-out",
+    "model-seed",    "out",            "perf-out",      "relation",
+    "scale",         "seed",           "serve",         "serve-batch",
+    "serve-linger",  "serve-queue",    "serve-workers", "shards",
+    "test-edges",    "threads",        "trace-out",     "user",
+    "wal-dir",       "wal-sync",       "walks",         "writer-threads",
+};
+
 Result<Args> ParseArgs(int argc, char** argv) {
   if (argc < 2) return Status::InvalidArgument("missing command");
   Args args;
   args.command = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     if (std::strncmp(argv[i], "--", 2) != 0) {
       return Status::InvalidArgument(std::string("expected flag, got ") +
                                      argv[i]);
     }
-    args.flags[argv[i] + 2] = argv[i + 1];
+    const std::string name = argv[i] + 2;
+    if (std::find(std::begin(kKnownFlags), std::end(kKnownFlags), name) ==
+        std::end(kKnownFlags)) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+    if (i + 1 == argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+      return Status::InvalidArgument("flag --" + name + " has no value");
+    }
+    args.flags[name] = argv[i + 1];
   }
   return args;
 }
@@ -143,23 +166,16 @@ std::unique_ptr<serve::ServeEngine> StartServing(const Args& args,
 
 /// Shared by train and recover so a recovered run trains under exactly
 /// the configuration the crashed run used.
-Result<InsLearnConfig> TrainerConfig(const Args& args) {
+InsLearnConfig TrainerConfig(const Args& args) {
   InsLearnConfig tc;
   tc.max_iters = static_cast<int>(args.GetUint("iters", 16));
   tc.valid_interval = 4;
   tc.threads = static_cast<size_t>(args.GetUint("threads", 0));
   tc.heartbeat_seconds = args.GetDouble("heartbeat", 0.0);
-  // 0 defers to SUPA_WRITER_THREADS, then 1 (the serial loop). `strict`
-  // commits are bit-identical to serial at any writer count; `fast`
-  // relaxes only within-group α staleness (DESIGN.md §13).
-  tc.writer_threads = static_cast<size_t>(args.GetUint("writer-threads", 0));
-  const std::string ingest_mode = args.Get("ingest", "strict");
-  if (ingest_mode == "fast") {
-    tc.ingest_mode = IngestMode::kFast;
-  } else if (ingest_mode != "strict") {
-    return Status::InvalidArgument("unknown --ingest mode '" + ingest_mode +
-                                   "' (strict|fast)");
-  }
+  // <= 1 is the serial loop; more writers train through the ingest
+  // pipeline, whose bytes are the same at every writer count but differ
+  // from the serial loop's (DESIGN.md §13).
+  tc.writer_threads = static_cast<size_t>(args.GetUint("writer-threads", 1));
   tc.ckpt_interval = static_cast<size_t>(args.GetUint("ckpt-interval", 1));
   return tc;
 }
@@ -200,19 +216,15 @@ int CmdTrain(const Args& args, obs::AdminServer* admin) {
     engine = StartServing(args, &model, data.value(), admin, serve_workers);
   }
 
-  auto tc = TrainerConfig(args);
-  if (!tc.ok()) {
-    std::fprintf(stderr, "%s\n", tc.status().ToString().c_str());
-    return 1;
-  }
+  InsLearnConfig tc = TrainerConfig(args);
   auto durability = MaybeAttachDurability(args, model);
   if (!durability.ok()) {
     std::fprintf(stderr, "%s\n", durability.status().ToString().c_str());
     return 1;
   }
-  tc.value().checkpoint_sink = durability.value().get();
+  tc.checkpoint_sink = durability.value().get();
 
-  InsLearnTrainer trainer(tc.value());
+  InsLearnTrainer trainer(tc);
   auto report = trainer.Train(model, data.value(), split.train);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
@@ -284,19 +296,15 @@ int CmdRecover(const Args& args) {
                recovered.value().used_fallback_link ? " (fallback link)" : "",
                recovered.value().seconds);
 
-  auto tc = TrainerConfig(args);
-  if (!tc.ok()) {
-    std::fprintf(stderr, "%s\n", tc.status().ToString().c_str());
-    return 1;
-  }
+  InsLearnConfig tc = TrainerConfig(args);
   auto durability = MaybeAttachDurability(args, model);
   if (!durability.ok()) {
     std::fprintf(stderr, "%s\n", durability.status().ToString().c_str());
     return 1;
   }
-  tc.value().checkpoint_sink = durability.value().get();
+  tc.checkpoint_sink = durability.value().get();
 
-  InsLearnTrainer trainer(tc.value());
+  InsLearnTrainer trainer(tc);
   auto report = trainer.Train(model, data.value(), split.train,
                               &recovered.value().cursor);
   if (!report.ok()) {
@@ -560,12 +568,11 @@ int Usage() {
                "  --shards <n>          shard the storage engine across n "
                "banks (0 = SUPA_SHARDS env, then 1; results and checkpoint "
                "bytes are bit-identical at every value)\n"
-               "ingest (train):\n"
-               "  --writer-threads <n>  concurrent embedding-math writers "
-               "(0 = SUPA_WRITER_THREADS env, then 1 = serial loop)\n"
-               "  --ingest <mode>       strict (default; bit-identical to "
-               "serial at any writer count) or fast (deterministic, relaxes "
-               "within-group alpha staleness)\n"
+               "ingest (train/recover):\n"
+               "  --writer-threads <n>  1 (default) trains serially; n > 1 "
+               "samples and computes gradients on n writer threads. "
+               "Deterministic and independent of n, but a different byte "
+               "stream from the serial run\n"
                "observability (any command):\n"
                "  --metrics-out <path>  write a metrics-registry JSON "
                "snapshot on exit (and print the table)\n"
@@ -601,7 +608,10 @@ int Dispatch(const std::string& cmd, const Args& args,
 
 int Main(int argc, char** argv) {
   auto args = ParseArgs(argc, argv);
-  if (!args.ok()) return Usage();
+  if (!args.ok()) {
+    std::fprintf(stderr, "%s\n", args.status().ToString().c_str());
+    return Usage();
+  }
 
   const std::string metrics_out = args.value().Get("metrics-out", "");
   const std::string trace_out = args.value().Get("trace-out", "");
