@@ -93,21 +93,16 @@ int main(int argc, char** argv) {
   report.MaybeWriteTsv(OutPath(argc, argv));
   report.MaybeWriteJson(JsonOutPath(argc, argv));
 
-  // SUPA per-phase runtime breakdown + snapshot-path comparison, emitted as
-  // BENCH_fig5.json so dashboards and CI can track edges/sec without
-  // scraping tables. The same InsLearn workload runs once with O(dirty)
-  // delta snapshots and once with full-buffer snapshots; results are
-  // bit-identical (asserted by tests), so the runtime delta is pure
-  // snapshot-path cost.
+  // SUPA per-phase runtime breakdown, emitted as BENCH_fig5.json so
+  // dashboards and CI can track edges/sec without scraping tables.
   {
-    auto run_inslearn = [&](bool use_delta, InsLearnReport* out) -> double {
+    auto run_inslearn = [&](InsLearnReport* out) -> double {
       SupaConfig mc;
       mc.dim = 64;
       SupaModel model(data, mc);
       InsLearnConfig tc;
       tc.threads = env.threads;
       tc.valid_interval = 2;  // snapshot-heavy: validate every 2 iterations
-      tc.use_delta_snapshots = use_delta;
       InsLearnTrainer trainer(tc);
       const size_t n_edges = data.edges.size();
       Timer timer;
@@ -122,44 +117,41 @@ int main(int argc, char** argv) {
       return wall_s;
     };
 
-    InsLearnReport delta_report, full_report;
-    // Registry deltas across the first delta-snapshot run expose the
-    // snapshot machinery's behavior (re-bases, O(dirty) restores vs
-    // full-copy fallbacks) without the trainer having to thread them
+    InsLearnReport report;
+    // Registry deltas across the first run expose the snapshot machinery's
+    // behavior (takes, restores) without the trainer having to thread them
     // through its report.
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::Global().Snapshot();
-    const double delta_wall_s = run_inslearn(true, &delta_report);
+    const double wall_s = run_inslearn(&report);
     const obs::MetricsSnapshot after =
         obs::MetricsRegistry::Global().Snapshot();
-    if (delta_wall_s < 0.0) return 1;
+    if (wall_s < 0.0) return 1;
 
-    // Per-repeat timing samples of the identical delta-snapshot workload.
-    // bench_compare Welch-tests these arrays between two reports, so every
-    // run carries its own noise estimate. Repeat 1 is the run above.
+    // Per-repeat timing samples of the identical workload. bench_compare
+    // Welch-tests these arrays between two reports, so every run carries
+    // its own noise estimate. Repeat 1 is the run above.
     const size_t repeats = std::max<size_t>(1, env.repeats);
-    std::vector<double> wall_samples = {delta_wall_s};
+    std::vector<double> wall_samples = {wall_s};
     std::vector<double> eps_samples = {
-        static_cast<double>(data.edges.size()) / delta_wall_s};
+        static_cast<double>(data.edges.size()) / wall_s};
     std::vector<double> sps_samples = {
-        delta_report.train_seconds > 0.0
-            ? static_cast<double>(delta_report.train_steps) /
-                  delta_report.train_seconds
+        report.train_seconds > 0.0
+            ? static_cast<double>(report.train_steps) / report.train_seconds
             : 0.0};
     for (size_t rep = 1; rep < repeats; ++rep) {
       InsLearnReport r;
-      const double wall_s = run_inslearn(true, &r);
-      if (wall_s < 0.0) return 1;
-      wall_samples.push_back(wall_s);
-      eps_samples.push_back(static_cast<double>(data.edges.size()) / wall_s);
+      const double rep_wall_s = run_inslearn(&r);
+      if (rep_wall_s < 0.0) return 1;
+      wall_samples.push_back(rep_wall_s);
+      eps_samples.push_back(static_cast<double>(data.edges.size()) /
+                            rep_wall_s);
       sps_samples.push_back(
           r.train_seconds > 0.0
               ? static_cast<double>(r.train_steps) / r.train_seconds
               : 0.0);
     }
 
-    const double full_wall_s = run_inslearn(false, &full_report);
-    if (full_wall_s < 0.0) return 1;
     auto counter_delta = [&](const char* name) {
       return after.CounterValue(name) - before.CounterValue(name);
     };
@@ -193,7 +185,7 @@ int main(int argc, char** argv) {
       const obs::MetricsSnapshot perf_before =
           obs::MetricsRegistry::Global().Snapshot();
       InsLearnReport r;
-      if (run_inslearn(true, &r) < 0.0) return 1;
+      if (run_inslearn(&r) < 0.0) return 1;
       const obs::MetricsSnapshot perf_after =
           obs::MetricsRegistry::Global().Snapshot();
       model_snapshot = obs::ModelMonitor::Global().Snapshot();
@@ -235,40 +227,26 @@ int main(int argc, char** argv) {
 
     const size_t n_edges = data.edges.size();
     const double edges_per_sec =
-        delta_wall_s > 0.0 ? static_cast<double>(n_edges) / delta_wall_s : 0.0;
+        wall_s > 0.0 ? static_cast<double>(n_edges) / wall_s : 0.0;
     const double steps_per_sec =
-        delta_report.train_seconds > 0.0
-            ? static_cast<double>(delta_report.train_steps) /
-                  delta_report.train_seconds
-            : 0.0;
-    const double snapshot_speedup =
-        delta_report.snapshot_seconds > 0.0
-            ? full_report.snapshot_seconds / delta_report.snapshot_seconds
+        report.train_seconds > 0.0
+            ? static_cast<double>(report.train_steps) / report.train_seconds
             : 0.0;
 
     Report phases("Figure 5c — SUPA InsLearn per-phase runtime");
-    phases.SetHeader({"snapshots", "wall_s", "train_s", "valid_s",
-                      "snapshot_s", "observe_s", "edges/s"});
-    phases.AddRow({"delta", Fmt(delta_wall_s, 2),
-                   Fmt(delta_report.train_seconds, 2),
-                   Fmt(delta_report.valid_seconds, 2),
-                   Fmt(delta_report.snapshot_seconds, 4),
-                   Fmt(delta_report.observe_seconds, 2),
-                   Fmt(edges_per_sec, 0)});
-    phases.AddRow({"full", Fmt(full_wall_s, 2),
-                   Fmt(full_report.train_seconds, 2),
-                   Fmt(full_report.valid_seconds, 2),
-                   Fmt(full_report.snapshot_seconds, 4),
-                   Fmt(full_report.observe_seconds, 2), ""});
+    phases.SetHeader({"wall_s", "train_s", "valid_s", "snapshot_s",
+                      "observe_s", "edges/s"});
+    phases.AddRow({Fmt(wall_s, 2), Fmt(report.train_seconds, 2),
+                   Fmt(report.valid_seconds, 2),
+                   Fmt(report.snapshot_seconds, 4),
+                   Fmt(report.observe_seconds, 2), Fmt(edges_per_sec, 0)});
     phases.Print();
-    std::printf("(snapshot-path speedup: %.2fx)\n", snapshot_speedup);
 
     // Isolated snapshot-operation timings at a validation-interval-sized
-    // dirty set (one 32-edge burst between snapshots — the Algorithm 1
-    // cadence). The end-to-end numbers above fold re-bases in; these
-    // measure the take/restore operations themselves.
-    double take_full_s = 0.0, take_delta_s = 0.0;
-    double restore_full_s = 0.0, restore_delta_s = 0.0;
+    // write set (one 32-edge burst between take and restore — the
+    // Algorithm 1 cadence): the Φ_best undo log against full copies.
+    double take_full_s = 0.0, take_best_s = 0.0;
+    double restore_full_s = 0.0, restore_best_s = 0.0;
     int reps = 0;
     {
       SupaConfig mc;
@@ -279,7 +257,6 @@ int main(int argc, char** argv) {
         (void)model.TrainEdge(data.edges[i]);
         (void)model.ObserveEdge(data.edges[i]);
       }
-      SupaModel::DeltaSnapshot delta = model.TakeDeltaSnapshot();
       auto burst = [&](size_t at) {
         for (size_t j = 0; j < 32; ++j) {
           (void)model.TrainEdge(data.edges[(at + j) % warm]);
@@ -287,37 +264,33 @@ int main(int argc, char** argv) {
       };
       Timer op;
       for (reps = 0; reps < 30; ++reps) {
+        op.Reset();
+        model.TakeBest();
+        take_best_s += op.ElapsedSeconds();
         burst(static_cast<size_t>(reps) * 32);
         op.Reset();
-        SupaModel::DeltaSnapshot d = model.TakeDeltaSnapshot();
-        take_delta_s += op.ElapsedSeconds();
-        (void)d;
-        op.Reset();
-        model.RestoreDeltaSnapshot(delta);
-        restore_delta_s += op.ElapsedSeconds();
+        (void)model.RestoreBest();
+        restore_best_s += op.ElapsedSeconds();
 
-        burst(static_cast<size_t>(reps) * 32 + 7);
         op.Reset();
         SupaModel::Snapshot f = model.TakeSnapshot();
         take_full_s += op.ElapsedSeconds();
+        burst(static_cast<size_t>(reps) * 32 + 7);
         op.Reset();
         model.RestoreSnapshot(f);
         restore_full_s += op.ElapsedSeconds();
-        // RestoreSnapshot dropped the delta baseline; re-establish it
-        // outside the timed regions.
-        delta = model.TakeDeltaSnapshot();
       }
     }
     const double take_speedup =
-        take_delta_s > 0.0 ? take_full_s / take_delta_s : 0.0;
+        take_best_s > 0.0 ? take_full_s / take_best_s : 0.0;
     const double restore_speedup =
-        restore_delta_s > 0.0 ? restore_full_s / restore_delta_s : 0.0;
+        restore_best_s > 0.0 ? restore_full_s / restore_best_s : 0.0;
     std::printf(
-        "(snapshot ops over %d reps: take full %.3fms / delta %.3fms = "
-        "%.1fx; restore full %.3fms / delta %.3fms = %.1fx)\n",
-        reps, 1e3 * take_full_s / reps, 1e3 * take_delta_s / reps,
+        "(snapshot ops over %d reps: take full %.3fms / best %.3fms = "
+        "%.1fx; restore full %.3fms / best %.3fms = %.1fx)\n",
+        reps, 1e3 * take_full_s / reps, 1e3 * take_best_s / reps,
         take_speedup, 1e3 * restore_full_s / reps,
-        1e3 * restore_delta_s / reps, restore_speedup);
+        1e3 * restore_best_s / reps, restore_speedup);
 
     // Durability checkpoint ops (DESIGN.md §16): WAL append throughput per
     // fsync policy, and the delta chain's capture / compact / restore
@@ -540,27 +513,22 @@ int main(int argc, char** argv) {
     w.EndArray();
     w.Key("supa_inslearn").BeginObject();
     w.Field("edges", static_cast<uint64_t>(n_edges));
-    w.Field("train_steps", static_cast<uint64_t>(delta_report.train_steps));
-    w.Field("wall_s", delta_wall_s);
+    w.Field("train_steps", static_cast<uint64_t>(report.train_steps));
+    w.Field("wall_s", wall_s);
     w.Field("edges_per_sec", edges_per_sec);
     w.Field("train_steps_per_sec", steps_per_sec);
     w.Key("phases").BeginObject();
-    w.Field("train_s", delta_report.train_seconds);
-    w.Field("valid_s", delta_report.valid_seconds);
-    w.Field("snapshot_s", delta_report.snapshot_seconds);
-    w.Field("observe_s", delta_report.observe_seconds);
-    w.EndObject();
-    w.Key("snapshot").BeginObject();
-    w.Field("delta_s", delta_report.snapshot_seconds);
-    w.Field("full_s", full_report.snapshot_seconds);
-    w.Field("speedup", snapshot_speedup);
+    w.Field("train_s", report.train_seconds);
+    w.Field("valid_s", report.valid_seconds);
+    w.Field("snapshot_s", report.snapshot_seconds);
+    w.Field("observe_s", report.observe_seconds);
     w.EndObject();
     w.Key("snapshot_ops").BeginObject();
     w.Field("take_full_ms", 1e3 * take_full_s / reps);
-    w.Field("take_delta_ms", 1e3 * take_delta_s / reps);
+    w.Field("take_best_ms", 1e3 * take_best_s / reps);
     w.Field("take_speedup", take_speedup);
     w.Field("restore_full_ms", 1e3 * restore_full_s / reps);
-    w.Field("restore_delta_ms", 1e3 * restore_delta_s / reps);
+    w.Field("restore_best_ms", 1e3 * restore_best_s / reps);
     w.Field("restore_speedup", restore_speedup);
     w.EndObject();
     // Durability engine operation costs (means over the sample arrays
@@ -591,14 +559,11 @@ int main(int argc, char** argv) {
     w.Field("alert_level",
             std::string_view(obs::AlertLevelName(model_snapshot.worst_level)));
     w.EndObject();
-    // Registry counter deltas over the delta-snapshot run.
+    // Registry counter deltas over the first run.
     w.Key("metrics").BeginObject();
     w.Field("snapshot_delta_takes", counter_delta("snapshot.delta_takes"));
-    w.Field("snapshot_rebases", counter_delta("snapshot.rebases"));
     w.Field("snapshot_delta_restores",
             counter_delta("snapshot.delta_restores"));
-    w.Field("snapshot_fallback_restores",
-            counter_delta("snapshot.fallback_restores"));
     w.Field("sampler_walks", counter_delta("sampler.walks"));
     w.Field("sampler_walk_steps", counter_delta("sampler.walk_steps"));
     w.Field("sampler_arena_reuses", counter_delta("sampler.arena_reuses"));

@@ -238,7 +238,7 @@ void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
 }
 BENCHMARK(BM_InfluencedGraphSamplingArena)->Arg(1)->Arg(4)->Arg(16);
 
-// ---- Snapshots: full-buffer copy vs O(dirty) delta -----------------------
+// ---- Snapshots: full-buffer copy vs the Φ_best undo log ------------------
 
 std::unique_ptr<SupaModel> TrainedModel(size_t train_edges) {
   const Dataset& data = BenchData();
@@ -267,19 +267,18 @@ void BM_TakeFullSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_TakeFullSnapshot);
 
-void BM_TakeDeltaSnapshot(benchmark::State& state) {
+void BM_TakeBest(benchmark::State& state) {
   auto model = TrainedModel(2000);
-  (void)model->TakeDeltaSnapshot();  // establish the baseline outside timing
   size_t i = 2000;
   for (auto _ : state) {
     state.PauseTiming();
     TrainBurst(*model, 2000 + (i++ % 2000), 32);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(model->TakeDeltaSnapshot());
+    model->TakeBest();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_TakeDeltaSnapshot);
+BENCHMARK(BM_TakeBest);
 
 void BM_RestoreFullSnapshot(benchmark::State& state) {
   auto model = TrainedModel(2000);
@@ -296,20 +295,21 @@ void BM_RestoreFullSnapshot(benchmark::State& state) {
 }
 BENCHMARK(BM_RestoreFullSnapshot);
 
-void BM_RestoreDeltaSnapshot(benchmark::State& state) {
+void BM_RestoreBest(benchmark::State& state) {
+  // The rollback writes back the rows the burst wrote since the take.
   auto model = TrainedModel(2000);
-  const SupaModel::DeltaSnapshot snap = model->TakeDeltaSnapshot();
   size_t i = 2000;
   for (auto _ : state) {
     state.PauseTiming();
+    model->TakeBest();
     TrainBurst(*model, 2000 + (i++ % 2000), 32);
     state.ResumeTiming();
-    model->RestoreDeltaSnapshot(snap);
-    benchmark::DoNotOptimize(model->store().data());
+    benchmark::DoNotOptimize(model->RestoreBest());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RestoreDeltaSnapshot);
+BENCHMARK(BM_RestoreBest);
 
 // ---- Observability overhead ----------------------------------------------
 //

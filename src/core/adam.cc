@@ -1,5 +1,6 @@
 #include "core/adam.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -91,7 +92,19 @@ SparseAdam::SparseAdam(size_t num_params, double lr, double weight_decay,
       beta2_(beta2),
       eps_(eps),
       m_(num_params, 0.0f),
-      v_(num_params, 0.0f) {}
+      v_(num_params, 0.0f),
+      tail_begin_(num_params),
+      tail_row_(num_params),
+      num_rows_(num_params) {}
+
+void SparseAdam::SetRowLayout(uint32_t row_len, size_t tail_begin) {
+  assert(undo_.stamps.empty() && ckpt_.stamps.empty());
+  assert(row_len > 0 && tail_begin % row_len == 0 && tail_begin <= m_.size());
+  row_len_ = row_len;
+  tail_begin_ = tail_begin;
+  tail_row_ = tail_begin / row_len;
+  num_rows_ = tail_row_ + (m_.size() - tail_begin);
+}
 
 void SparseAdam::UpdateRow(size_t offset, const float* g, size_t len,
                            double bc1, double bc2, float* params,
@@ -126,7 +139,7 @@ void SparseAdam::Step(const GradBuffer& grads, float* params,
   const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
   const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
   grads.ForEach([&](size_t offset, const float* g, size_t len) {
-    MarkRow(offset, static_cast<uint32_t>(len));
+    MarkRow(offset, static_cast<uint32_t>(len), params);
     UpdateRow(offset, g, len, bc1, bc2, params, stats);
   });
 }
@@ -135,9 +148,73 @@ void SparseAdam::Restore(const State& state) {
   m_ = state.m;
   v_ = state.v;
   step_ = state.step;
-  // A whole-buffer rewrite: row tracking can no longer bound what changed
-  // since the last checkpoint link, so force the next link to a full base.
+  CloseUndo();
   MarkAllCheckpointDirty();
+}
+
+void SparseAdam::Generation::Next(size_t num_rows) {
+  stamps.resize(num_rows, 0);
+  rows.clear();
+  // Stamps start at 0, so generation numbers start at 1. On wrap-around
+  // the stamps are zeroed: no stamp 2^32 generations old can match.
+  if (++number == 0) {
+    std::fill(stamps.begin(), stamps.end(), 0);
+    number = 1;
+  }
+}
+
+void SparseAdam::SaveUndoRow(size_t offset, uint32_t len,
+                             const float* params) {
+  auto save = [&](const float* src) {
+    undo_data_.insert(undo_data_.end(), src + offset, src + offset + len);
+  };
+  save(params);
+  save(m_.data());
+  save(v_.data());
+}
+
+void SparseAdam::OpenUndo() {
+  CloseUndo();
+  undo_.Next(num_rows_);
+  undo_step_ = step_;
+  undo_open_ = true;
+}
+
+void SparseAdam::RollBackUndo(float* params) {
+  assert(undo_open_);
+  const float* src = undo_data_.data();
+  for (const RowSpan& r : undo_.rows) {
+    for (float* dst : {params, m_.data(), v_.data()}) {
+      std::memcpy(dst + r.offset, src, r.len * sizeof(float));
+      src += r.len;
+    }
+    if (CheckpointMarking()) ckpt_.Mark(RowOf(r.offset), r.offset, r.len);
+  }
+  step_ = undo_step_;
+  CloseUndo();
+}
+
+void SparseAdam::CloseUndo() {
+  undo_open_ = false;
+  undo_.rows.clear();
+  undo_data_.clear();
+}
+
+size_t SparseAdam::undo_bytes() const {
+  return undo_data_.capacity() * sizeof(float) +
+         undo_.rows.capacity() * sizeof(RowSpan) +
+         (undo_.stamps.capacity() + ckpt_.stamps.capacity()) *
+             sizeof(uint32_t);
+}
+
+void SparseAdam::set_checkpoint_tracking(bool on) {
+  ckpt_tracking_ = on;
+  if (on) ckpt_.Next(num_rows_);
+}
+
+void SparseAdam::ClearCheckpointDirty() {
+  ckpt_.Next(num_rows_);
+  ckpt_overflow_ = false;
 }
 
 }  // namespace supa

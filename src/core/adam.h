@@ -12,7 +12,7 @@
 // steady-state allocation. Iteration (ForEach) walks the insertion-ordered
 // row list, never bucket order, so the visit order is deterministic and
 // bit-identical across platforms; this is part of the determinism contract
-// the optimizer and delta snapshots rely on.
+// the optimizer relies on.
 
 #ifndef SUPA_CORE_ADAM_H_
 #define SUPA_CORE_ADAM_H_
@@ -101,41 +101,19 @@ class GradBuffer {
   std::vector<float> data_;
 };
 
-/// The set of parameter rows touched since the last reset — the "dirty"
-/// rows a delta snapshot must copy. Same flat layout as GradBuffer, minus
-/// the payload.
-class DirtyRowSet {
- public:
-  /// Marks [offset, offset + len) dirty (idempotent).
-  void Mark(size_t offset, uint32_t len) {
-    bool inserted = false;
-    index_.FindOrInsert(offset, len, &inserted);
-    if (inserted) num_floats_ += len;
-  }
-
-  /// Visits every dirty row in insertion order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (const RowIndex::Entry& e : index_.entries()) fn(e.offset, e.len);
-  }
-
-  size_t num_rows() const { return index_.size(); }
-  /// Total floats covered by the dirty rows.
-  size_t num_floats() const { return num_floats_; }
-
-  void Clear() {
-    index_.Clear();
-    num_floats_ = 0;
-  }
-
- private:
-  RowIndex index_;
-  size_t num_floats_ = 0;
-};
-
 /// AdamW with decoupled weight decay and a global step counter for bias
 /// correction (lazy moments: rows not touched in a step keep stale moments,
 /// the standard sparse-Adam approximation).
+///
+/// Every parameter write goes through one barrier, MarkRow(), which runs
+/// *before* the write. Each consumer keeps a generation and a dense
+/// per-row stamp array, so the first write to a row in a generation is
+/// one compare away and opening a generation costs O(1):
+///   * the Φ_best undo log saves the row's params, m and v to a reused
+///     arena, so a rollback costs the rows written since the generation
+///     opened (DESIGN.md §8.4);
+///   * checkpoint tracking appends the row to the list a delta checkpoint
+///     copies (DESIGN.md §16.3).
 class SparseAdam {
  public:
   /// `num_params` must equal the EmbeddingStore buffer size.
@@ -154,15 +132,15 @@ class SparseAdam {
   };
 
   /// Applies one optimization step with the accumulated gradients;
-  /// minimizes the loss (descends). Increments the global step and marks
-  /// every touched row dirty. `stats`, when non-null, accumulates the
-  /// step's norms for the model monitor.
+  /// minimizes the loss (descends). Increments the global step and passes
+  /// every touched row through MarkRow before updating it. `stats`, when
+  /// non-null, accumulates the step's norms for the model monitor.
   void Step(const GradBuffer& grads, float* params,
             StepStats* stats = nullptr);
 
   /// Global step count so far.
   uint64_t step_count() const { return step_; }
-  /// Rewinds the step counter (delta-snapshot restore).
+  /// Sets the step counter of a whole-state load through m_data()/v_data().
   void set_step_count(uint64_t step) { step_ = step; }
 
   /// Optimizer-state snapshot/rollback, paired with EmbeddingStore's.
@@ -172,46 +150,82 @@ class SparseAdam {
     uint64_t step = 0;
   };
   State Snapshot() const { return State{m_, v_, step_}; }
+  /// A whole-state write: closes the undo generation and marks the whole
+  /// state checkpoint-dirty.
   void Restore(const State& state);
 
-  /// Rows whose parameters/moments may have changed since the last
-  /// ClearDirty(). Maintained by Step(); callers that mutate parameters
-  /// outside the optimizer (e.g. the updater's short-term forgetting) must
-  /// MarkDirty() the row themselves.
-  const DirtyRowSet& dirty_rows() const { return dirty_; }
-  void MarkDirty(size_t offset, uint32_t len) { MarkRow(offset, len); }
-  void ClearDirty() { dirty_.Clear(); }
+  // -- The write barrier ------------------------------------------------
 
-  /// -- Checkpoint dirty tracking (durability engine) ------------------
-  ///
-  /// A second dirty set with an independent lifecycle: `dirty_` is owned
-  /// by the delta-snapshot rollback machinery and is cleared/re-based on
-  /// every Φ_best restore, while `ckpt_dirty_` accumulates every row
-  /// touched since the last durable checkpoint link and is cleared only
-  /// by ClearCheckpointDirty() at link-cut time. Off by default so the
-  /// hot path pays nothing when durability is not enabled.
-  void set_checkpoint_tracking(bool on) { ckpt_tracking_ = on; }
-  bool checkpoint_tracking() const { return ckpt_tracking_; }
+  /// A parameter row: floats [offset, offset + len).
+  struct RowSpan {
+    size_t offset;
+    uint32_t len;
+  };
 
-  /// Rows touched since the last ClearCheckpointDirty(). Meaningless when
-  /// checkpoint_dirty_overflow() is set — take a full base instead.
-  const DirtyRowSet& checkpoint_dirty_rows() const { return ckpt_dirty_; }
+  /// Row numbering behind the stamps: floats [0, tail_begin) form rows of
+  /// `row_len` floats, and each float from `tail_begin` on is a row of its
+  /// own (the α scalars). Until this is called every float is a row. Call
+  /// before the first generation opens.
+  void SetRowLayout(uint32_t row_len, size_t tail_begin);
 
-  /// True after a whole-buffer mutation (full State restore, external
-  /// bulk load) that row tracking cannot bound; the next checkpoint link
-  /// must be a full base.
+  /// The barrier. Call *before* writing the row at `offset` (`len` floats,
+  /// stable per row) of `params`. The first call per row in the open undo
+  /// generation saves the row's params, m and v; the first call per row
+  /// since ClearCheckpointDirty() appends it to checkpoint_dirty_rows().
+  void MarkRow(size_t offset, uint32_t len, const float* params) {
+    if (!undo_open_ && !CheckpointMarking()) return;
+    const size_t row = RowOf(offset);
+    if (undo_open_ && undo_.Mark(row, offset, len)) {
+      SaveUndoRow(offset, len, params);
+    }
+    if (CheckpointMarking()) ckpt_.Mark(row, offset, len);
+  }
+
+  // -- Φ_best undo log ---------------------------------------------------
+
+  /// Opens an undo generation at the current state and step, discarding
+  /// the open one (its arena capacity is kept). O(1).
+  void OpenUndo();
+  bool undo_open() const { return undo_open_; }
+  /// Rows the open generation saved, in first-write order.
+  const std::vector<RowSpan>& undo_rows() const { return undo_.rows; }
+  /// Writes the saved rows back into `params`, m and v, marks each of
+  /// them checkpoint-dirty, restores the step counter and closes the
+  /// generation. O(rows saved). The generation must be open.
+  void RollBackUndo(float* params);
+  /// Closes the open generation without writing anything.
+  void CloseUndo();
+  /// Resident bytes of the undo arena plus both stamp arrays.
+  size_t undo_bytes() const;
+
+  // -- Checkpoint tracking (durability engine) ---------------------------
+  //
+  // The checkpoint generation runs from one durable link to the next:
+  // ClearCheckpointDirty() opens it at each cut, and so does turning
+  // tracking on. Off by default so the hot path pays nothing when
+  // durability is not enabled.
+
+  void set_checkpoint_tracking(bool on);
+
+  /// Rows written since the last ClearCheckpointDirty(), in first-write
+  /// order. Meaningless when checkpoint_dirty_overflow() is set — take a
+  /// full base instead.
+  const std::vector<RowSpan>& checkpoint_dirty_rows() const {
+    return ckpt_.rows;
+  }
+
+  /// True after a whole-state write (a full State restore, a checkpoint
+  /// load, recovery) that row tracking cannot bound; the next checkpoint
+  /// link must be a full base.
   bool checkpoint_dirty_overflow() const { return ckpt_overflow_; }
   void MarkAllCheckpointDirty() {
     if (!ckpt_tracking_) return;
     ckpt_overflow_ = true;
-    ckpt_dirty_.Clear();
+    ckpt_.rows.clear();
   }
-  void ClearCheckpointDirty() {
-    ckpt_dirty_.Clear();
-    ckpt_overflow_ = false;
-  }
+  void ClearCheckpointDirty();
 
-  /// Raw moment access for row-wise delta snapshot/restore.
+  /// Raw moment access for whole-state gathers and loads.
   float* m_data() { return m_.data(); }
   const float* m_data() const { return m_.data(); }
   float* v_data() { return v_.data(); }
@@ -227,13 +241,28 @@ class SparseAdam {
   void UpdateRow(size_t offset, const float* g, size_t len, double bc1,
                  double bc2, float* params, StepStats* stats);
 
-  /// The single marking point behind Step/MarkDirty: keeps both dirty
-  /// sets in lock-step so checkpoint tracking can never miss a row the
-  /// rollback machinery saw.
-  void MarkRow(size_t offset, uint32_t len) {
-    dirty_.Mark(offset, len);
-    if (ckpt_tracking_ && !ckpt_overflow_) ckpt_dirty_.Mark(offset, len);
+  /// One consumer of the barrier: a generation number and a stamp per
+  /// row. A row's first Mark in a generation appends it to `rows`.
+  struct Generation {
+    uint32_t number = 0;
+    std::vector<uint32_t> stamps;  // allocated by the first Next
+    std::vector<RowSpan> rows;
+
+    void Next(size_t num_rows);  // opens the next generation
+    bool Mark(size_t row, size_t offset, uint32_t len) {
+      if (stamps[row] == number) return false;
+      stamps[row] = number;
+      rows.push_back(RowSpan{offset, len});
+      return true;
+    }
+  };
+
+  size_t RowOf(size_t offset) const {
+    return offset < tail_begin_ ? offset / row_len_
+                                : tail_row_ + (offset - tail_begin_);
   }
+  bool CheckpointMarking() const { return ckpt_tracking_ && !ckpt_overflow_; }
+  void SaveUndoRow(size_t offset, uint32_t len, const float* params);
 
   double lr_;
   double weight_decay_;
@@ -243,8 +272,21 @@ class SparseAdam {
   uint64_t step_ = 0;
   std::vector<float> m_;
   std::vector<float> v_;
-  DirtyRowSet dirty_;
-  DirtyRowSet ckpt_dirty_;
+
+  // Row numbering (SetRowLayout).
+  uint32_t row_len_ = 1;
+  size_t tail_begin_;
+  size_t tail_row_;
+  size_t num_rows_;
+
+  // Φ_best undo log: the arena holds [params | m | v] per row, in
+  // undo_.rows order.
+  Generation undo_;
+  bool undo_open_ = false;
+  uint64_t undo_step_ = 0;
+  std::vector<float> undo_data_;
+
+  Generation ckpt_;
   bool ckpt_tracking_ = false;
   bool ckpt_overflow_ = false;
 };

@@ -87,12 +87,6 @@ struct InsLearnConfig {
   /// SupaRecommender switches to the multi-epoch workflow for datasets
   /// whose edges all share one timestamp.
   bool auto_static_fallback = true;
-  /// Algorithm 1 snapshots Φ_best on every validation improvement and
-  /// rolls back at batch end. With delta snapshots both operations copy
-  /// only the rows dirtied since a lazily-maintained baseline instead of
-  /// the whole parameter buffer (bit-identical either way — see
-  /// SupaModel::DeltaSnapshot); false forces the full-copy path.
-  bool use_delta_snapshots = true;
   /// Seed for validation negative sampling.
   uint64_t seed = 7;
   /// Emit a throughput heartbeat log line (edges/s so far) roughly every

@@ -5,9 +5,10 @@
 //
 // Since the storage-engine refactor this class is a facade over a sharded
 // store::EmbeddingBank (DESIGN.md §11). The buffer stays contiguous but is
-// laid out shard-major; offsets remain opaque handles (the optimizer,
-// gradient buffer, and delta snapshots never interpret them), and with one
-// shard the physical layout is byte-identical to the historical monolith:
+// laid out shard-major; offsets remain opaque handles (the optimizer and
+// gradient buffer never interpret them; the write barrier only numbers
+// rows by offset ÷ dim), and with one shard the physical layout is
+// byte-identical to the historical monolith:
 //
 ///   [0, N*d)            long-term memories
 ///   [N*d, 2N*d)         short-term memories

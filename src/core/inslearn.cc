@@ -423,11 +423,10 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
 
     double best_score = 0.0;
     int patience_used = 0;
-    // Φ_best is captured lazily on the first validation improvement; a
-    // batch that never improves (or never validates) pays nothing.
+    // Φ_best is taken on each validation improvement; a batch that never
+    // improves (or never validates) opens no undo generation and pays
+    // nothing.
     bool have_best = false;
-    SupaModel::DeltaSnapshot best_delta;
-    SupaModel::Snapshot best_full;
 
     bool first_iteration = true;
     for (int iter = 1; iter <= config_.max_iters; ++iter) {
@@ -450,11 +449,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
           {
             StopwatchGuard guard(&report.snapshot_seconds);
             SUPA_TRACE_SPAN_CAT("inslearn/snapshot", "inslearn");
-            if (config_.use_delta_snapshots) {
-              best_delta = model.TakeDeltaSnapshot();
-            } else {
-              best_full = model.TakeSnapshot();
-            }
+            model.TakeBest();
           }
           have_best = true;
           patience_used = 0;
@@ -469,11 +464,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
     if (have_best) {
       StopwatchGuard guard(&report.snapshot_seconds);
       SUPA_TRACE_SPAN_CAT("inslearn/rollback", "inslearn");
-      if (config_.use_delta_snapshots) {
-        model.RestoreDeltaSnapshot(best_delta);
-      } else {
-        model.RestoreSnapshot(best_full);
-      }
+      SUPA_RETURN_NOT_OK(model.RestoreBest());
     }
     report.batch_scores.push_back(best_score);
     heartbeat.BatchDone(best_score);
@@ -520,11 +511,8 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
 
   double best_score = 0.0;
   int patience_used = 0;
-  // Lazily captured on the first validation improvement, as in
-  // TrainSinglePass.
+  // Taken on each validation improvement, as in TrainSinglePass.
   bool have_best = false;
-  SupaModel::DeltaSnapshot best_delta;
-  SupaModel::Snapshot best_full;
 
   for (int epoch = 1; epoch <= config_.full_pass_epochs; ++epoch) {
     SUPA_TRACE_SPAN_CAT("inslearn/epoch", "inslearn");
@@ -546,11 +534,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
         {
           StopwatchGuard guard(&report.snapshot_seconds);
           SUPA_TRACE_SPAN_CAT("inslearn/snapshot", "inslearn");
-          if (config_.use_delta_snapshots) {
-            best_delta = model.TakeDeltaSnapshot();
-          } else {
-            best_full = model.TakeSnapshot();
-          }
+          model.TakeBest();
         }
         have_best = true;
         patience_used = 0;
@@ -563,11 +547,7 @@ Result<InsLearnReport> InsLearnTrainer::TrainFullPass(SupaModel& model,
   if (have_best) {
     StopwatchGuard guard(&report.snapshot_seconds);
     SUPA_TRACE_SPAN_CAT("inslearn/rollback", "inslearn");
-    if (config_.use_delta_snapshots) {
-      model.RestoreDeltaSnapshot(best_delta);
-    } else {
-      model.RestoreSnapshot(best_full);
-    }
+    SUPA_RETURN_NOT_OK(model.RestoreBest());
   }
   {
     StopwatchGuard guard(&report.observe_seconds);

@@ -35,7 +35,7 @@ struct InsLearnReport {
   double train_seconds = 0.0;
   /// Time computing validation MRR.
   double valid_seconds = 0.0;
-  /// Time taking + restoring Φ_best snapshots.
+  /// Time inside TakeBest + RestoreBest (the Φ_best undo log).
   double snapshot_seconds = 0.0;
   /// Time inserting edges into the graph (ObserveEdge).
   double observe_seconds = 0.0;
@@ -63,15 +63,16 @@ class InsLearnTrainer {
 
   const InsLearnConfig& config() const { return config_; }
 
- private:
-  /// Validation score θ: mean reciprocal rank of each validation edge's
-  /// destination against `valid_negatives` sampled same-type negatives.
-  /// Draws one value from `rng` to key the round, then ranks the edges on
-  /// up to `config_.threads` workers with deterministic sharding — the
-  /// score is bit-identical at every thread count.
+  /// Validation score θ over edges [begin, end) of `data`: mean reciprocal
+  /// rank of each edge's destination against `valid_negatives` sampled
+  /// same-type negatives. Draws one value from `rng` to key the round,
+  /// then ranks the edges on up to `config_.threads` workers with
+  /// deterministic sharding — the score is bit-identical at every thread
+  /// count.
   double ValidationScore(const SupaModel& model, const Dataset& data,
                          size_t begin, size_t end, Rng& rng) const;
 
+ private:
   Result<InsLearnReport> TrainSinglePass(SupaModel& model,
                                          const Dataset& data, EdgeRange range,
                                          const TrainerCursor* resume);

@@ -1,7 +1,6 @@
 #include "core/model.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 
@@ -16,36 +15,29 @@ namespace supa {
 
 namespace {
 
-/// Re-base the delta-snapshot baseline once the dirty set covers this
-/// fraction of the parameter buffer: beyond it a delta stops being
-/// meaningfully cheaper than a full copy.
-constexpr double kRebaseDirtyFraction = 0.25;
-
-/// Snapshot-path counters, shared by every model in the process (the
+/// Snapshot-path metrics, shared by every model in the process (the
 /// registry is process-global). Looked up once; the handles are trivially
 /// copyable and the registry is never destroyed.
 struct SnapshotMetrics {
-  obs::Counter delta_takes;
-  obs::Counter rebases;
-  obs::Counter delta_restores;
-  obs::Counter fallback_restores;
+  obs::Counter delta_takes;     // TakeBest calls
+  obs::Counter delta_restores;  // RestoreBest calls
   obs::Counter full_takes;
   obs::Counter full_restores;
-  obs::Histogram dirty_rows;
+  obs::Histogram dirty_rows;  // rows each closed Φ_best generation saved
+  obs::Gauge undo_bytes;      // SparseAdam::undo_bytes()
 
   static SnapshotMetrics& Get() {
     static SnapshotMetrics m = [] {
       auto& reg = obs::MetricsRegistry::Global();
       return SnapshotMetrics{
           reg.GetCounter("snapshot.delta_takes"),
-          reg.GetCounter("snapshot.rebases"),
           reg.GetCounter("snapshot.delta_restores"),
-          reg.GetCounter("snapshot.fallback_restores"),
           reg.GetCounter("snapshot.full_takes"),
           reg.GetCounter("snapshot.full_restores"),
           reg.GetHistogram(
               "snapshot.dirty_rows",
               obs::MetricsRegistry::ExponentialBounds(1.0, 4.0, 12)),
+          reg.GetGauge("snapshot.undo_bytes"),
       };
     }();
     return m;
@@ -88,6 +80,8 @@ SupaModel::SupaModel(const Dataset& data, SupaConfig config)
       config_.num_walks, config_.walk_len);
   adam_ = std::make_unique<SparseAdam>(store_->size(), config_.lr,
                                        config_.weight_decay);
+  adam_->SetRowLayout(static_cast<uint32_t>(config_.dim),
+                      store_->bank().layout().alpha_begin());
   degrees_.assign(data.num_nodes(), 0.0);
 }
 
@@ -410,14 +404,16 @@ void SupaModel::CommitPlan(const EdgePlan& plan,
   const size_t d = static_cast<size_t>(config_.dim);
   if (config_.use_short_term && config_.use_update_decay) {
     // The banked forgetting scales the *live* rows — layered on top of
-    // any earlier in-group commits to the same endpoints. It mutates
-    // parameters outside the optimizer, so the rows are marked dirty here.
+    // any earlier in-group commits to the same endpoints. It writes
+    // parameters outside the optimizer step, so the rows pass the write
+    // barrier here, before the scale: an undo generation must save them
+    // undecayed.
+    adam_->MarkRow(store_->ShortMemOffset(plan.edge.src),
+                   static_cast<uint32_t>(d), store_->data());
+    adam_->MarkRow(store_->ShortMemOffset(plan.edge.dst),
+                   static_cast<uint32_t>(d), store_->data());
     Scale(plan.gamma_u, store_->ShortMem(plan.edge.src), d);
     Scale(plan.gamma_v, store_->ShortMem(plan.edge.dst), d);
-    adam_->MarkDirty(store_->ShortMemOffset(plan.edge.src),
-                     static_cast<uint32_t>(d));
-    adam_->MarkDirty(store_->ShortMemOffset(plan.edge.dst),
-                     static_cast<uint32_t>(d));
   }
   auto& monitor = obs::ModelMonitor::Global();
   const bool monitored = monitor.enabled();
@@ -516,134 +512,61 @@ void SupaModel::RestoreSnapshot(const Snapshot& snapshot) {
   SUPA_TRACE_SPAN_CAT("snapshot/full_restore", "snapshot");
   SUPA_PERF_SCOPE(kSnapshotRestore);
   SnapshotMetrics::Get().full_restores.Increment();
+  DiscardBest();
   store::ShardWriteLease lease = graph_store_->LeaseAll();
   store_->Restore(snapshot.params);
   adam_->Restore(snapshot.adam);
-  // The whole buffer changed; dirty tracking no longer describes the
-  // distance to the old baseline.
-  InvalidateDeltaBaseline();
 }
 
-void SupaModel::InvalidateDeltaBaseline() {
-  delta_baseline_.reset();
-  adam_->ClearDirty();
+void SupaModel::LoadLogicalState(const float* params, const float* m,
+                                 const float* v, uint64_t adam_step) {
+  DiscardBest();
+  // Undeclared: every shard's next publish copies it whole.
+  store::ShardWriteLease lease = graph_store_->LeaseAll();
+  store_->ScatterLogical(params, store_->data());
+  store_->ScatterLogical(m, adam_->m_data());
+  store_->ScatterLogical(v, adam_->v_data());
+  adam_->set_step_count(adam_step);
+  adam_->MarkAllCheckpointDirty();
 }
 
-SupaModel::DeltaSnapshot SupaModel::TakeDeltaSnapshot() {
-  SUPA_TRACE_SPAN_CAT("snapshot/delta_take", "snapshot");
+void SupaModel::TakeBest() {
+  SUPA_TRACE_SPAN_CAT("snapshot/take_best", "snapshot");
   SUPA_PERF_SCOPE(kSnapshotTake);
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
   metrics.delta_takes.Increment();
-  if (delta_baseline_ == nullptr ||
-      static_cast<double>(adam_->dirty_rows().num_floats()) >
-          kRebaseDirtyFraction * static_cast<double>(store_->size())) {
-    // (Re-)establish the baseline: one full copy, after which snapshots
-    // and restores are O(dirty) until the dirty set grows too large again.
-    metrics.rebases.Increment();
-    delta_baseline_ = std::make_shared<const Snapshot>(TakeSnapshot());
-    adam_->ClearDirty();
-  }
-
-  const DirtyRowSet& dirty = adam_->dirty_rows();
-  metrics.dirty_rows.Observe(static_cast<double>(dirty.num_rows()));
-  DeltaSnapshot snap;
-  snap.baseline = delta_baseline_;
-  snap.adam_step = adam_->step_count();
-  snap.offsets.reserve(dirty.num_rows());
-  snap.lens.reserve(dirty.num_rows());
-  snap.params.reserve(dirty.num_floats());
-  snap.m.reserve(dirty.num_floats());
-  snap.v.reserve(dirty.num_floats());
-  const float* params = store_->data();
-  const float* m = adam_->m_data();
-  const float* v = adam_->v_data();
-  dirty.ForEach([&](size_t offset, uint32_t len) {
-    snap.offsets.push_back(offset);
-    snap.lens.push_back(len);
-    snap.params.insert(snap.params.end(), params + offset,
-                       params + offset + len);
-    snap.m.insert(snap.m.end(), m + offset, m + offset + len);
-    snap.v.insert(snap.v.end(), v + offset, v + offset + len);
-  });
-#ifndef NDEBUG
-  snap.debug_full = TakeSnapshot();
-#endif
-  return snap;
+  DiscardBest();
+  adam_->OpenUndo();
+  metrics.undo_bytes.Set(static_cast<double>(adam_->undo_bytes()));
 }
 
-void SupaModel::RestoreDeltaSnapshot(const DeltaSnapshot& snapshot) {
-  assert(snapshot.baseline != nullptr &&
-         "RestoreDeltaSnapshot needs a snapshot from TakeDeltaSnapshot");
-  SUPA_TRACE_SPAN_CAT("snapshot/delta_restore", "snapshot");
+Status SupaModel::RestoreBest() {
+  if (!adam_->undo_open()) {
+    return Status::FailedPrecondition(
+        "RestoreBest: no Φ_best generation is open");
+  }
+  SUPA_TRACE_SPAN_CAT("snapshot/restore_best", "snapshot");
   SUPA_PERF_SCOPE(kSnapshotRestore);
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
-  store::ShardWriteLease lease = graph_store_->LeaseAll();
-  float* params = store_->data();
-  float* m = adam_->m_data();
-  float* v = adam_->v_data();
-  // Baseline identity (not an id/epoch counter) gates the fast path: both
-  // shared_ptrs pin their object, so pointer equality here can never alias
-  // a freed-and-recycled baseline.
-  if (delta_baseline_ != nullptr && snapshot.baseline == delta_baseline_) {
-    // Fast path: revert every row dirty since the shared baseline, then
-    // re-apply the snapshot's rows below — O(dirty) total.
-    metrics.delta_restores.Increment();
-    const Snapshot& base = *delta_baseline_;
-    adam_->dirty_rows().ForEach([&](size_t offset, uint32_t len) {
-      std::memcpy(params + offset, base.params.data() + offset,
-                  len * sizeof(float));
-      std::memcpy(m + offset, base.adam.m.data() + offset,
-                  len * sizeof(float));
-      std::memcpy(v + offset, base.adam.v.data() + offset,
-                  len * sizeof(float));
-    });
-  } else {
-    // Full-copy fallback: the model was re-based or fully restored since
-    // this snapshot was taken, so its baseline (kept alive by the shared
-    // handle) is copied wholesale and adopted as the live baseline.
-    metrics.fallback_restores.Increment();
-    const Snapshot& base = *snapshot.baseline;
-    std::memcpy(params, base.params.data(),
-                base.params.size() * sizeof(float));
-    std::memcpy(m, base.adam.m.data(), base.adam.m.size() * sizeof(float));
-    std::memcpy(v, base.adam.v.data(), base.adam.v.size() * sizeof(float));
-    delta_baseline_ = snapshot.baseline;
-    // Whole-buffer rewrite outside SparseAdam::Restore: checkpoint dirty
-    // tracking cannot bound the change, so the next durable link must be
-    // a full base.
-    adam_->MarkAllCheckpointDirty();
+  metrics.delta_restores.Increment();
+  const std::vector<SparseAdam::RowSpan>& rows = adam_->undo_rows();
+  metrics.dirty_rows.Observe(static_cast<double>(rows.size()));
+  metrics.undo_bytes.Set(static_cast<double>(adam_->undo_bytes()));
+  store::ShardWriteLease lease;
+  if (!rows.empty()) {
+    lease = graph_store_->LeaseAll();
+    for (const SparseAdam::RowSpan& row : rows) lease.RecordRow(row.offset);
+    lease.DeclareComplete();
   }
+  adam_->RollBackUndo(store_->data());
+  return Status::OK();
+}
 
-  size_t pos = 0;
-  for (size_t i = 0; i < snapshot.offsets.size(); ++i) {
-    const size_t offset = snapshot.offsets[i];
-    const size_t len = snapshot.lens[i];
-    std::memcpy(params + offset, snapshot.params.data() + pos,
-                len * sizeof(float));
-    std::memcpy(m + offset, snapshot.m.data() + pos, len * sizeof(float));
-    std::memcpy(v + offset, snapshot.v.data() + pos, len * sizeof(float));
-    pos += len;
-  }
-  adam_->set_step_count(snapshot.adam_step);
-
-  // The live state now differs from the baseline exactly on the
-  // snapshot's rows.
-  adam_->ClearDirty();
-  for (size_t i = 0; i < snapshot.offsets.size(); ++i) {
-    adam_->MarkDirty(snapshot.offsets[i], snapshot.lens[i]);
-  }
-
-#ifndef NDEBUG
-  // Determinism contract: the delta path must reproduce a full restore
-  // bit-for-bit.
-  if (!snapshot.debug_full.params.empty()) {
-    assert(store_->Snapshot() == snapshot.debug_full.params);
-    const SparseAdam::State state = adam_->Snapshot();
-    assert(state.m == snapshot.debug_full.adam.m);
-    assert(state.v == snapshot.debug_full.adam.v);
-    assert(state.step == snapshot.debug_full.adam.step);
-  }
-#endif
+void SupaModel::DiscardBest() {
+  if (!adam_->undo_open()) return;
+  SnapshotMetrics::Get().dirty_rows.Observe(
+      static_cast<double>(adam_->undo_rows().size()));
+  adam_->CloseUndo();
 }
 
 }  // namespace supa

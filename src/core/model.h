@@ -146,52 +146,36 @@ class SupaModel {
   /// degrees (uniform before any edge is observed).
   Status RebuildNegativeTable();
 
-  /// Full parameter + optimizer snapshot (Algorithm 1's Φ_best).
+  /// Full parameter + optimizer copy: a reference point for tests and
+  /// tools. Training rolls back through TakeBest/RestoreBest instead.
   struct Snapshot {
     std::vector<float> params;
     SparseAdam::State adam;
   };
   Snapshot TakeSnapshot() const;
+  /// A whole-state write: discards the open Φ_best generation and marks
+  /// the whole state checkpoint-dirty.
   void RestoreSnapshot(const Snapshot& snapshot);
 
-  /// O(dirty) snapshot: the rows touched since the current baseline plus a
-  /// shared handle to that baseline. Algorithm 1 snapshots every
-  /// I_valid-th iteration but only O(touched-rows) parameters actually
-  /// change between snapshots, so copying the dirty rows instead of the
-  /// whole buffer turns an O(|V|·(2+R)·d) copy into an O(dirty) one.
-  ///
-  /// Protocol:
-  ///   * The model keeps one full baseline copy (re-established lazily and
-  ///     whenever the dirty set outgrows kRebaseDirtyFraction of the
-  ///     buffer, which amortizes the occasional full copy).
-  ///   * TakeDeltaSnapshot records every row dirty since that baseline.
-  ///   * RestoreDeltaSnapshot reverts currently-dirty rows to the baseline
-  ///     and re-applies the snapshot's rows — O(dirty) when the snapshot
-  ///     shares the live baseline (compared by shared_ptr identity, which
-  ///     both sides keep alive, so it cannot alias a recycled object), and
-  ///     a full copy from the snapshot's own baseline otherwise, so stale
-  ///     snapshots restore correctly after a re-base or a full
-  ///     RestoreSnapshot.
-  ///
-  /// Debug builds additionally embed a full copy in every delta snapshot
-  /// and assert after restore that the delta path reproduced it
-  /// bit-for-bit.
-  struct DeltaSnapshot {
-    std::shared_ptr<const Snapshot> baseline;
-    /// Dirty rows at snapshot time: row i covers
-    /// [offsets[i], offsets[i] + lens[i]) and its payload lives at the
-    /// running prefix position in params/m/v.
-    std::vector<size_t> offsets;
-    std::vector<uint32_t> lens;
-    std::vector<float> params;
-    std::vector<float> m;
-    std::vector<float> v;
-    uint64_t adam_step = 0;
-    /// Filled only in debug builds (determinism cross-check).
-    Snapshot debug_full;
-  };
-  DeltaSnapshot TakeDeltaSnapshot();
-  void RestoreDeltaSnapshot(const DeltaSnapshot& snapshot);
+  /// Algorithm 1's Φ_best as an undo log (DESIGN.md §8.4). TakeBest opens
+  /// a generation in O(1), discarding the open one; from then on the
+  /// optimizer's write barrier saves each row's params, m and v before its
+  /// first write. RestoreBest writes those rows back, restores the Adam
+  /// step and closes the generation: O(rows written since the take), so a
+  /// restore directly after a take writes nothing. It records every row
+  /// it writes on a declared store lease, so the next epoch copies only
+  /// those. FailedPrecondition, writing nothing, when no generation is
+  /// open — including after a whole-state write closed it.
+  void TakeBest();
+  Status RestoreBest();
+
+  /// Writes a validated state in the canonical logical layout (params, m
+  /// and v of store().size() floats each, plus the Adam step) straight
+  /// into the store and the optimizer. Like RestoreSnapshot it is a
+  /// whole-state write. Checkpoint loads and recovery validate everything
+  /// before calling it.
+  void LoadLogicalState(const float* params, const float* m, const float* v,
+                        uint64_t adam_step);
 
   const DynamicGraph& graph() const { return *graph_; }
   DynamicGraph& mutable_graph() { return *graph_; }
@@ -261,12 +245,12 @@ class SupaModel {
   /// different stream from the serial trainer's.
   void ExecutePlan(EdgePlan* plan, ExecScratch* scratch);
 
-  /// Stage 3, in arrival order, under `lease`: scales the banked
-  /// forgetting into the live h^S rows, marks them dirty, and applies
-  /// plan.grads via the ordinary optimizer step (which advances the step
-  /// counter to exactly plan.step). Records every row it writes on
-  /// `lease`; the lease holder declares the lease complete once all of
-  /// its plans are committed.
+  /// Stage 3, in arrival order, under `lease`: passes both endpoints' h^S
+  /// rows through the write barrier, scales the banked forgetting into
+  /// them, and applies plan.grads via the ordinary optimizer step (which
+  /// advances the step counter to exactly plan.step). Records every row it
+  /// writes on `lease`; the lease holder declares the lease complete once
+  /// all of its plans are committed.
   void CommitPlan(const EdgePlan& plan, store::ShardWriteLease* lease);
 
   /// Optimizer step counter — the ingest dispatcher pins per-edge step
@@ -309,9 +293,8 @@ class SupaModel {
   /// frozen negative table.
   NodeId SampleNegative(NodeId u, NodeId v, Rng& rng) const;
 
-  /// Drops the delta baseline (after a whole-buffer restore) so stale
-  /// delta snapshots take the full-copy fallback.
-  void InvalidateDeltaBaseline();
+  /// Closes the open Φ_best generation, if any, without writing.
+  void DiscardBest();
 
   SupaConfig config_;
   /// Durability edge log (null when durability is off). Not owned.
@@ -327,9 +310,6 @@ class SupaModel {
   std::vector<double> degrees_;
   AliasTable neg_table_;
   size_t observed_since_rebuild_ = 0;
-
-  // delta-snapshot baseline (see DeltaSnapshot)
-  std::shared_ptr<const Snapshot> delta_baseline_;
 
   // reusable scratch (serial TrainEdge path; the pipeline owns its own
   // plans and per-writer scratches)

@@ -78,22 +78,24 @@ Status ReadAll(int fd, void* data, size_t size, const std::string& path) {
 
 LogicalCheckpoint GatherLogicalState(const SupaModel& model) {
   const EmbeddingStore& store = model.store();
-  const SupaModel::Snapshot snap = model.TakeSnapshot();
+  const SparseAdam& adam = model.optimizer();
+  const size_t n = store.size();
 
   LogicalCheckpoint lc;
   lc.meta.num_nodes = store.num_nodes();
   lc.meta.num_relations = store.num_relations();
   lc.meta.num_node_types = store.num_node_types();
   lc.meta.dim = static_cast<uint64_t>(store.dim());
-  lc.meta.param_count = snap.params.size();
-  lc.meta.adam_step = snap.adam.step;
+  lc.meta.param_count = n;
+  lc.meta.adam_step = adam.step_count();
 
-  lc.params.resize(snap.params.size());
-  lc.m.resize(snap.params.size());
-  lc.v.resize(snap.params.size());
-  store.GatherLogical(snap.params.data(), lc.params.data());
-  store.GatherLogical(snap.adam.m.data(), lc.m.data());
-  store.GatherLogical(snap.adam.v.data(), lc.v.data());
+  // Permuted straight out of the live buffers: no intermediate copy.
+  lc.params.resize(n);
+  lc.m.resize(n);
+  lc.v.resize(n);
+  store.GatherLogical(store.data(), lc.params.data());
+  store.GatherLogical(adam.m_data(), lc.m.data());
+  store.GatherLogical(adam.v_data(), lc.v.data());
   return lc;
 }
 
@@ -242,22 +244,13 @@ Status SaveCheckpoint(const SupaModel& model, const std::string& path) {
 Status LoadCheckpoint(const std::string& path, SupaModel* model) {
   // ReadBaseFile performs every validation (magic, size, CRCs) before we
   // touch the model; ValidateMetaAgainstModel completes the checks. Only
-  // then do we scatter + restore, so a bad file can never partially
-  // mutate the model.
+  // then is the state scattered into the model, so a bad file can never
+  // partially mutate it.
   SUPA_ASSIGN_OR_RETURN(const dur::LogicalCheckpoint lc,
                         dur::ReadBaseFile(path));
   SUPA_RETURN_NOT_OK(dur::ValidateMetaAgainstModel(lc.meta, *model));
-
-  const EmbeddingStore& store = model->store();
-  SupaModel::Snapshot snap;
-  snap.params.resize(lc.meta.param_count);
-  snap.adam.m.resize(lc.meta.param_count);
-  snap.adam.v.resize(lc.meta.param_count);
-  snap.adam.step = lc.meta.adam_step;
-  store.ScatterLogical(lc.params.data(), snap.params.data());
-  store.ScatterLogical(lc.m.data(), snap.adam.m.data());
-  store.ScatterLogical(lc.v.data(), snap.adam.v.data());
-  model->RestoreSnapshot(snap);
+  model->LoadLogicalState(lc.params.data(), lc.m.data(), lc.v.data(),
+                          lc.meta.adam_step);
   return Status::OK();
 }
 

@@ -80,21 +80,24 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
         "checkpoint dirty set overflowed; a full base is required");
   }
   const EmbeddingStore& store = model.store();
-  const DirtyRowSet& dirty = adam.checkpoint_dirty_rows();
+  const std::vector<SparseAdam::RowSpan>& dirty = adam.checkpoint_dirty_rows();
 
   // (logical offset, physical offset, len) per row, then sort by logical
-  // offset so the file — and its CRC — is independent of dirty-set
-  // insertion order and shard layout.
+  // offset so the file — and its CRC — is independent of first-write
+  // order and shard layout.
   struct Row {
     uint64_t logical;
     size_t physical;
     uint32_t len;
   };
   std::vector<Row> rows;
-  rows.reserve(dirty.num_rows());
-  dirty.ForEach([&](size_t offset, uint32_t len) {
-    rows.push_back(Row{store.PhysicalToLogical(offset), offset, len});
-  });
+  rows.reserve(dirty.size());
+  size_t num_floats = 0;
+  for (const SparseAdam::RowSpan& row : dirty) {
+    rows.push_back(Row{store.PhysicalToLogical(row.offset), row.offset,
+                       row.len});
+    num_floats += row.len;
+  }
   std::sort(rows.begin(), rows.end(),
             [](const Row& a, const Row& b) { return a.logical < b.logical; });
 
@@ -103,9 +106,9 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
   delta.param_count = store.size();
   delta.offsets.reserve(rows.size());
   delta.lens.reserve(rows.size());
-  delta.params.reserve(dirty.num_floats());
-  delta.m.reserve(dirty.num_floats());
-  delta.v.reserve(dirty.num_floats());
+  delta.params.reserve(num_floats);
+  delta.m.reserve(num_floats);
+  delta.v.reserve(num_floats);
   const float* params = store.data();
   const float* m = adam.m_data();
   const float* v = adam.v_data();

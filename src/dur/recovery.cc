@@ -80,17 +80,10 @@ Result<RecoveryReport> Recover(const std::string& dir, SupaModel* model) {
   }
   SUPA_RETURN_NOT_OK(ValidateMetaAgainstModel(state.meta, *model));
 
+  // Everything is validated; the first write to the model happens here.
   const ManifestLink& link = manifest.links[chosen];
-  const EmbeddingStore& store = model->store();
-  SupaModel::Snapshot snap;
-  snap.params.resize(state.meta.param_count);
-  snap.adam.m.resize(state.meta.param_count);
-  snap.adam.v.resize(state.meta.param_count);
-  snap.adam.step = state.meta.adam_step;
-  store.ScatterLogical(state.params.data(), snap.params.data());
-  store.ScatterLogical(state.m.data(), snap.adam.m.data());
-  store.ScatterLogical(state.v.data(), snap.adam.v.data());
-  model->RestoreSnapshot(snap);
+  model->LoadLogicalState(state.params.data(), state.m.data(),
+                          state.v.data(), state.meta.adam_step);
 
   // The crashed run built its first (uniform) negative table lazily before
   // observing any edge; build it now, on the still-empty graph, so the

@@ -10,9 +10,9 @@
 // with one shard the buffer is byte-identical to the historical monolith
 // layout [all h^L][all h^S][all c^r][α]. Consumers never see the physical
 // arrangement: they address rows through offsets, which stay opaque to the
-// sparse optimizer, gradient buffer, dirty-row tracking, and delta
-// snapshots. Anything that must be layout-*invariant* across shard counts
-// (checkpoints) converts through GatherLogical / ScatterLogical.
+// sparse optimizer, gradient buffer, and its write barrier. Anything that
+// must be layout-*invariant* across shard counts (checkpoints) converts
+// through GatherLogical / ScatterLogical.
 
 #ifndef SUPA_STORE_EMBEDDING_BANK_H_
 #define SUPA_STORE_EMBEDDING_BANK_H_

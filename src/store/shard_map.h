@@ -2,8 +2,8 @@
 //
 // Placement must be a pure function of the node id (not arrival order, not
 // degree) so that two stores built over the same node set agree on where
-// every row lives — the property that makes checkpoints, delta snapshots,
-// and future multi-node layouts portable across shard counts. We hash with
+// every row lives — the property that makes checkpoints, delta
+// checkpoints, and future multi-node layouts portable across shard counts. We hash with
 // the same SplitMix64 mix the deterministic-parallelism layer uses, under
 // a fixed seed that is part of the on-disk compatibility story.
 

@@ -68,13 +68,12 @@ TEST(GradBufferTest, ForEachVisitsAllRows) {
   EXPECT_EQ(visited, 2u);
 }
 
-// ---- flat-table internals (RowIndex / insertion order / dirty rows) ------
+// ---- flat-table internals (RowIndex / insertion order) -------------------
 
 TEST(GradBufferTest, ForEachIteratesInInsertionOrder) {
   // The flat table must iterate rows in the order they were first touched —
   // never hash-bucket order. This is part of the determinism contract:
-  // SparseAdam applies rows in this order, and delta snapshots record them
-  // in this order.
+  // SparseAdam applies rows in this order.
   GradBuffer g;
   const std::vector<size_t> offsets = {96, 0, 1024, 8, 4096, 16, 72};
   const float v[4] = {1.0f, 2.0f, 3.0f, 4.0f};
@@ -159,35 +158,96 @@ TEST(RowIndexTest, FindOrInsertIsIdempotent) {
   EXPECT_EQ(id2, 0u);
 }
 
-TEST(DirtyRowSetTest, TracksRowsAndFloatCounts) {
-  DirtyRowSet dirty;
-  dirty.Mark(0, 16);
-  dirty.Mark(32, 16);
-  dirty.Mark(0, 16);  // idempotent
-  dirty.Mark(1000, 1);
-  EXPECT_EQ(dirty.num_rows(), 3u);
-  EXPECT_EQ(dirty.num_floats(), 33u);
-  std::vector<size_t> seen;
-  dirty.ForEach([&](size_t offset, uint32_t) { seen.push_back(offset); });
-  EXPECT_EQ(seen, (std::vector<size_t>{0, 32, 1000}));
-  dirty.Clear();
-  EXPECT_EQ(dirty.num_rows(), 0u);
-  EXPECT_EQ(dirty.num_floats(), 0u);
+std::vector<size_t> Offsets(const std::vector<SparseAdam::RowSpan>& rows) {
+  std::vector<size_t> out;
+  for (const SparseAdam::RowSpan& r : rows) out.push_back(r.offset);
+  return out;
+}
+
+TEST(WriteBarrierTest, ReportsEachRowOncePerGeneration) {
+  // Three rows of four floats, then two α scalars, each a row of its own.
+  constexpr size_t kParams = 14;
+  std::vector<float> param(kParams);
+  for (size_t i = 0; i < kParams; ++i) param[i] = static_cast<float>(i);
+  SparseAdam adam(kParams, 0.1, 0.0);
+  adam.SetRowLayout(4, 12);
+  adam.set_checkpoint_tracking(true);
+  adam.ClearCheckpointDirty();
+
+  const float g4[4] = {1.0f, 1.0f, 1.0f, 1.0f};
+  GradBuffer g;
+  g.Accumulate(4, 4, 1.0, g4);
+  g.AccumulateScalar(13, 1.0);
+  g.AccumulateScalar(12, 1.0);
+  adam.OpenUndo();
+  adam.Step(g, param.data());
+  adam.Step(g, param.data());
+  adam.MarkRow(8, 4, param.data());
+  adam.MarkRow(13, 1, param.data());
+  EXPECT_EQ(Offsets(adam.checkpoint_dirty_rows()),
+            (std::vector<size_t>{4, 13, 12, 8}));
+  EXPECT_EQ(Offsets(adam.undo_rows()), (std::vector<size_t>{4, 13, 12, 8}));
+
+  // A new generation reports each row again, once.
+  adam.ClearCheckpointDirty();
+  adam.OpenUndo();
+  EXPECT_TRUE(adam.checkpoint_dirty_rows().empty());
+  EXPECT_TRUE(adam.undo_rows().empty());
+  adam.MarkRow(12, 1, param.data());
+  adam.Step(g, param.data());
+  EXPECT_EQ(Offsets(adam.checkpoint_dirty_rows()),
+            (std::vector<size_t>{12, 4, 13}));
+  EXPECT_EQ(Offsets(adam.undo_rows()), (std::vector<size_t>{12, 4, 13}));
+}
+
+TEST(WriteBarrierTest, RollBackRestoresFirstWriteValuesAndStep) {
+  constexpr size_t kParams = 10;
+  std::vector<float> param(kParams, 1.0f);
+  SparseAdam adam(kParams, 0.1, 0.0);
+  adam.SetRowLayout(4, 8);
+  GradBuffer g;
+  const float g4[4] = {1.0f, -1.0f, 2.0f, -2.0f};
+  g.Accumulate(0, 4, 1.0, g4);
+  g.AccumulateScalar(9, 0.5);
+  adam.Step(g, param.data());
+  const std::vector<float> param_at_take = param;
+  const SparseAdam::State state_at_take = adam.Snapshot();
+
+  adam.OpenUndo();
+  for (int i = 0; i < 3; ++i) adam.Step(g, param.data());
+  EXPECT_NE(param, param_at_take);
+  adam.set_checkpoint_tracking(true);
+  adam.ClearCheckpointDirty();
+  adam.RollBackUndo(param.data());
+
+  EXPECT_FALSE(adam.undo_open());
+  EXPECT_EQ(param, param_at_take);
+  const SparseAdam::State state = adam.Snapshot();
+  EXPECT_EQ(state.m, state_at_take.m);
+  EXPECT_EQ(state.v, state_at_take.v);
+  EXPECT_EQ(state.step, state_at_take.step);
+  // The rows written back are checkpoint-dirty, and only those.
+  EXPECT_EQ(Offsets(adam.checkpoint_dirty_rows()),
+            (std::vector<size_t>{0, 9}));
 }
 
 TEST(SparseAdamTest, StepMarksTouchedRowsDirty) {
   std::vector<float> param(8, 1.0f);
   SparseAdam adam(8, 0.1, 0.0);
+  adam.set_checkpoint_tracking(true);
   GradBuffer g;
   g.AccumulateScalar(2, 1.0);
   g.AccumulateScalar(5, -1.0);
   adam.Step(g, param.data());
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 2u);
-  adam.MarkDirty(6, 2);
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 3u);
-  EXPECT_EQ(adam.dirty_rows().num_floats(), 4u);
-  adam.ClearDirty();
-  EXPECT_EQ(adam.dirty_rows().num_rows(), 0u);
+  EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 2u);
+  adam.MarkRow(6, 1, param.data());
+  EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 3u);
+  adam.ClearCheckpointDirty();
+  EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 0u);
+  adam.MarkAllCheckpointDirty();
+  EXPECT_TRUE(adam.checkpoint_dirty_overflow());
+  adam.Step(g, param.data());
+  EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 0u);
 }
 
 TEST(SparseAdamTest, DescendsOnQuadratic) {

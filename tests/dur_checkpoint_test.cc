@@ -202,6 +202,58 @@ TEST_F(DurCheckpointTest, DeltaRoundTripAndApply) {
   EXPECT_EQ(patched.v, now.v);
 }
 
+TEST_F(DurCheckpointTest, DeltaAfterBestRollbackHoldsOnlyRowsWrittenSinceCut) {
+  // Algorithm 1 between two cuts: Φ_best is re-taken, a cut happens, a
+  // burst trains, and RestoreBest rolls it back. The next delta must hold
+  // exactly the rows written since the cut (every row written back is one
+  // of them) and no row that was untouched since the cut — rows written
+  // after an earlier take but before the cut stay out. The bursts are
+  // short, so each touches a small share of the rows.
+  SupaModel model(data_, Config());
+  TrainSome(model, 0, 150);
+  model.optimizer().set_checkpoint_tracking(true);
+  model.TakeBest();
+  TrainSome(model, 150, 165);
+  model.TakeBest();
+  model.optimizer().ClearCheckpointDirty();  // the cut
+  const LogicalCheckpoint at_cut = GatherLogicalState(model);
+  TrainSome(model, 200, 215);
+  const LogicalCheckpoint after_burst = GatherLogicalState(model);
+  ASSERT_TRUE(model.RestoreBest().ok());
+
+  // Rows written since the cut: those whose params, m or v moved.
+  const size_t dim = at_cut.meta.dim;
+  const size_t alpha_begin =
+      at_cut.meta.param_count - at_cut.meta.num_node_types;
+  std::vector<uint64_t> written;
+  for (size_t off = 0; off < at_cut.meta.param_count;
+       off += off < alpha_begin ? dim : 1) {
+    const size_t len = off < alpha_begin ? dim : 1;
+    for (size_t k = off; k < off + len; ++k) {
+      if (at_cut.params[k] != after_burst.params[k] ||
+          at_cut.m[k] != after_burst.m[k] || at_cut.v[k] != after_burst.v[k]) {
+        written.push_back(off);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(written.empty());
+
+  auto captured = CaptureDirtyRows(model);
+  ASSERT_TRUE(captured.ok()) << captured.status().ToString();
+  EXPECT_EQ(captured.value().offsets, written);
+
+  // The rollback lands on the cut's state, and the delta carries it.
+  LogicalCheckpoint patched = at_cut;
+  ASSERT_TRUE(ApplyDelta(captured.value(), &patched).ok());
+  const LogicalCheckpoint now = GatherLogicalState(model);
+  EXPECT_EQ(patched.meta.adam_step, now.meta.adam_step);
+  EXPECT_EQ(patched.params, now.params);
+  EXPECT_EQ(patched.m, now.m);
+  EXPECT_EQ(patched.v, now.v);
+  EXPECT_EQ(now.params, at_cut.params);
+}
+
 TEST_F(DurCheckpointTest, CompactedChainIsByteIdenticalToFreshSave) {
   // The compaction contract: folding base + deltas and writing the result
   // as a base file yields the same bytes as SaveCheckpoint on the live

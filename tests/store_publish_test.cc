@@ -367,10 +367,10 @@ TEST_P(ModelPublishTest, EveryWriterPublishesWhatItWrote) {
   train_serial(60, "warm-up");
   ASSERT_FALSE(HasFailure());
 
-  const SupaModel::DeltaSnapshot delta = model.TakeDeltaSnapshot();
-  train_serial(25, "before delta restore");
-  model.RestoreDeltaSnapshot(delta);
-  Check(model, "RestoreDeltaSnapshot");
+  model.TakeBest();
+  train_serial(25, "before best restore");
+  ASSERT_TRUE(model.RestoreBest().ok());
+  Check(model, "RestoreBest");
 
   const SupaModel::Snapshot full = model.TakeSnapshot();
   train_serial(25, "before full restore");
@@ -413,6 +413,48 @@ TEST_P(ModelPublishTest, EveryWriterPublishesWhatItWrote) {
   ASSERT_TRUE(LoadCheckpoint(path_, &model).ok());
   Check(model, "LoadCheckpoint");
   train_serial(10, "after LoadCheckpoint");
+}
+
+TEST_P(ModelPublishTest, PublishAfterRestoreBestCopiesOnlyRestoredRows) {
+  SupaModel model(data_, Config());
+  const auto& edges = data_.edges;
+  for (size_t i = 0; i < 60; ++i) {
+    ASSERT_TRUE(model.TrainEdge(edges[i]).ok());
+    ASSERT_TRUE(model.ObserveEdge(edges[i]).ok());
+  }
+  // An undeclared whole-state write, so the next publish re-bases every
+  // shard onto one full slab and the publishes below cannot re-base.
+  model.RestoreSnapshot(model.TakeSnapshot());
+  Check(model, "full re-base");
+
+  model.TakeBest();
+  Check(model, "take");
+  for (size_t i = 0; i < 25; ++i) {
+    ASSERT_TRUE(model.TrainEdge(edges[60 + i]).ok());
+  }
+  const EmbeddingLayout& layout = model.graph_store().embeddings().layout();
+  const size_t row_bytes = static_cast<size_t>(layout.dim()) * sizeof(float);
+  size_t restored_rows = 0;
+  for (const SparseAdam::RowSpan& row : model.optimizer().undo_rows()) {
+    if (row.offset < layout.alpha_begin()) ++restored_rows;
+  }
+  ASSERT_GT(restored_rows, 0u);
+  ASSERT_TRUE(model.RestoreBest().ok());
+
+  const uint64_t before = CounterValue("store.publish_bytes");
+  Check(model, "RestoreBest");
+  const uint64_t bytes = CounterValue("store.publish_bytes") - before;
+  // The restore covers every shard, so each re-publishes its pointer
+  // tables; of the rows, only the restored ones are copied.
+  size_t tables = 0;
+  for (size_t s = 0; s < layout.num_shards(); ++s) {
+    const size_t nodes = model.graph_store().ShardNodes(s);
+    tables += layout.shard_rows(s) * sizeof(const float*) +
+              (nodes + kChunkNodes - 1) / kChunkNodes *
+                  sizeof(std::shared_ptr<const NodeChunk>);
+  }
+  const size_t alpha_bytes = layout.num_node_types() * sizeof(float);
+  EXPECT_EQ(bytes, restored_rows * row_bytes + tables + alpha_bytes);
 }
 
 TEST_P(ModelPublishTest, EndpointLeaseStepsPublishWhatTheyWrote) {
