@@ -193,6 +193,35 @@ void BM_SimdScoreDot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdScoreDot)->Arg(32)->Arg(64)->Arg(128);
 
+// One AdamW row step on a 64-float embedding row or a 1-float α row,
+// repeated on the same row as consecutive training steps would.
+template <bool kPortable>
+void AdamRowBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto g = KernelVec(n, 11);
+  auto params = KernelVec(n, 12);
+  std::vector<float> m(n, 0.0f), v(n, 0.0f);
+  const simd::AdamCoeffs c{0.9, 0.999, 1e-8, 3e-3, 1e-4, 0.1, 0.001};
+  for (auto _ : state) {
+    if (kPortable) {
+      simd::portable::AdamRow(c, g.data(), params.data(), m.data(), v.data(),
+                              n);
+    } else {
+      simd::AdamRow(c, g.data(), params.data(), m.data(), v.data(), n);
+    }
+    benchmark::DoNotOptimize(params.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (!kPortable) state.SetLabel(simd::BackendName());
+}
+
+void BM_SimdAdamRow(benchmark::State& state) { AdamRowBench<false>(state); }
+BENCHMARK(BM_SimdAdamRow)->Arg(64)->Arg(1);
+
+void BM_PortableAdamRow(benchmark::State& state) { AdamRowBench<true>(state); }
+BENCHMARK(BM_PortableAdamRow)->Arg(64)->Arg(1);
+
 // ---- GradBuffer: flat open-addressing table under training-like load -----
 
 void BM_GradBufferAccumulate(benchmark::State& state) {

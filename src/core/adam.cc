@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "util/simd.h"
+
 namespace supa {
 
 namespace {
@@ -67,10 +69,7 @@ float* GradBuffer::Row(size_t offset, size_t len) {
 
 void GradBuffer::Accumulate(size_t offset, size_t len, double alpha,
                             const float* vec) {
-  float* row = Row(offset, len);
-  for (size_t i = 0; i < len; ++i) {
-    row[i] += static_cast<float>(alpha * vec[i]);
-  }
+  simd::Axpy(alpha, vec, Row(offset, len), len);
 }
 
 void GradBuffer::AccumulateScalar(size_t offset, double g) {
@@ -109,27 +108,21 @@ void SparseAdam::SetRowLayout(uint32_t row_len, size_t tail_begin) {
 void SparseAdam::UpdateRow(size_t offset, const float* g, size_t len,
                            double bc1, double bc2, float* params,
                            StepStats* stats) {
+  float* p = params + offset;
+  if (stats != nullptr) row_before_.assign(p, p + len);
+  simd::AdamRow(simd::AdamCoeffs{beta1_, beta2_, eps_, lr_, weight_decay_,
+                                 bc1, bc2},
+                g, p, m_.data() + offset, v_.data() + offset, len);
+  if (stats == nullptr) return;
+  // Reads only, from each float before and after the write: the update
+  // above is byte-for-byte the unmonitored computation.
   for (size_t i = 0; i < len; ++i) {
-    const size_t p = offset + i;
-    const double gi = g[i];
-    m_[p] = static_cast<float>(beta1_ * m_[p] + (1.0 - beta1_) * gi);
-    v_[p] = static_cast<float>(beta2_ * v_[p] + (1.0 - beta2_) * gi * gi);
-    const double mhat = m_[p] / bc1;
-    const double vhat = v_[p] / bc2;
-    double update = mhat / (std::sqrt(vhat) + eps_);
-    // Decoupled weight decay (AdamW).
-    update += weight_decay_ * params[p];
-    const double before = params[p];
-    params[p] = static_cast<float>(params[p] - lr_ * update);
-    if (stats != nullptr) {
-      // Reads only — the update above is byte-for-byte the unmonitored
-      // computation.
-      const double after = params[p];
-      const double change = after - before;
-      stats->sum_update_sq += change * change;
-      stats->sum_param_sq_before += before * before;
-      stats->sum_param_sq_after += after * after;
-    }
+    const double before = row_before_[i];
+    const double after = p[i];
+    const double change = after - before;
+    stats->sum_update_sq += change * change;
+    stats->sum_param_sq_before += before * before;
+    stats->sum_param_sq_after += after * after;
   }
 }
 

@@ -235,9 +235,10 @@ class SparseAdam {
   void set_lr(double lr) { lr_ = lr; }
 
  private:
-  /// One row's moment + parameter update at bias corrections (bc1, bc2).
-  /// `stats` (nullable) accumulates observability norms without touching
-  /// the update math.
+  /// One row's moment + parameter update at bias corrections (bc1, bc2),
+  /// through simd::AdamRow. `stats` (nullable) accumulates observability
+  /// norms from the row's values before and after, without touching the
+  /// update math.
   void UpdateRow(size_t offset, const float* g, size_t len, double bc1,
                  double bc2, float* params, StepStats* stats);
 
@@ -272,6 +273,7 @@ class SparseAdam {
   uint64_t step_ = 0;
   std::vector<float> m_;
   std::vector<float> v_;
+  std::vector<float> row_before_;  // a row's params before a monitored step
 
   // Row numbering (SetRowLayout).
   uint32_t row_len_ = 1;

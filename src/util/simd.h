@@ -3,10 +3,10 @@
 // Every kernel has two implementations with *bit-identical* results:
 //
 //   * simd::portable::* — plain C++ that fixes the reference semantics, and
-//   * an AVX2+FMA path compiled via function-level target attributes and
-//     selected at runtime with __builtin_cpu_supports, so the default -O2
-//     build gains vector code on machines that have it and stays portable
-//     everywhere else.
+//   * an AVX2 path (AVX2+FMA, or AVX2 alone for AdamRow) compiled via
+//     function-level target attributes and selected at runtime with
+//     __builtin_cpu_supports, so the default -O2 build gains vector code
+//     on machines that have it and stays portable everywhere else.
 //
 // Bit-identity across backends (and therefore across machines) is part of
 // the library's determinism contract, and is what lets the rest of the
@@ -22,8 +22,13 @@
 //     short_w·h^S), both paths use IEEE fused multiply-add (std::fma /
 //     vfmadd), which pins a single rounding on every platform.
 //   * Elementwise kernels (Axpy, Scale, Add, AddInto, HalfSum,
-//     CombineHalf) have no cross-lane dependency at all; both paths apply
-//     the same per-element rounding sequence.
+//     CombineHalf, AdamRow) have no cross-lane dependency at all; both
+//     paths apply the same per-element rounding sequence.
+//   * Where that sequence rounds an inexact product before adding it
+//     (AdamRow: β1·m + (1−β1)·g, u + wd·p, p − lr·u), the AVX2 path must
+//     not fuse. GCC contracts mul+add into vfmadd inside any FMA-enabled
+//     target, so AdamRow is compiled with target("avx2") alone: with no
+//     FMA instruction available there is nothing to contract into.
 //
 // The environment variable SUPA_SIMD=portable forces the portable path
 // (useful for cross-checking and benchmarking).
@@ -67,6 +72,17 @@ inline bool HasAvx2() {
 
 /// Human-readable backend name for logs and bench reports.
 inline const char* BackendName() { return HasAvx2() ? "avx2" : "portable"; }
+
+/// Hyperparameters and bias corrections of one AdamW step.
+struct AdamCoeffs {
+  double beta1;
+  double beta2;
+  double eps;
+  double lr;
+  double weight_decay;
+  double bc1;  // 1 − β1^t at the step t being applied
+  double bc2;  // 1 − β2^t
+};
 
 // ---------------------------------------------------------------------------
 // Portable reference implementations. These define the semantics; the AVX2
@@ -176,6 +192,25 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     acc = ScoreDotTail(acc, al, as, ac, bl, bs, bc, short_w, i);
   }
   return acc;
+}
+
+/// One AdamW row update with decoupled weight decay, in double with every
+/// operation rounded on its own (no fma): the moments m and v round to
+/// float before the bias-corrected update reads them back, and the
+/// parameter rounds to float last.
+inline void AdamRow(const AdamCoeffs& c, const float* g, float* params,
+                    float* m, float* v, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const double gi = g[i];
+    m[i] = static_cast<float>(c.beta1 * m[i] + (1.0 - c.beta1) * gi);
+    v[i] = static_cast<float>(c.beta2 * v[i] + (1.0 - c.beta2) * gi * gi);
+    const double mhat = m[i] / c.bc1;
+    const double vhat = v[i] / c.bc2;
+    double update = mhat / (std::sqrt(vhat) + c.eps);
+    // Decoupled weight decay (AdamW).
+    update += c.weight_decay * params[i];
+    params[i] = static_cast<float>(params[i] - c.lr * update);
+  }
 }
 
 }  // namespace portable
@@ -348,6 +383,44 @@ SUPA_TARGET_AVX2 inline double ScoreDot(const float* al, const float* as,
   return out;
 }
 
+// target("avx2") without fma: see the no-fusion rule at the top of the file.
+__attribute__((target("avx2"))) inline void AdamRow(const AdamCoeffs& c,
+                                                    const float* g,
+                                                    float* params, float* m,
+                                                    float* v, size_t n) {
+  const __m256d b1 = _mm256_set1_pd(c.beta1);
+  const __m256d one_minus_b1 = _mm256_set1_pd(1.0 - c.beta1);
+  const __m256d b2 = _mm256_set1_pd(c.beta2);
+  const __m256d one_minus_b2 = _mm256_set1_pd(1.0 - c.beta2);
+  const __m256d bc1 = _mm256_set1_pd(c.bc1);
+  const __m256d bc2 = _mm256_set1_pd(c.bc2);
+  const __m256d eps = _mm256_set1_pd(c.eps);
+  const __m256d wd = _mm256_set1_pd(c.weight_decay);
+  const __m256d lr = _mm256_set1_pd(c.lr);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) {
+    const __m256d gi = _mm256_cvtps_pd(_mm_loadu_ps(g + i));
+    const __m128 mf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
+        _mm256_mul_pd(one_minus_b1, gi)));
+    const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
+        _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
+        _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, gi), gi)));
+    _mm_storeu_ps(m + i, mf);
+    _mm_storeu_ps(v + i, vf);
+    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bc1);
+    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bc2);
+    const __m256d p = _mm256_cvtps_pd(_mm_loadu_ps(params + i));
+    const __m256d update = _mm256_add_pd(
+        _mm256_div_pd(mhat, _mm256_add_pd(_mm256_sqrt_pd(vhat), eps)),
+        _mm256_mul_pd(wd, p));
+    _mm_storeu_ps(params + i,
+                  _mm256_cvtpd_ps(_mm256_sub_pd(p, _mm256_mul_pd(lr, update))));
+  }
+  portable::AdamRow(c, g + i, params + i, m + i, v + i, n - i);
+}
+
 }  // namespace avx2
 
 #undef SUPA_TARGET_AVX2
@@ -416,6 +489,14 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     return avx2::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
 #endif
   return portable::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
+}
+
+inline void AdamRow(const AdamCoeffs& c, const float* g, float* params,
+                    float* m, float* v, size_t n) {
+#if SUPA_SIMD_X86
+  if (HasAvx2()) return avx2::AdamRow(c, g, params, m, v, n);
+#endif
+  portable::AdamRow(c, g, params, m, v, n);
 }
 
 }  // namespace supa::simd

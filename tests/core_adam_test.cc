@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace supa {
 namespace {
@@ -248,6 +251,92 @@ TEST(SparseAdamTest, StepMarksTouchedRowsDirty) {
   EXPECT_TRUE(adam.checkpoint_dirty_overflow());
   adam.Step(g, param.data());
   EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 0u);
+}
+
+// The scalar AdamW step as SparseAdam wrote it before the update moved into
+// simd::AdamRow, kept here verbatim as the byte-level reference: SparseAdam
+// must reproduce its floats and its monitor sums exactly on every backend.
+struct ScalarAdam {
+  ScalarAdam(size_t num_params, double lr, double weight_decay)
+      : lr(lr), weight_decay(weight_decay), m(num_params), v(num_params) {}
+
+  double lr, weight_decay, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  uint64_t step = 0;
+  std::vector<float> m, v;
+
+  void Step(const GradBuffer& grads, float* params,
+            SparseAdam::StepStats* stats) {
+    ++step;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(step));
+    const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(step));
+    grads.ForEach([&](size_t offset, const float* g, size_t len) {
+      for (size_t i = 0; i < len; ++i) {
+        const size_t p = offset + i;
+        const double gi = g[i];
+        m[p] = static_cast<float>(beta1 * m[p] + (1.0 - beta1) * gi);
+        v[p] = static_cast<float>(beta2 * v[p] + (1.0 - beta2) * gi * gi);
+        const double mhat = m[p] / bc1;
+        const double vhat = v[p] / bc2;
+        double update = mhat / (std::sqrt(vhat) + eps);
+        update += weight_decay * params[p];
+        const double before = params[p];
+        params[p] = static_cast<float>(params[p] - lr * update);
+        if (stats != nullptr) {
+          const double after = params[p];
+          const double change = after - before;
+          stats->sum_update_sq += change * change;
+          stats->sum_param_sq_before += before * before;
+          stats->sum_param_sq_after += after * after;
+        }
+      }
+    });
+  }
+};
+
+TEST(SparseAdamTest, StepMatchesScalarReferenceExactly) {
+  // 32 rows of 64 floats, then 16 α scalars (rows of one float).
+  constexpr size_t kDim = 64, kRows = 32, kScalars = 16;
+  constexpr size_t kParams = kRows * kDim + kScalars;
+  constexpr double kLr = 3e-3, kWd = 1e-4;
+  Rng rng(23);
+  std::vector<float> init(kParams);
+  for (float& x : init) x = static_cast<float>(rng.Uniform(-1.0, 1.0));
+
+  ScalarAdam ref(kParams, kLr, kWd);
+  std::vector<float> ref_params = init;
+  SparseAdam monitored(kParams, kLr, kWd), plain(kParams, kLr, kWd);
+  std::vector<float> monitored_params = init, plain_params = init;
+
+  GradBuffer g;
+  std::vector<float> grad(kDim);
+  for (int step = 0; step < 40; ++step) {
+    g.Clear();
+    for (int k = 0; k < 12; ++k) {
+      for (float& x : grad) x = static_cast<float>(rng.Uniform(-0.5, 0.5));
+      g.Accumulate(rng.Index(kRows) * kDim, kDim, rng.Uniform(-2.0, 2.0),
+                   grad.data());
+      g.AccumulateScalar(kRows * kDim + rng.Index(kScalars),
+                         rng.Uniform(-1.0, 1.0));
+    }
+    SparseAdam::StepStats want, got;
+    ref.Step(g, ref_params.data(), &want);
+    monitored.Step(g, monitored_params.data(), &got);
+    plain.Step(g, plain_params.data());
+
+    const size_t bytes = kParams * sizeof(float);
+    ASSERT_EQ(std::memcmp(monitored_params.data(), ref_params.data(), bytes),
+              0)
+        << "step " << step;
+    ASSERT_EQ(std::memcmp(plain_params.data(), ref_params.data(), bytes), 0)
+        << "step " << step;
+    for (const SparseAdam* adam : {&monitored, &plain}) {
+      ASSERT_EQ(std::memcmp(adam->m_data(), ref.m.data(), bytes), 0);
+      ASSERT_EQ(std::memcmp(adam->v_data(), ref.v.data(), bytes), 0);
+    }
+    EXPECT_EQ(got.sum_update_sq, want.sum_update_sq);
+    EXPECT_EQ(got.sum_param_sq_before, want.sum_param_sq_before);
+    EXPECT_EQ(got.sum_param_sq_after, want.sum_param_sq_after);
+  }
 }
 
 TEST(SparseAdamTest, DescendsOnQuadratic) {

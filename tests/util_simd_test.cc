@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "util/math_utils.h"
@@ -135,6 +136,91 @@ TEST(SimdTest, ScoreDotMatchesPortable) {
             al.data() + off, as.data() + off, ac.data() + off,
             bl.data() + off, bs.data() + off, bc.data() + off, w, n);
         EXPECT_EQ(got, want) << "n=" << n << " off=" << off << " w=" << w;
+      }
+    }
+  }
+}
+
+struct AdamRowInput {
+  std::vector<float> g, params, m, v;
+};
+
+// Mixes, element by element, the cases AdamRow must agree on: random
+// values with negative params, zero, denormal and 1e30 gradients, fresh
+// moments (m = v = 0), and two cancellations. Where β1·m + (1−β1)·g or
+// p − lr·update nearly cancels, only the roundings of the products are
+// left in the result, so a kernel that fuses a multiply into its add
+// changes bytes there.
+AdamRowInput MakeAdamRowInput(size_t n, const simd::AdamCoeffs& c, Rng& rng) {
+  AdamRowInput in;
+  for (size_t i = 0; i < n; ++i) {
+    float g = static_cast<float>(rng.Uniform(-2.0, 2.0));
+    float p = static_cast<float>(rng.Uniform(-2.0, 2.0));
+    float m = static_cast<float>(rng.Uniform(-0.5, 0.5));
+    float v = static_cast<float>(rng.Uniform(0.0, 0.5));
+    switch (rng.Index(7)) {
+      case 0:
+        break;
+      case 1:
+        g = 0.0f;
+        break;
+      case 2:
+        g = std::copysign(1e-40f, g);
+        break;
+      case 3:
+        g = std::copysign(1e30f, g);
+        break;
+      case 4:
+        m = v = 0.0f;
+        break;
+      case 5:
+        g = static_cast<float>(-m * c.beta1 / (1.0 - c.beta1));
+        break;
+      case 6: {
+        // At p = 0 the reference writes −lr·u; pick p = lr·u / (1 − lr·wd)
+        // so that p − lr·(u + wd·p) is close to zero.
+        float m0 = m, v0 = v, p0 = 0.0f;
+        simd::portable::AdamRow(c, &g, &p0, &m0, &v0, 1);
+        p = static_cast<float>(-p0 / (1.0 - c.lr * c.weight_decay));
+        break;
+      }
+    }
+    in.g.push_back(g);
+    in.params.push_back(p);
+    in.m.push_back(m);
+    in.v.push_back(v);
+  }
+  return in;
+}
+
+bool SameBytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+TEST(SimdTest, AdamRowMatchesPortable) {
+  Rng rng(19);
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 67; ++n) lengths.push_back(n);
+  lengths.push_back(128);
+  for (const double step : {1.0, 1e6}) {
+    const simd::AdamCoeffs c{0.9,  0.999, 1e-8, 3e-3, 1e-4,
+                             1.0 - std::pow(0.9, step),
+                             1.0 - std::pow(0.999, step)};
+    for (size_t n : lengths) {
+      for (size_t off : kOffsets) {
+        const AdamRowInput in = MakeAdamRowInput(n + off, c, rng);
+        AdamRowInput got = in, want = in;
+        simd::AdamRow(c, in.g.data() + off, got.params.data() + off,
+                      got.m.data() + off, got.v.data() + off, n);
+        simd::portable::AdamRow(c, in.g.data() + off, want.params.data() + off,
+                                want.m.data() + off, want.v.data() + off, n);
+        EXPECT_TRUE(SameBytes(got.params, want.params))
+            << "params: step=" << step << " n=" << n << " off=" << off;
+        EXPECT_TRUE(SameBytes(got.m, want.m))
+            << "m: step=" << step << " n=" << n << " off=" << off;
+        EXPECT_TRUE(SameBytes(got.v, want.v))
+            << "v: step=" << step << " n=" << n << " off=" << off;
       }
     }
   }
