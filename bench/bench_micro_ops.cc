@@ -193,6 +193,55 @@ void BM_SimdScoreDot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdScoreDot)->Arg(32)->Arg(64)->Arg(128);
 
+// The serving engine's per-item kernels at d = 64, one item per iteration
+// (so the time per iteration is ns per item): HDot scores an item from its
+// cached h_v row, HDotRefresh rebuilds a stale h_v from the item's three
+// float rows while scoring it. h_u is built once, as per request.
+template <bool kPortable, bool kRefresh>
+void HDotBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const auto al = KernelVec(n, 5), as = KernelVec(n, 6), ac = KernelVec(n, 7),
+             bl = KernelVec(n, 8), bs = KernelVec(n, 9), bc = KernelVec(n, 10);
+  std::vector<double> hu(n), hv(n);
+  simd::portable::HRow(al.data(), as.data(), ac.data(), 1.0, hu.data(), n);
+  simd::portable::HRow(bl.data(), bs.data(), bc.data(), 1.0, hv.data(), n);
+  for (auto _ : state) {
+    double score;
+    if (kRefresh) {
+      score = kPortable ? simd::portable::HDotRefresh(hu.data(), bl.data(),
+                                                      bs.data(), bc.data(),
+                                                      1.0, hv.data(), n)
+                        : simd::HDotRefresh(hu.data(), bl.data(), bs.data(),
+                                            bc.data(), 1.0, hv.data(), n);
+    } else {
+      score = kPortable ? simd::portable::HDot(hu.data(), hv.data(), n)
+                        : simd::HDot(hu.data(), hv.data(), n);
+    }
+    benchmark::DoNotOptimize(score);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (!kPortable) state.SetLabel(simd::BackendName());
+}
+
+void BM_SimdHDot(benchmark::State& state) { HDotBench<false, false>(state); }
+BENCHMARK(BM_SimdHDot)->Arg(64);
+
+void BM_PortableHDot(benchmark::State& state) {
+  HDotBench<true, false>(state);
+}
+BENCHMARK(BM_PortableHDot)->Arg(64);
+
+void BM_SimdHDotRefresh(benchmark::State& state) {
+  HDotBench<false, true>(state);
+}
+BENCHMARK(BM_SimdHDotRefresh)->Arg(64);
+
+void BM_PortableHDotRefresh(benchmark::State& state) {
+  HDotBench<true, true>(state);
+}
+BENCHMARK(BM_PortableHDotRefresh)->Arg(64);
+
 // One AdamW row step on a 64-float embedding row or a 1-float α row,
 // repeated on the same row as consecutive training steps would.
 template <bool kPortable>

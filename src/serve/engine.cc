@@ -23,6 +23,10 @@ bool Worse(const ScoredItem& a, const ScoredItem& b) {
   return a.item < b.item;
 }
 
+/// Candidates ahead of the one being scored whose cached h_v rows are
+/// prefetched: the scan streams candidates × dim doubles per request.
+constexpr size_t kPrefetchItems = 4;
+
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now() - start)
@@ -45,6 +49,7 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
+  if (options_.default_k == 0) options_.default_k = 1;
   candidates_ = data_->TargetNodes();
 
   auto& reg = obs::MetricsRegistry::Global();
@@ -52,6 +57,7 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   rejected_counter_ = reg.GetCounter("serve.rejected");
   batches_counter_ = reg.GetCounter("serve.batches");
   scored_candidates_counter_ = reg.GetCounter("serve.scored_candidates");
+  item_refreshes_counter_ = reg.GetCounter("serve.item_refreshes");
   latency_hist_ = reg.GetHistogram(
       "serve.latency_us", obs::MetricsRegistry::ExponentialBounds(10, 2, 16));
   batch_size_hist_ = reg.GetHistogram("serve.batch_size",
@@ -59,6 +65,7 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   queue_depth_gauge_ = reg.GetGauge("serve.queue_depth");
   staleness_gauge_ = reg.GetGauge("serve.staleness_edges");
   epoch_gauge_ = reg.GetGauge("serve.snapshot_epoch");
+  item_cache_bytes_gauge_ = reg.GetGauge("serve.item_cache_bytes");
 
   status_scope_.emplace("serve", [this] {
     return std::vector<obs::StatusItem>{
@@ -73,6 +80,8 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
          std::to_string(serving_epoch_.load(std::memory_order_relaxed))},
         {"staleness_edges",
          std::to_string(staleness_edges_.load(std::memory_order_relaxed))},
+        {"item_cache_bytes",
+         std::to_string(item_cache_bytes_.load(std::memory_order_relaxed))},
     };
   });
 }
@@ -86,13 +95,27 @@ void ServeEngine::Start() {
   queue_size_ = 0;
   arenas_.clear();
   workers_.clear();
+  // The item caches are allocated here, on the calling thread, rather than
+  // lazily by each worker: memory a worker thread frees goes back to its
+  // own malloc arena, where later allocations of the process do not reuse
+  // it.
+  const size_t dim = static_cast<size_t>(model_->config().dim);
+  size_t cache_bytes = 0;
   for (size_t w = 0; w < options_.workers; ++w) {
     auto arena = std::make_unique<ScoringArena>();
     arena->batch.reserve(options_.max_batch);
     arena->heap.reserve(options_.default_k + 1);
     arena->ranked.reserve(options_.default_k + 1);
+    arena->user_h.resize(dim);
+    arena->item_h.resize(candidates_.size() * dim);
+    arena->item_rows.resize(candidates_.size());
+    cache_bytes += arena->user_h.size() * sizeof(double) +
+                   arena->item_h.size() * sizeof(double) +
+                   arena->item_rows.size() * sizeof(ScoringArena::ItemRows);
     arenas_.push_back(std::move(arena));
   }
+  item_cache_bytes_.store(cache_bytes, std::memory_order_relaxed);
+  item_cache_bytes_gauge_.Set(static_cast<double>(cache_bytes));
   for (size_t w = 0; w < options_.workers; ++w) {
     workers_.emplace_back(&ServeEngine::WorkerLoop, this, w);
 #if defined(__linux__)
@@ -171,8 +194,8 @@ void ServeEngine::WorkerLoop(size_t worker_index) {
       if (queue_size_ > 0) queue_cv_.notify_one();
     }
 
-    // One snapshot serves the whole batch and is dropped with it, so an
-    // idle worker pins no old epoch.
+    // One snapshot serves the whole batch; afterwards the item cache pins
+    // it until this worker's next request.
     const std::shared_ptr<const store::StoreSnapshot> snapshot =
         model_->AcquireSnapshot();
     serving_epoch_.store(snapshot->epoch(), std::memory_order_relaxed);
@@ -189,7 +212,7 @@ void ServeEngine::WorkerLoop(size_t worker_index) {
     {
       SUPA_PERF_SCOPE(kServeScore);  // one scope == one scoring batch
       for (void* raw : arena->batch) {
-        ScoreRequest(*snapshot, static_cast<Slot*>(raw), arena);
+        ScoreRequest(snapshot, static_cast<Slot*>(raw), arena);
       }
     }
 
@@ -203,8 +226,10 @@ void ServeEngine::WorkerLoop(size_t worker_index) {
   }
 }
 
-void ServeEngine::ScoreRequest(const store::StoreSnapshot& snapshot,
-                               Slot* slot, ScoringArena* arena) {
+void ServeEngine::ScoreRequest(
+    const std::shared_ptr<const store::StoreSnapshot>& snapshot_ptr,
+    Slot* slot, ScoringArena* arena) {
+  const store::StoreSnapshot& snapshot = *snapshot_ptr;
   const RecommendRequest& req = *slot->request;
   RecommendResponse* resp = slot->response;
   resp->items.clear();
@@ -220,10 +245,11 @@ void ServeEngine::ScoreRequest(const store::StoreSnapshot& snapshot,
     return;
   }
   slot->status = Status::OK();
-  const size_t k = req.k > 0 ? req.k : options_.default_k;
+  const size_t k =
+      std::min(req.k > 0 ? req.k : options_.default_k, candidates_.size());
 
   // Items this user already touched under the query relation, read from
-  // the same snapshot being scored (sorted for binary search).
+  // the same snapshot being scored (sorted and deduplicated).
   arena->seen.clear();
   if (options_.exclude_seen) {
     for (const Neighbor& n : snapshot.AllNeighbors(req.user)) {
@@ -234,30 +260,63 @@ void ServeEngine::ScoreRequest(const store::StoreSnapshot& snapshot,
                       arena->seen.end());
   }
 
-  // Hoist the user-side operands out of the candidate loop; the per-pair
-  // kernel is then exactly SupaModel::ScoreOn's simd::ScoreDot, so ranks
-  // agree bit-for-bit with the brute-force reference.
+  // h_u once per request; then one pass over the candidates that scores
+  // each from its cached h_v, rebuilding the rows whose snapshot pointers
+  // changed. Every candidate is brought up to `snapshot`, skipped ones
+  // included, so afterwards the cache matches the snapshot it pins.
   const SupaConfig& config = model_->config();
   const size_t dim = static_cast<size_t>(config.dim);
   const EdgeTypeId ctx_rel =
       config.shared_context ? static_cast<EdgeTypeId>(0) : req.relation;
   const double short_w = config.use_short_term ? 1.0 : 0.0;
-  const float* ul = snapshot.LongMem(req.user);
-  const float* us = snapshot.ShortMem(req.user);
-  const float* uc = snapshot.Context(req.user, ctx_rel);
+  double* hu = arena->user_h.data();
+  simd::HRow(snapshot.LongMem(req.user), snapshot.ShortMem(req.user),
+             snapshot.Context(req.user, ctx_rel), short_w, hu, dim);
 
   arena->heap.clear();
   if (arena->heap.capacity() < k + 1) arena->heap.reserve(k + 1);
   size_t scored = 0;
-  for (NodeId item : candidates_) {
-    if (item == req.user) continue;
-    if (!arena->seen.empty() &&
-        std::binary_search(arena->seen.begin(), arena->seen.end(), item)) {
+  size_t refreshed = 0;
+  // A cache that last served this very epoch under this context relation
+  // already matches it: no pointer needs comparing.
+  const bool unchanged =
+      arena->item_snapshot == snapshot_ptr && arena->item_relation == ctx_rel;
+  // candidates_ ascend (Dataset::TargetNodes order), and so does `seen`,
+  // so one cursor finds the seen items.
+  auto next_seen = arena->seen.cbegin();
+  const size_t row_bytes = dim * sizeof(double);
+  for (size_t c = 0; c < candidates_.size(); ++c) {
+    const NodeId item = candidates_[c];
+    double* hv = arena->item_h.data() + c * dim;
+    if (c + kPrefetchItems < candidates_.size()) {
+      const auto* ahead =
+          reinterpret_cast<const char*>(hv + kPrefetchItems * dim);
+      for (size_t b = 0; b < row_bytes; b += 64) __builtin_prefetch(ahead + b);
+    }
+    ScoringArena::ItemRows rows;
+    bool fresh = unchanged;
+    if (!fresh) {
+      rows = {snapshot.LongMem(item), snapshot.ShortMem(item),
+              snapshot.Context(item, ctx_rel)};
+      fresh = rows == arena->item_rows[c];
+      if (!fresh) {
+        arena->item_rows[c] = rows;
+        ++refreshed;
+      }
+    }
+    while (next_seen != arena->seen.cend() && *next_seen < item) ++next_seen;
+    if (item == req.user ||
+        (next_seen != arena->seen.cend() && *next_seen == item)) {
+      if (!fresh) {
+        simd::HRow(rows.long_mem, rows.short_mem, rows.context, short_w, hv,
+                   dim);
+      }
       continue;
     }
-    const double score = simd::ScoreDot(
-        ul, us, uc, snapshot.LongMem(item), snapshot.ShortMem(item),
-        snapshot.Context(item, ctx_rel), short_w, dim);
+    const double score =
+        fresh ? simd::HDot(hu, hv, dim)
+              : simd::HDotRefresh(hu, rows.long_mem, rows.short_mem,
+                                  rows.context, short_w, hv, dim);
     ++scored;
     const ScoredItem entry{item, score};
     if (arena->heap.size() < k) {
@@ -269,7 +328,10 @@ void ServeEngine::ScoreRequest(const store::StoreSnapshot& snapshot,
       std::push_heap(arena->heap.begin(), arena->heap.end(), Worse);
     }
   }
+  arena->item_snapshot = snapshot_ptr;
+  arena->item_relation = ctx_rel;
   scored_candidates_counter_.Increment(scored);
+  item_refreshes_counter_.Increment(refreshed);
 
   // Drain the min-heap worst-first into rank order.
   arena->ranked.clear();

@@ -21,22 +21,31 @@
 //   * Each worker drains up to `max_batch` requests per wakeup and scores
 //     the whole batch on one snapshot acquisition — request batching
 //     amortizes both the queue mutex and the snapshot shared_ptr hop.
-//   * Scoring is the fused SIMD kernel (util/simd.h ScoreDot) per
-//     candidate: bit-identical to SupaModel::ScoreOn on the same
-//     snapshot, which is what lets serve_topk_test demand *exact* rank
-//     agreement with a brute-force reference.
-//   * Each worker owns a ScoringArena (candidate buffers, seen-set, top-K
-//     heap) that is allocated once and reused forever — the WalkBuffer
-//     idiom; steady-state serving does not allocate on the scoring path.
+//   * Scoring reads a per-worker cache of item embeddings: h_v =
+//     ½(h^L + h^S + c^r) in double for every candidate, with the three
+//     snapshot row pointers it was built from. A request builds h_u once
+//     and walks the candidates; an item whose pointers in the batch
+//     snapshot equal its cached ones is scored with simd::HDot over its
+//     cached row, any other is rebuilt and scored in one pass
+//     (simd::HDotRefresh). Slabs are immutable and the cache pins the
+//     snapshot its pointers came from, so an equal pointer means equal
+//     bytes, and scores are bit-identical to SupaModel::ScoreOn's
+//     simd::ScoreDot on the same snapshot — which is what lets
+//     serve_topk_test demand *exact* rank agreement with a brute-force
+//     reference (DESIGN.md §12.3).
+//   * Each worker owns a ScoringArena (item cache, seen-set, top-K heap)
+//     that is allocated once and reused forever — the WalkBuffer idiom;
+//     steady-state serving does not allocate on the scoring path.
 //
 // Snapshot freshness: every batch serves the newest epoch. A worker
-// acquires it when the batch starts and drops it when the batch ends, so
-// an idle worker pins no old epoch. On a clean store the acquisition is a
-// shared_ptr copy; under training it publishes an epoch, which copies the
-// rows and node chunks written since the previous one while holding each
-// changed shard's mutex (DESIGN.md §11.4, §12.2). Staleness is exported
-// as the edge-count gap between the live store and the snapshot being
-// served.
+// acquires it when the batch starts; after the batch its item cache pins
+// that epoch (and its slabs) until the worker's next request, so an idle
+// worker pins the one epoch it last served. On a clean store the
+// acquisition is a shared_ptr copy; under training it publishes an epoch,
+// which copies the rows and node chunks written since the previous one
+// while holding each changed shard's mutex (DESIGN.md §11.4, §12.2).
+// Staleness is exported as the edge-count gap between the live store and
+// the snapshot being served.
 
 #ifndef SUPA_SERVE_ENGINE_H_
 #define SUPA_SERVE_ENGINE_H_
@@ -66,7 +75,7 @@ struct ServeOptions {
   size_t max_batch = 8;
   /// Admission bound; a full queue rejects with ResourceExhausted.
   size_t max_queue = 1024;
-  /// K when a request leaves `k` as 0.
+  /// K when a request leaves `k` as 0 (0 is taken as 1).
   size_t default_k = 10;
   /// Remove items the user already interacted with under the query
   /// relation (read from the snapshot's adjacency).
@@ -93,13 +102,34 @@ struct RecommendResponse {
   double latency_us = 0.0;
 };
 
-/// Per-worker reusable scoring scratch. Buffers grow to their high-water
-/// mark on first use and are never shrunk — steady-state scoring performs
-/// no allocation (mirrors core/sampler.h's WalkBuffer).
+/// Per-worker reusable scoring scratch. The item cache is sized in
+/// ServeEngine::Start; the other buffers grow to their high-water mark on
+/// first use and are never shrunk — steady-state scoring performs no
+/// allocation (mirrors core/sampler.h's WalkBuffer).
 struct ScoringArena {
+  /// The snapshot rows one cached h_v was built from.
+  struct ItemRows {
+    const float* long_mem = nullptr;
+    const float* short_mem = nullptr;
+    const float* context = nullptr;
+    bool operator==(const ItemRows&) const = default;
+  };
+
   /// Batch drained from the queue (slot pointers, see engine internals).
   std::vector<void*> batch;
-  /// Item ids the user already interacted with (sorted for binary search).
+  /// h_u of the request being scored (dim doubles).
+  std::vector<double> user_h;
+  /// h_v of every candidate in double, candidate-major (candidates × dim).
+  std::vector<double> item_h;
+  /// The rows each item_h row was built from, by candidate index.
+  std::vector<ItemRows> item_rows;
+  /// The snapshot every item_rows pointer came from; keeps their slabs
+  /// alive, so a pointer equal to one in a newer snapshot is the same
+  /// immutable row.
+  std::shared_ptr<const store::StoreSnapshot> item_snapshot;
+  /// The context relation the cached rows were built under.
+  EdgeTypeId item_relation = 0;
+  /// Item ids the user already interacted with (sorted, deduplicated).
   std::vector<NodeId> seen;
   /// Fixed-capacity top-K min-heap.
   std::vector<ScoredItem> heap;
@@ -158,10 +188,12 @@ class ServeEngine {
   struct Slot;
 
   void WorkerLoop(size_t worker_index);
-  /// Scores one admitted request on `snapshot` into its slot. Allocation-
-  /// free after arena warmup.
-  void ScoreRequest(const store::StoreSnapshot& snapshot, Slot* slot,
-                    ScoringArena* arena);
+  /// Scores one admitted request on `snapshot` into its slot, bringing the
+  /// arena's item cache up to `snapshot` on the way. Allocation-free after
+  /// arena warmup.
+  void ScoreRequest(
+      const std::shared_ptr<const store::StoreSnapshot>& snapshot, Slot* slot,
+      ScoringArena* arena);
 
   const SupaModel* model_;
   const Dataset* data_;
@@ -173,6 +205,7 @@ class ServeEngine {
   std::atomic<uint64_t> rejected_{0};
   std::atomic<uint64_t> serving_epoch_{0};
   std::atomic<uint64_t> staleness_edges_{0};
+  std::atomic<uint64_t> item_cache_bytes_{0};
 
   // FIFO of admitted-but-unscored slots, bounded by options_.max_queue.
   std::mutex queue_mu_;
@@ -190,11 +223,13 @@ class ServeEngine {
   obs::Counter rejected_counter_;
   obs::Counter batches_counter_;
   obs::Counter scored_candidates_counter_;
+  obs::Counter item_refreshes_counter_;
   obs::Histogram latency_hist_;
   obs::Histogram batch_size_hist_;
   obs::Gauge queue_depth_gauge_;
   obs::Gauge staleness_gauge_;
   obs::Gauge epoch_gauge_;
+  obs::Gauge item_cache_bytes_gauge_;
   std::optional<obs::StatusScope> status_scope_;
 };
 

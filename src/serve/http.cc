@@ -1,6 +1,9 @@
 #include "serve/http.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -10,6 +13,35 @@
 namespace supa::serve {
 namespace {
 
+/// A query-string value as an integer in [0, max]: decimal digits only,
+/// no sign, and no overflow.
+bool ParseWhole(std::string_view text, uint64_t max, uint64_t* out) {
+  uint64_t v = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v > max) return false;
+  *out = v;
+  return true;
+}
+
+/// A JSON number as an integer in [0, max]: finite, whole and in range,
+/// so the cast to the id type never narrows or overflows.
+bool WholeNumber(const JsonValue& value, uint64_t max, uint64_t* out) {
+  if (!value.is_number()) return false;
+  const double x = value.number_value();
+  // 2^64 is exact in double, and every whole double below it fits.
+  if (!(x >= 0.0 && x < 18446744073709551616.0) || x != std::floor(x)) {
+    return false;
+  }
+  const uint64_t v = static_cast<uint64_t>(x);
+  if (v > max) return false;
+  *out = v;
+  return true;
+}
+
+constexpr uint64_t kMaxUser = std::numeric_limits<NodeId>::max();
+constexpr uint64_t kMaxK = std::numeric_limits<size_t>::max();
+
 /// Resolves a relation given either a numeric id or a schema edge-type
 /// name. Returns false (with *error set) when the value resolves to
 /// nothing.
@@ -17,8 +49,8 @@ bool ResolveRelation(const Dataset& data, const std::string& text,
                      EdgeTypeId* out, std::string* error) {
   if (!text.empty() &&
       text.find_first_not_of("0123456789") == std::string::npos) {
-    const unsigned long id = std::strtoul(text.c_str(), nullptr, 10);
-    if (id >= data.schema.num_edge_types()) {
+    uint64_t id = 0;
+    if (!ParseWhole(text, data.schema.num_edge_types() - 1, &id)) {
       *error = "relation id out of range: " + text;
       return false;
     }
@@ -154,10 +186,17 @@ obs::HttpResponse HandlePost(ServeEngine* engine, const Dataset* data,
     return JsonError(400, "missing numeric field: user");
   }
   RecommendRequest req;
-  req.user = static_cast<NodeId>(user->number_value());
+  uint64_t id = 0;
+  if (!WholeNumber(*user, kMaxUser, &id)) {
+    return JsonError(400, "user must be a whole number in range");
+  }
+  req.user = static_cast<NodeId>(id);
   if (const JsonValue* relation = doc.Find("relation")) {
     if (relation->is_number()) {
-      req.relation = static_cast<EdgeTypeId>(relation->number_value());
+      if (!WholeNumber(*relation, data->schema.num_edge_types() - 1, &id)) {
+        return JsonError(400, "relation id out of range");
+      }
+      req.relation = static_cast<EdgeTypeId>(id);
     } else if (relation->is_string()) {
       std::string error;
       if (!ResolveRelation(*data, relation->string_value(), &req.relation,
@@ -169,10 +208,10 @@ obs::HttpResponse HandlePost(ServeEngine* engine, const Dataset* data,
     }
   }
   if (const JsonValue* k = doc.Find("k")) {
-    if (!k->is_number() || k->number_value() < 0) {
-      return JsonError(400, "k must be a non-negative number");
+    if (!WholeNumber(*k, kMaxK, &id)) {
+      return JsonError(400, "k must be a non-negative whole number");
     }
-    req.k = static_cast<size_t>(k->number_value());
+    req.k = static_cast<size_t>(id);
   }
   return Serve(engine, req);
 }
@@ -184,7 +223,11 @@ obs::HttpResponse HandleGet(ServeEngine* engine, const Dataset* data,
     return JsonError(400, "missing query parameter: user");
   }
   RecommendRequest req;
-  req.user = static_cast<NodeId>(std::strtoull(value.c_str(), nullptr, 10));
+  uint64_t id = 0;
+  if (!ParseWhole(value, kMaxUser, &id)) {
+    return JsonError(400, "user must be a whole number in range: " + value);
+  }
+  req.user = static_cast<NodeId>(id);
   if (QueryParam(http.query, "relation", &value)) {
     std::string error;
     if (!ResolveRelation(*data, value, &req.relation, &error)) {
@@ -192,7 +235,10 @@ obs::HttpResponse HandleGet(ServeEngine* engine, const Dataset* data,
     }
   }
   if (QueryParam(http.query, "k", &value)) {
-    req.k = static_cast<size_t>(std::strtoull(value.c_str(), nullptr, 10));
+    if (!ParseWhole(value, kMaxK, &id)) {
+      return JsonError(400, "k must be a non-negative whole number: " + value);
+    }
+    req.k = static_cast<size_t>(id);
   }
   return Serve(engine, req);
 }

@@ -15,6 +15,11 @@
 //    "items": [{"item": 17, "score": 0.42}, ...],
 //    "snapshot_epoch": 12, "staleness_edges": 3, "latency_us": 81.0}
 //
+// "user", "relation" and "k" must be whole, non-negative numbers that fit
+// their types (a query-string value all digits, without overflow); any
+// other value answers 400, never a narrowed id. A k above the candidate
+// count is clipped to it.
+//
 // Engine statuses map onto HTTP codes: OutOfRange / InvalidArgument (bad
 // ids, malformed body) -> 400; ResourceExhausted (admission queue full)
 // and FailedPrecondition (engine not running) -> 503 so load generators

@@ -13,7 +13,7 @@
 // code call the dispatched entry points without thinking about hardware.
 // It is achieved by construction:
 //
-//   * Reductions (Dot, ScoreDot) are defined over a fixed lane
+//   * Reductions (Dot, ScoreDot, HDot) are defined over a fixed lane
 //     decomposition — lane j accumulates elements j, j+L, j+2L, ... — with
 //     a fixed combination tree, and the portable code replicates that
 //     decomposition exactly. float×float products are exact in double
@@ -21,6 +21,11 @@
 //   * Where a product is *not* exact (ScoreDot's hu·hv, CombineHalf's
 //     short_w·h^S), both paths use IEEE fused multiply-add (std::fma /
 //     vfmadd), which pins a single rounding on every platform.
+//   * The final embedding h = ½(h^L + w·h^S + c^r) has one definition,
+//     portable::H (avx2::H4 in lanes). ScoreDot builds both sides' h from
+//     it on the fly; HRow materializes an h row in double, and HDot /
+//     HDotRefresh score cached rows in ScoreDot's lane order, so
+//     HDot(HRow(a), HRow(b)) == ScoreDot(a, b) bit for bit.
 //   * Elementwise kernels (Axpy, Scale, Add, AddInto, HalfSum,
 //     CombineHalf, AdamRow) have no cross-lane dependency at all; both
 //     paths apply the same per-element rounding sequence.
@@ -158,19 +163,22 @@ inline void CombineHalf(const float* hl, const float* hs, const float* c,
   }
 }
 
+/// Element i of a final embedding, h_i = ½(fma(w, h^S_i, h^L_i) + c^r_i)
+/// in double (Eq. 14). The one definition of h: every scoring kernel
+/// builds h through it or through its 4-lane AVX2 twin (avx2::H4), so a
+/// score over cached h rows equals the fused ScoreDot bit for bit.
+inline double H(const float* l, const float* s, const float* c,
+                double short_w, size_t i) {
+  return 0.5 * (std::fma(short_w, static_cast<double>(s[i]),
+                         static_cast<double>(l[i])) +
+                static_cast<double>(c[i]));
+}
+
 /// Single tail element of ScoreDot; shared so both backends agree exactly.
 inline double ScoreDotTail(double acc, const float* al, const float* as,
                            const float* ac, const float* bl, const float* bs,
                            const float* bc, double short_w, size_t i) {
-  const double hu =
-      0.5 * (std::fma(short_w, static_cast<double>(as[i]),
-                      static_cast<double>(al[i])) +
-             static_cast<double>(ac[i]));
-  const double hv =
-      0.5 * (std::fma(short_w, static_cast<double>(bs[i]),
-                      static_cast<double>(bl[i])) +
-             static_cast<double>(bc[i]));
-  return std::fma(hu, hv, acc);
+  return std::fma(H(al, as, ac, short_w, i), H(bl, bs, bc, short_w, i), acc);
 }
 
 /// γ(u, v, r) = Σ_i hu_i · hv_i with hu = ½(h^L + w·h^S + c^r) (Eq. 14–15),
@@ -192,6 +200,40 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     acc = ScoreDotTail(acc, al, as, ac, bl, bs, bc, short_w, i);
   }
   return acc;
+}
+
+/// h[i] = H(l, s, c, short_w, i) for i < n: one final embedding
+/// materialized in double.
+inline void HRow(const float* l, const float* s, const float* c,
+                 double short_w, double* h, size_t n) {
+  for (size_t i = 0; i < n; ++i) h[i] = H(l, s, c, short_w, i);
+}
+
+/// Σ hu_i · hv_i over two materialized h rows in ScoreDot's order: 4 fma
+/// lanes (lane j takes the elements i ≡ j mod 4) combined as
+/// (l0+l2) + (l1+l3), then a sequential fma tail. So
+/// HDot(HRow(a), HRow(b)) == ScoreDot(a, b) exactly.
+inline double HDot(const double* hu, const double* hv, size_t n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) {
+    for (int j = 0; j < 4; ++j) {
+      lane[j] = std::fma(hu[i + j], hv[i + j], lane[j]);
+    }
+  }
+  double acc = (lane[0] + lane[2]) + (lane[1] + lane[3]);
+  for (; i < n; ++i) acc = std::fma(hu[i], hv[i], acc);
+  return acc;
+}
+
+/// Rebuilds hv = HRow(bl, bs, bc) and returns HDot(hu, hv): a stale cached
+/// row is refreshed in the pass that scores it.
+inline double HDotRefresh(const double* hu, const float* bl, const float* bs,
+                          const float* bc, double short_w, double* hv,
+                          size_t n) {
+  HRow(bl, bs, bc, short_w, hv, n);
+  return HDot(hu, hv, n);
 }
 
 /// One AdamW row update with decoupled weight decay, in double with every
@@ -349,36 +391,82 @@ SUPA_TARGET_AVX2 inline void CombineHalf(const float* hl, const float* hs,
   }
 }
 
+/// portable::H on the 4 elements i..i+3, vw = short_w in every lane.
+SUPA_TARGET_AVX2 inline __m256d H4(const float* l, const float* s,
+                                   const float* c, __m256d vw, size_t i) {
+  return _mm256_mul_pd(
+      _mm256_set1_pd(0.5),
+      _mm256_add_pd(_mm256_fmadd_pd(vw, _mm256_cvtps_pd(_mm_loadu_ps(s + i)),
+                                    _mm256_cvtps_pd(_mm_loadu_ps(l + i))),
+                    _mm256_cvtps_pd(_mm_loadu_ps(c + i))));
+}
+
+/// The 4-lane accumulator folded as (l0+l2) + (l1+l3).
+SUPA_TARGET_AVX2 inline double CombineLanes(__m256d acc) {
+  const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(acc),
+                               _mm256_extractf128_pd(acc, 1));
+  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
+}
+
 SUPA_TARGET_AVX2 inline double ScoreDot(const float* al, const float* as,
                                         const float* ac, const float* bl,
                                         const float* bs, const float* bc,
                                         double short_w, size_t n) {
   const __m256d vw = _mm256_set1_pd(short_w);
-  const __m256d vhalf = _mm256_set1_pd(0.5);
   __m256d acc = _mm256_setzero_pd();
   const size_t n4 = n & ~static_cast<size_t>(3);
   size_t i = 0;
   for (; i < n4; i += 4) {
-    const __m256d hu = _mm256_mul_pd(
-        vhalf,
-        _mm256_add_pd(
-            _mm256_fmadd_pd(vw, _mm256_cvtps_pd(_mm_loadu_ps(as + i)),
-                            _mm256_cvtps_pd(_mm_loadu_ps(al + i))),
-            _mm256_cvtps_pd(_mm_loadu_ps(ac + i))));
-    const __m256d hv = _mm256_mul_pd(
-        vhalf,
-        _mm256_add_pd(
-            _mm256_fmadd_pd(vw, _mm256_cvtps_pd(_mm_loadu_ps(bs + i)),
-                            _mm256_cvtps_pd(_mm_loadu_ps(bl + i))),
-            _mm256_cvtps_pd(_mm_loadu_ps(bc + i))));
-    acc = _mm256_fmadd_pd(hu, hv, acc);
+    acc = _mm256_fmadd_pd(H4(al, as, ac, vw, i), H4(bl, bs, bc, vw, i), acc);
   }
-  const __m128d lo = _mm256_castpd256_pd128(acc);
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);
-  const __m128d s = _mm_add_pd(lo, hi);  // l0+l2, l1+l3
-  double out = _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
+  double out = CombineLanes(acc);
   for (; i < n; ++i) {
     out = portable::ScoreDotTail(out, al, as, ac, bl, bs, bc, short_w, i);
+  }
+  return out;
+}
+
+SUPA_TARGET_AVX2 inline void HRow(const float* l, const float* s,
+                                  const float* c, double short_w, double* h,
+                                  size_t n) {
+  const __m256d vw = _mm256_set1_pd(short_w);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) _mm256_storeu_pd(h + i, H4(l, s, c, vw, i));
+  for (; i < n; ++i) h[i] = portable::H(l, s, c, short_w, i);
+}
+
+SUPA_TARGET_AVX2 inline double HDot(const double* hu, const double* hv,
+                                    size_t n) {
+  __m256d acc = _mm256_setzero_pd();
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) {
+    acc = _mm256_fmadd_pd(_mm256_loadu_pd(hu + i), _mm256_loadu_pd(hv + i),
+                          acc);
+  }
+  double out = CombineLanes(acc);
+  for (; i < n; ++i) out = std::fma(hu[i], hv[i], out);
+  return out;
+}
+
+SUPA_TARGET_AVX2 inline double HDotRefresh(const double* hu, const float* bl,
+                                           const float* bs, const float* bc,
+                                           double short_w, double* hv,
+                                           size_t n) {
+  const __m256d vw = _mm256_set1_pd(short_w);
+  __m256d acc = _mm256_setzero_pd();
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  size_t i = 0;
+  for (; i < n4; i += 4) {
+    const __m256d h = H4(bl, bs, bc, vw, i);
+    _mm256_storeu_pd(hv + i, h);
+    acc = _mm256_fmadd_pd(_mm256_loadu_pd(hu + i), h, acc);
+  }
+  double out = CombineLanes(acc);
+  for (; i < n; ++i) {
+    hv[i] = portable::H(bl, bs, bc, short_w, i);
+    out = std::fma(hu[i], hv[i], out);
   }
   return out;
 }
@@ -489,6 +577,30 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
     return avx2::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
 #endif
   return portable::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
+}
+
+inline void HRow(const float* l, const float* s, const float* c,
+                 double short_w, double* h, size_t n) {
+#if SUPA_SIMD_X86
+  if (HasAvx2()) return avx2::HRow(l, s, c, short_w, h, n);
+#endif
+  portable::HRow(l, s, c, short_w, h, n);
+}
+
+inline double HDot(const double* hu, const double* hv, size_t n) {
+#if SUPA_SIMD_X86
+  if (HasAvx2()) return avx2::HDot(hu, hv, n);
+#endif
+  return portable::HDot(hu, hv, n);
+}
+
+inline double HDotRefresh(const double* hu, const float* bl, const float* bs,
+                          const float* bc, double short_w, double* hv,
+                          size_t n) {
+#if SUPA_SIMD_X86
+  if (HasAvx2()) return avx2::HDotRefresh(hu, bl, bs, bc, short_w, hv, n);
+#endif
+  return portable::HDotRefresh(hu, bl, bs, bc, short_w, hv, n);
 }
 
 inline void AdamRow(const AdamCoeffs& c, const float* g, float* params,

@@ -215,6 +215,65 @@ TEST_F(ServeHttpTest, BadRequestsGet400) {
             400);
   // GET without user.
   EXPECT_EQ(Get(server_->port(), "/recommend?k=3").status, 400);
+  // Ids are never narrowed: a user past 2^32 or not a number, a fractional
+  // user, a relation past 2^16 and a k no integer type holds are 400s,
+  // each with a JSON error.
+  const std::string user = std::to_string(AnyUser());
+  for (const std::string& target :
+       {std::string("/recommend?user=4294967296"),
+        std::string("/recommend?user=abc"), std::string("/recommend?user=-1"),
+        std::string("/recommend?user=3x"),
+        "/recommend?user=" + user + "&k=abc",
+        "/recommend?user=" + user + "&k=99999999999999999999999",
+        "/recommend?user=" + user + "&relation=65536"}) {
+    const auto r = Get(server_->port(), target);
+    EXPECT_EQ(r.status, 400) << target;
+    auto doc = ParseJson(r.body);
+    ASSERT_TRUE(doc.ok()) << target << ": " << r.body;
+    EXPECT_NE(doc.value().Find("error"), nullptr) << target;
+  }
+  for (const std::string& body :
+       {std::string("{\"user\":0.7}"), std::string("{\"user\":-1}"),
+        std::string("{\"user\":4294967296}"),
+        "{\"user\":" + user + ",\"relation\":65536}",
+        "{\"user\":" + user + ",\"relation\":0.5}",
+        "{\"user\":" + user + ",\"k\":1e300}",
+        "{\"user\":" + user + ",\"k\":2.5}"}) {
+    const auto r = Post(server_->port(), "/recommend", body);
+    EXPECT_EQ(r.status, 400) << body;
+    auto doc = ParseJson(r.body);
+    ASSERT_TRUE(doc.ok()) << body << ": " << r.body;
+    EXPECT_NE(doc.value().Find("error"), nullptr) << body;
+  }
+}
+
+TEST_F(ServeHttpTest, HugeKIsClippedToTheCandidates) {
+  const auto r = Get(server_->port(), "/recommend?user=" +
+                                          std::to_string(AnyUser()) +
+                                          "&k=1099511627776");
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200) << r.body;
+  auto doc = ParseJson(r.body);
+  ASSERT_TRUE(doc.ok()) << r.body;
+  const JsonValue* items = doc.value().Find("items");
+  ASSERT_NE(items, nullptr);
+  EXPECT_GT(items->array().size(), 0u);
+  EXPECT_LE(items->array().size(), engine_->candidates().size());
+}
+
+TEST_F(ServeHttpTest, ItemCacheIsOnMetricsAndStatusz) {
+  ASSERT_EQ(Get(server_->port(),
+                "/recommend?user=" + std::to_string(AnyUser()))
+                .status,
+            200);
+  const auto metrics = Get(server_->port(), "/metrics");
+  ASSERT_TRUE(metrics.ok);
+  EXPECT_NE(metrics.body.find("serve_item_refreshes_total"),
+            std::string::npos);
+  EXPECT_NE(metrics.body.find("serve_item_cache_bytes"), std::string::npos);
+  const auto statusz = Get(server_->port(), "/statusz?format=json");
+  ASSERT_TRUE(statusz.ok);
+  EXPECT_NE(statusz.body.find("item_cache_bytes"), std::string::npos);
 }
 
 TEST_F(ServeHttpTest, ErrorBodyIsJsonWithErrorField) {

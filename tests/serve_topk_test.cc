@@ -1,9 +1,12 @@
 // Exact rank agreement between the serving engine's batched/SIMD top-K
 // path and a brute-force reference built from SupaModel::ScoreOn — same
 // snapshot, same candidates, same pinned tie-break (higher score first,
-// then smaller node id). The engine hoists the user-side operands and
-// calls simd::ScoreDot directly, so the comparison is bitwise on both the
-// item ids and the double scores.
+// then smaller node id). The engine scores each item from a per-worker
+// cache of h_v rows (simd::HDot / HDotRefresh), which reproduces
+// ScoreOn's simd::ScoreDot bit for bit, so the comparison is bitwise on
+// both the item ids and the double scores — also after training,
+// restores and relation changes have moved some or all of the rows the
+// cache was built from.
 
 #include "serve/engine.h"
 
@@ -17,6 +20,7 @@
 #include "core/model.h"
 #include "data/splits.h"
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 
 namespace supa::serve {
 namespace {
@@ -80,6 +84,34 @@ std::vector<NodeId> QueryUsers(const Dataset& data, size_t max_users) {
     if (data.node_types[v] == data.query_type) users.push_back(v);
   }
   return users;
+}
+
+/// The engine's answer must equal BruteForceTopK on the model's current
+/// snapshot, ids and scores bitwise.
+void ExpectExact(ServeEngine& engine, const SupaModel& model,
+                 const Dataset& data, NodeId user, EdgeTypeId relation,
+                 size_t k) {
+  RecommendRequest req;
+  req.user = user;
+  req.relation = relation;
+  req.k = k;
+  RecommendResponse resp;
+  ASSERT_TRUE(engine.Recommend(req, &resp).ok());
+  const auto expected =
+      BruteForceTopK(model, data, user, relation, k, /*exclude_seen=*/true);
+  ASSERT_EQ(resp.items.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(resp.items[i].item, expected[i].item) << "rank " << i;
+    EXPECT_EQ(resp.items[i].score, expected[i].score) << "rank " << i;
+  }
+}
+
+/// A k past any candidate count: the whole ranking is compared.
+constexpr size_t kAll = size_t{1} << 40;
+
+uint64_t ItemRefreshes() {
+  return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+      "serve.item_refreshes");
 }
 
 TEST(ServeTopKTest, ExactAgreementWithBruteForce) {
@@ -161,6 +193,138 @@ TEST(ServeTopKTest, KLargerThanCandidatePoolReturnsEverything) {
   engine.Stop();
 }
 
+TEST(ServeTopKTest, HugeKIsClippedBeforeAnyAllocation) {
+  Fixture f = Fixture::TrainedSmall();
+  ServeEngine engine(f.model.get(), &f.data);
+  engine.Start();
+  // 2^40 heap slots would not fit in memory; k is clipped to the
+  // candidate count first, so this answers with every unseen candidate.
+  ExpectExact(engine, *f.model, f.data, QueryUsers(f.data, 1).at(0),
+              f.data.target_relations[0], kAll);
+  engine.Stop();
+}
+
+// The item cache against a model that moves under it: training bursts
+// between requests rewrite some items' rows and leave the rest, a restore
+// moves every row, and a relation change swaps every item's context row.
+// Every score of every candidate must stay bitwise equal to the reference
+// (a stale row outside a top-10 would not show in one), and a request on
+// an unchanged epoch must rebuild no cached row.
+TEST(ServeTopKTest, ItemCacheStaysExactAsTheModelMoves) {
+  for (const size_t shards : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Dataset data = MakePaperDataset("taobao", 0.1, 7).value();
+    SupaConfig config;
+    config.seed = 42;
+    config.shards = shards;
+    SupaModel model(data, config);
+    const auto split = SplitTemporal(data).value();
+    InsLearnConfig tc;
+    tc.max_iters = 2;
+    tc.valid_interval = 2;
+    tc.threads = 1;
+    ASSERT_TRUE(InsLearnTrainer(tc).Train(model, data, split.train).ok());
+    const SupaModel::Snapshot trained = model.TakeSnapshot();
+
+    ServeOptions options;
+    options.workers = 1;  // one cache, so refresh counts are exact
+    ServeEngine engine(&model, &data, options);
+    engine.Start();
+    const size_t candidates = engine.candidates().size();
+    const auto users = QueryUsers(data, 4);
+    ASSERT_EQ(users.size(), 4u);
+    ASSERT_GE(data.schema.num_edge_types(), 2u);
+    const EdgeTypeId rel = data.target_relations[0];
+    const EdgeTypeId other =
+        static_cast<EdgeTypeId>((rel + 1) % data.schema.num_edge_types());
+
+    // Cold cache: every candidate is built.
+    uint64_t before = ItemRefreshes();
+    ExpectExact(engine, model, data, users[0], rel, kAll);
+    EXPECT_EQ(ItemRefreshes() - before, candidates);
+
+    // Same epoch, other users: nothing to rebuild.
+    before = ItemRefreshes();
+    ExpectExact(engine, model, data, users[1], rel, kAll);
+    ExpectExact(engine, model, data, users[2], rel, 5);
+    EXPECT_EQ(ItemRefreshes() - before, 0u);
+
+    // Training bursts between requests: some rows move, most do not.
+    size_t next_edge = split.valid.begin;
+    for (int burst = 0; burst < 4; ++burst) {
+      for (int e = 0; e < 3; ++e) {
+        const TemporalEdge& edge = data.edges[next_edge++];
+        ASSERT_TRUE(model.ObserveEdge(edge).ok());
+        ASSERT_TRUE(model.TrainEdge(edge).ok());
+      }
+      before = ItemRefreshes();
+      ExpectExact(engine, model, data, users[burst % users.size()], rel,
+                  kAll);
+      const uint64_t refreshed = ItemRefreshes() - before;
+      EXPECT_GT(refreshed, 0u) << "burst " << burst;
+      EXPECT_LT(refreshed, candidates) << "burst " << burst;
+    }
+
+    // Alternating relations: every context row differs, so every item is
+    // rebuilt on each switch.
+    for (int i = 0; i < 4; ++i) {
+      before = ItemRefreshes();
+      ExpectExact(engine, model, data, users[i], i % 2 == 0 ? other : rel,
+                  kAll);
+      EXPECT_EQ(ItemRefreshes() - before, candidates) << "switch " << i;
+    }
+
+    // A restore rewrites every row: every pointer changes.
+    model.RestoreSnapshot(trained);
+    before = ItemRefreshes();
+    ExpectExact(engine, model, data, users[3], rel, kAll);
+    EXPECT_EQ(ItemRefreshes() - before, candidates);
+    engine.Stop();
+  }
+}
+
+// The cache compares row addresses, so it must keep the slabs behind its
+// pointers alive: a freed slab can be reallocated at the same address with
+// other rows, and a stale row would then pass for an unchanged one. Here
+// every row moves twice between two requests of one worker, and the store
+// drops the epoch the cache was built on in between.
+TEST(ServeTopKTest, ItemCacheKeepsTheSlabsItComparesAlive) {
+  for (const size_t shards : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    Dataset data = MakePaperDataset("taobao", 0.1, 7).value();
+    SupaConfig config;
+    config.seed = 42;
+    config.shards = shards;
+    SupaModel model(data, config);
+    const auto split = SplitTemporal(data).value();
+    std::vector<SupaModel::Snapshot> states;
+    size_t next_edge = split.train.begin;
+    for (int round = 0; round < 3; ++round) {
+      for (int e = 0; e < 40; ++e) {
+        const TemporalEdge& edge = data.edges[next_edge++];
+        ASSERT_TRUE(model.ObserveEdge(edge).ok());
+        ASSERT_TRUE(model.TrainEdge(edge).ok());
+      }
+      states.push_back(model.TakeSnapshot());
+    }
+    ServeOptions options;
+    options.workers = 1;
+    ServeEngine engine(&model, &data, options);
+    engine.Start();
+    const NodeId user = QueryUsers(data, 1).at(0);
+    const EdgeTypeId rel = data.target_relations[0];
+    for (size_t i = 0; i < 6; ++i) {
+      model.RestoreSnapshot(states[i % 3]);
+      ExpectExact(engine, model, data, user, rel, kAll);
+      model.RestoreSnapshot(states[(i + 1) % 3]);
+      (void)model.AcquireSnapshot();  // the served epoch leaves the store
+      model.RestoreSnapshot(states[(i + 2) % 3]);
+      ExpectExact(engine, model, data, user, rel, kAll);
+    }
+    engine.Stop();
+  }
+}
+
 TEST(ServeTopKTest, ZeroKUsesDefaultK) {
   Fixture f = Fixture::TrainedSmall();
   ServeOptions options;
@@ -175,6 +339,26 @@ TEST(ServeTopKTest, ZeroKUsesDefaultK) {
   RecommendResponse resp;
   ASSERT_TRUE(engine.Recommend(req, &resp).ok());
   EXPECT_EQ(resp.items.size(), 4u);
+  engine.Stop();
+}
+
+// `supa_cli serve --k 0` sets default_k to 0; a request that leaves k
+// unset must still get a well-formed answer (one item), never a top-K
+// heap of zero slots.
+TEST(ServeTopKTest, ZeroDefaultKServesOneItem) {
+  Fixture f = Fixture::TrainedSmall();
+  ServeOptions options;
+  options.default_k = 0;
+  ServeEngine engine(f.model.get(), &f.data, options);
+  engine.Start();
+  ExpectExact(engine, *f.model, f.data, QueryUsers(f.data, 1).at(0),
+              f.data.target_relations[0], 1);
+  RecommendRequest req;
+  req.user = QueryUsers(f.data, 1).at(0);
+  req.relation = f.data.target_relations[0];
+  RecommendResponse resp;
+  ASSERT_TRUE(engine.Recommend(req, &resp).ok());
+  EXPECT_EQ(resp.items.size(), 1u);
   engine.Stop();
 }
 

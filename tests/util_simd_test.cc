@@ -226,6 +226,108 @@ TEST(SimdTest, AdamRowMatchesPortable) {
   }
 }
 
+// Rows as the store hands them out, mixed element by element with the
+// values a kernel's tail or lane handling could treat differently: zero,
+// float denormals, ±1e30 and negatives.
+std::vector<float> MixedRow(size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = static_cast<float>(rng.Uniform(-2.0, 2.0));
+    switch (rng.Index(5)) {
+      case 1:
+        x = 0.0f;
+        break;
+      case 2:
+        x = std::copysign(1e-40f, x);
+        break;
+      case 3:
+        x = std::copysign(1e30f, x);
+        break;
+      case 4:
+        x = -std::fabs(x);
+        break;
+      default:
+        break;
+    }
+  }
+  return v;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+struct HKernels {
+  const char* name;
+  void (*h_row)(const float*, const float*, const float*, double, double*,
+                size_t);
+  double (*h_dot)(const double*, const double*, size_t);
+  double (*h_dot_refresh)(const double*, const float*, const float*,
+                          const float*, double, double*, size_t);
+};
+
+// The serving engine scores from cached h rows: HRow materializes them,
+// HDot scores a cached row, HDotRefresh rebuilds and scores a stale one.
+// Each must reproduce ScoreDot's bits exactly, in both backends, or the
+// engine's top-K would drift from SupaModel::ScoreOn.
+TEST(SimdTest, CachedScoreKernelsMatchScoreDotBitForBit) {
+  const HKernels backends[] = {
+      {"portable", simd::portable::HRow, simd::portable::HDot,
+       simd::portable::HDotRefresh},
+      {"dispatched", simd::HRow, simd::HDot, simd::HDotRefresh}};
+  std::vector<size_t> lengths;
+  for (size_t n = 1; n <= 67; ++n) lengths.push_back(n);
+  lengths.push_back(128);
+  Rng rng(20);
+  for (size_t n : lengths) {
+    for (size_t off : {size_t{0}, size_t{1}, size_t{3}}) {
+      const auto al = MixedRow(n + off, rng), as = MixedRow(n + off, rng),
+                 ac = MixedRow(n + off, rng), bl = MixedRow(n + off, rng),
+                 bs = MixedRow(n + off, rng), bc = MixedRow(n + off, rng);
+      for (double w : {0.0, 1.0}) {
+        const double want = simd::portable::ScoreDot(
+            al.data() + off, as.data() + off, ac.data() + off,
+            bl.data() + off, bs.data() + off, bc.data() + off, w, n);
+        ASSERT_TRUE(SameBits(
+            simd::ScoreDot(al.data() + off, as.data() + off, ac.data() + off,
+                           bl.data() + off, bs.data() + off, bc.data() + off,
+                           w, n),
+            want))
+            << "n=" << n << " off=" << off << " w=" << w;
+        std::vector<double> ref_hv(n + off);
+        simd::portable::HRow(bl.data() + off, bs.data() + off,
+                             bc.data() + off, w, ref_hv.data() + off, n);
+        for (const HKernels& k : backends) {
+          std::vector<double> hu(n + off), hv(n + off), fused(n + off, -7.0);
+          k.h_row(al.data() + off, as.data() + off, ac.data() + off, w,
+                  hu.data() + off, n);
+          k.h_row(bl.data() + off, bs.data() + off, bc.data() + off, w,
+                  hv.data() + off, n);
+          EXPECT_EQ(std::memcmp(hv.data(), ref_hv.data(),
+                                hv.size() * sizeof(double)),
+                    0)
+              << k.name << " HRow n=" << n << " off=" << off << " w=" << w;
+          EXPECT_TRUE(
+              SameBits(k.h_dot(hu.data() + off, hv.data() + off, n), want))
+              << k.name << " HDot n=" << n << " off=" << off << " w=" << w;
+          EXPECT_TRUE(SameBits(
+              k.h_dot_refresh(hu.data() + off, bl.data() + off,
+                              bs.data() + off, bc.data() + off, w,
+                              fused.data() + off, n),
+              want))
+              << k.name << " HDotRefresh n=" << n << " off=" << off
+              << " w=" << w;
+          EXPECT_EQ(std::memcmp(fused.data() + off, ref_hv.data() + off,
+                                n * sizeof(double)),
+                    0)
+              << k.name << " HDotRefresh row n=" << n << " off=" << off
+              << " w=" << w;
+        }
+      }
+    }
+  }
+}
+
 // ScoreDot is a fused form of "materialize both final embeddings with
 // CombineHalf, then Dot them". Fusion changes the rounding sequence, so
 // only near-equality is promised — but it must be tight.
