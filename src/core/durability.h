@@ -32,7 +32,9 @@ struct TrainerCursor {
   uint64_t next_edge_index = 0;
   /// Batches completed so far (drives periodic-cut cadence on resume).
   uint64_t batches_done = 0;
-  /// The model's sampling stream (walks + negatives) mid-flight.
+  /// The model RNG (SupaModel::rng_state). Training draws are keyed by
+  /// the optimizer step, so after the embedding init this never changes;
+  /// the field keeps the MANIFEST cursor layout.
   Rng::State model_rng = {};
   /// The trainer's validation-scoring stream mid-flight.
   Rng::State valid_rng = {};

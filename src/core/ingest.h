@@ -17,13 +17,14 @@
 //     optimizer step.
 //
 // Results are deterministic and independent of the writer count —
-// grouping and the per-step RNG depend only on the edge sequence — but
-// they are a different byte stream from the serial trainer's, in two
-// documented ways: the per-step RNG streams replace the serial draw
-// order, and edges sharing rows within one group compute gradients
-// against group-start values (stale reads, surfaced as
+// grouping and the per-step RNG depend only on the edge sequence. The
+// serial trainer draws from the same per-step streams; what still makes
+// a different byte stream is that a group's edges are computed together:
+// edges sharing rows within one group compute gradients against
+// group-start values (stale reads, surfaced as
 // ingest.conflict_serializations; the arrival-order commit means no
-// update is ever lost).
+// update is ever lost), and on a batch's first iteration they sample the
+// graph with the whole group observed.
 //
 // The dispatcher observes edges only while no group executes: ObserveEdge
 // mutates the graph adjacency and periodically rebuilds the negative

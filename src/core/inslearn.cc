@@ -456,6 +456,13 @@ Result<InsLearnReport> InsLearnTrainer::TrainSinglePass(
         } else {
           if (++patience_used > config_.patience) break;
         }
+        // No validation follows, so RestoreBest would undo every later
+        // iteration. Skipping them leaves the same state: they observe
+        // nothing, the rolled-back Adam step keys the next draws, and the
+        // validation stream draws only when validating.
+        if (have_best && iter + config_.valid_interval > config_.max_iters) {
+          break;
+        }
       }
       if (valid_len == 0) break;  // nothing to validate against: one pass
     }

@@ -4,7 +4,9 @@
 // each batch the last S_valid edges form the validation set. The model is
 // trained up to N_iter iterations per batch, validated every I_valid
 // iterations, early-stopped with patience μ, and rolled back to the best
-// validated snapshot before the next batch. The SUPA_w/oIns ablation
+// validated snapshot before the next batch. Once a best snapshot exists,
+// a batch ends at its last validation: the rollback would undo every later
+// iteration, so they are not trained. The SUPA_w/oIns ablation
 // (conventional multi-epoch training) is available via
 // InsLearnConfig::single_pass = false.
 

@@ -218,11 +218,16 @@ Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
   return Status::OK();
 }
 
-void SupaModel::SampleStep(EdgePlan* plan, Rng& rng) const {
+void SupaModel::SampleStep(EdgePlan* plan) const {
+  // Counter-based stream: one private RNG keyed by (seed, step), so the
+  // draws depend only on the optimizer step the edge commits as: never on
+  // the writer count, the execution interleaving, or iterations that
+  // RestoreBest rolled back (it rewinds the step).
+  Rng rng(0x9E3779B97F4A7C15ULL * (plan->step + 1) ^
+          (static_cast<uint64_t>(config_.seed) + 0x632BE59BD9B4E019ULL));
   const TemporalEdge& e = plan->edge;
   plan->u_walk_count = 0;
   plan->negatives.clear();
-  // Walks first, then negatives: the serial trainer's draw order.
   if (config_.use_prop_loss) {
     SUPA_TRACE_SPAN_CAT("sample", "model");
     SUPA_PERF_SCOPE(kSample);
@@ -348,7 +353,8 @@ Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
   SUPA_TRACE_SPAN_CAT("train_edge", "model");
   SUPA_PERF_SCOPE(kTrainEdge);
   SUPA_RETURN_NOT_OK(PlanEdge(e, options, &serial_plan_));
-  SampleStep(&serial_plan_, rng_);
+  serial_plan_.step = adam_->step_count() + 1;
+  SampleStep(&serial_plan_);
 
   // A full training step scatters embedding writes across arbitrary rows
   // (walk and negative contexts land anywhere), so it holds the
@@ -388,12 +394,7 @@ void SupaModel::RecordStepWrites(const TemporalEdge& e,
 }
 
 void SupaModel::ExecutePlan(EdgePlan* plan, ExecScratch* scratch) {
-  // Counter-based stream: one private RNG keyed by (seed, step), so the
-  // draws depend only on the edge's arrival index — never on the writer
-  // count or the execution interleaving.
-  Rng rng(0x9E3779B97F4A7C15ULL * (plan->step + 1) ^
-          (static_cast<uint64_t>(config_.seed) + 0x632BE59BD9B4E019ULL));
-  SampleStep(plan, rng);
+  SampleStep(plan);
   RunEdgeMath(plan, scratch);
 }
 

@@ -46,18 +46,18 @@ struct TrainOptions {
 ///
 ///   * PlanEdge validates the edge and banks what must be read before the
 ///     edge is observed.
-///   * The step draws its influenced graph and negatives — from the model
-///     RNG in TrainEdge, from a per-step counter-based RNG in ExecutePlan
-///     — and computes its full gradient into `grads` while reading, never
-///     writing, the embeddings.
+///   * The step draws its influenced graph and negatives from a
+///     counter-based RNG keyed by (seed, step), on both paths, and computes
+///     its full gradient into `grads` while reading, never writing, the
+///     embeddings.
 ///   * CommitPlan applies the banked forgetting and `grads` with the
 ///     ordinary optimizer step.
 struct EdgePlan {
   TemporalEdge edge;
   TrainOptions options;
-  /// Pipeline only: the optimizer step number this edge commits as
-  /// (arrival order; the serial trainer's Step() would have assigned
-  /// exactly this number). Keys ExecutePlan's RNG.
+  /// The optimizer step number this edge commits as (arrival order: the
+  /// optimizer's step count + 1 for the serial trainer; pinned by the
+  /// ingest dispatcher for a group). Keys SampleStep's RNG.
   uint64_t step = 0;
   /// Last-active timestamps at plan time — the serial trainer reads them
   /// before the edge is observed.
@@ -190,8 +190,9 @@ class SupaModel {
   void set_edge_log(EdgeLogSink* sink) { edge_log_ = sink; }
   EdgeLogSink* edge_log() const { return edge_log_; }
 
-  /// The model's sampling stream, exposed so durable checkpoints can
-  /// resume it mid-flight.
+  /// The model RNG's state. It only draws the initial embeddings (training
+  /// draws are keyed by step), so the state is fixed after construction;
+  /// durable cursors still record it in their MANIFEST field.
   Rng::State rng_state() const { return rng_.state(); }
   void set_rng_state(const Rng::State& st) { rng_.set_state(st); }
 
@@ -241,8 +242,8 @@ class SupaModel {
   /// graph and negatives from Rng(seed ⊕ plan->step) against the frozen
   /// group-start graph, then computes the step's full gradient into
   /// plan->grads. Reads embeddings, never writes them. The per-step
-  /// stream makes results independent of the writer count, but it is a
-  /// different stream from the serial trainer's.
+  /// stream is the serial trainer's too and makes results independent of
+  /// the writer count; the group-start reads are what differ from serial.
   void ExecutePlan(EdgePlan* plan, ExecScratch* scratch);
 
   /// Stage 3, in arrival order, under `lease`: passes both endpoints' h^S
@@ -273,10 +274,10 @@ class SupaModel {
   /// Routes dL/dh* into h^L, h^S, and α gradients.
   void BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads);
 
-  /// Draws the step's walks and negatives from `rng`: the model RNG in
-  /// TrainEdge, the per-step stream in ExecutePlan. Thread-safe on a
-  /// frozen graph and negative table.
-  void SampleStep(EdgePlan* plan, Rng& rng) const;
+  /// Draws the step's walks and negatives from the stream keyed by
+  /// (seed, plan->step), for TrainEdge and ExecutePlan alike. Thread-safe
+  /// on a frozen graph and negative table.
+  void SampleStep(EdgePlan* plan) const;
 
   /// The full per-edge loss/gradient computation over a sampled plan:
   /// fills out->grads, out->gamma_{u,v} and out->stats. Shared verbatim
@@ -305,7 +306,7 @@ class SupaModel {
   std::unique_ptr<EmbeddingStore> store_;
   std::unique_ptr<InfluencedGraphSampler> sampler_;
   std::unique_ptr<SparseAdam> adam_;
-  Rng rng_;
+  Rng rng_;  // draws the initial embeddings only
 
   std::vector<double> degrees_;
   AliasTable neg_table_;

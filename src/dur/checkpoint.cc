@@ -183,16 +183,14 @@ Result<LogicalCheckpoint> ReadBaseFile(const std::string& path) {
     return Status::IOError("implausible checkpoint param_count " +
                            std::to_string(header.param_count) + ": " + path);
   }
-  const uint64_t body_bytes = 3 * header.param_count * sizeof(float);
-  const uint64_t legacy_size = kHeaderBytes + body_bytes;
-  const uint64_t footed_size = legacy_size + kFooterBytes;
-  if (file_size != legacy_size && file_size != footed_size) {
-    return Status::IOError(
-        "checkpoint size mismatch: " + std::to_string(file_size) +
-        " bytes, header implies " + std::to_string(legacy_size) + " or " +
-        std::to_string(footed_size) + ": " + path);
+  const uint64_t want_size =
+      kHeaderBytes + 3 * header.param_count * sizeof(float) + kFooterBytes;
+  if (file_size != want_size) {
+    return Status::IOError("checkpoint size mismatch: " +
+                           std::to_string(file_size) +
+                           " bytes, header implies " +
+                           std::to_string(want_size) + ": " + path);
   }
-  const bool has_footer = file_size == footed_size;
 
   LogicalCheckpoint lc;
   lc.meta.num_nodes = header.num_nodes;
@@ -212,23 +210,21 @@ Result<LogicalCheckpoint> ReadBaseFile(const std::string& path) {
   SUPA_RETURN_NOT_OK(
       ReadAll(fd, lc.v.data(), lc.v.size() * sizeof(float), path));
 
-  if (has_footer) {
-    Footer footer;
-    SUPA_RETURN_NOT_OK(ReadAll(fd, &footer, sizeof(footer), path));
-    if (footer.magic != kFooterMagic) {
-      return Status::IOError("bad checkpoint footer magic: " + path);
-    }
-    if (footer.header_crc != Crc32c(&header, sizeof(header))) {
-      return Status::IOError("checkpoint header CRC mismatch: " + path);
-    }
-    uint32_t body_crc = 0;
-    body_crc = Crc32c(lc.params.data(), lc.params.size() * sizeof(float),
-                      body_crc);
-    body_crc = Crc32c(lc.m.data(), lc.m.size() * sizeof(float), body_crc);
-    body_crc = Crc32c(lc.v.data(), lc.v.size() * sizeof(float), body_crc);
-    if (footer.body_crc != body_crc) {
-      return Status::IOError("checkpoint body CRC mismatch: " + path);
-    }
+  Footer footer;
+  SUPA_RETURN_NOT_OK(ReadAll(fd, &footer, sizeof(footer), path));
+  if (footer.magic != kFooterMagic) {
+    return Status::IOError("bad checkpoint footer magic: " + path);
+  }
+  if (footer.header_crc != Crc32c(&header, sizeof(header))) {
+    return Status::IOError("checkpoint header CRC mismatch: " + path);
+  }
+  uint32_t body_crc = 0;
+  body_crc =
+      Crc32c(lc.params.data(), lc.params.size() * sizeof(float), body_crc);
+  body_crc = Crc32c(lc.m.data(), lc.m.size() * sizeof(float), body_crc);
+  body_crc = Crc32c(lc.v.data(), lc.v.size() * sizeof(float), body_crc);
+  if (footer.body_crc != body_crc) {
+    return Status::IOError("checkpoint body CRC mismatch: " + path);
   }
   return lc;
 }

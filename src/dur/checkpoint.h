@@ -64,8 +64,9 @@ Status ValidateMetaAgainstModel(const CheckpointMeta& meta,
 /// name first. fsyncs before returning.
 Status WriteBaseFile(const std::string& path, const LogicalCheckpoint& lc);
 
-/// Reads and fully validates a SUPACP01 file (legacy footer-less files
-/// accepted). Never partially succeeds.
+/// Reads and fully validates a SUPACP01 file: its size, magic and both
+/// footer CRCs. A file without its footer is rejected. Never partially
+/// succeeds.
 Result<LogicalCheckpoint> ReadBaseFile(const std::string& path);
 
 }  // namespace supa::dur

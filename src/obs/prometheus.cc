@@ -70,7 +70,7 @@ std::string SanitizePrometheusName(std::string_view name) {
       out.push_back('_');
     }
   }
-  if (out.empty()) out = "_";
+  if (out.empty()) out.push_back('_');
   return out;
 }
 

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/ingest.h"
 #include "core/inslearn.h"
 #include "core/model.h"
 #include "data/synthetic.h"
@@ -130,7 +132,9 @@ TEST(BestUndoGenerationTest, WholeStateRestoreClosesTheGeneration) {
 }
 
 /// Algorithm 1 written out with full snapshots: the reference the trainer's
-/// undo-log rollback must reproduce.
+/// undo-log rollback must reproduce. It trains every iteration up to
+/// N_iter, through an IngestPipeline when the trainer's config asks for
+/// writers, and rolls back with RestoreSnapshot.
 struct ReferenceRun {
   SupaModel::Snapshot state;
   std::vector<double> batch_scores;
@@ -142,6 +146,12 @@ ReferenceRun RunAlgorithmOne(const InsLearnTrainer& scorer,
   const InsLearnConfig& c = scorer.config();
   ReferenceRun out;
   Rng valid_rng(c.seed);
+  std::unique_ptr<IngestPipeline> pipeline;
+  if (c.writer_threads > 1) {
+    IngestOptions options;
+    options.writers = c.writer_threads;
+    pipeline = std::make_unique<IngestPipeline>(model, options);
+  }
   for (size_t b0 = 0; b0 < end; b0 += c.batch_size) {
     const size_t b1 = std::min(b0 + c.batch_size, end);
     const size_t valid_len = std::min(c.valid_size, (b1 - b0) / 5);
@@ -151,10 +161,17 @@ ReferenceRun RunAlgorithmOne(const InsLearnTrainer& scorer,
     bool have_best = false;
     SupaModel::Snapshot best;
     for (int iter = 1; iter <= c.max_iters; ++iter) {
-      for (size_t i = b0; i < train_end; ++i) {
-        EXPECT_TRUE(model.TrainEdge(data.edges[i]).ok());
-        if (iter == 1) {
-          EXPECT_TRUE(model.ObserveEdge(data.edges[i]).ok());
+      if (pipeline != nullptr) {
+        EXPECT_TRUE(pipeline
+                        ->TrainSpan(data.edges, b0, train_end, iter == 1,
+                                    nullptr, nullptr, nullptr)
+                        .ok());
+      } else {
+        for (size_t i = b0; i < train_end; ++i) {
+          EXPECT_TRUE(model.TrainEdge(data.edges[i]).ok());
+          if (iter == 1) {
+            EXPECT_TRUE(model.ObserveEdge(data.edges[i]).ok());
+          }
         }
       }
       if (valid_len > 0 && iter % c.valid_interval == 0) {
@@ -203,6 +220,46 @@ TEST(BestUndoInsLearnTest, SerialRunMatchesAlgorithmOneWithFullSnapshots) {
   const ReferenceRun want = RunAlgorithmOne(trainer, reference, data, n);
   ExpectSameState(model.TakeSnapshot(), want.state);
   EXPECT_EQ(report.value().batch_scores, want.batch_scores);
+}
+
+// I_valid 2 does not divide N_iter 5, so iteration 5 follows the last
+// validation (iteration 4) and the rollback would always undo it. The
+// trainer does not train it; Algorithm 1 written out does, then restores
+// a full snapshot. Both must land on the same bytes: serially at 1 and 8
+// shards, and through the 4-writer pipeline.
+TEST(BestUndoInsLearnTest, BatchEndsAtItsLastValidation) {
+  Dataset data = MakeTaobao(0.3, 27).value();
+  const size_t n = std::min<size_t>(data.edges.size(), 600);
+  struct Case {
+    size_t shards;
+    size_t writers;
+  };
+  for (const Case run : {Case{1, 1}, Case{8, 1}, Case{8, 4}}) {
+    SCOPED_TRACE(::testing::Message() << "shards=" << run.shards
+                                      << " writers=" << run.writers);
+    InsLearnConfig config;
+    config.batch_size = 128;
+    config.valid_size = 32;
+    config.valid_interval = 2;
+    config.max_iters = 5;
+    config.patience = 2;
+    config.threads = 1;
+    config.writer_threads = run.writers;
+    InsLearnTrainer trainer(config);
+
+    SupaModel model(data, SmallConfig(run.shards));
+    auto report = trainer.Train(model, data, EdgeRange{0, n});
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const size_t batches = report.value().num_batches;
+    EXPECT_GT(batches, 2u);
+    // Every batch validates and so holds a Φ_best by iteration 4.
+    EXPECT_EQ(report.value().iterations, batches * 4);
+
+    SupaModel reference(data, SmallConfig(run.shards));
+    const ReferenceRun want = RunAlgorithmOne(trainer, reference, data, n);
+    ExpectSameState(model.TakeSnapshot(), want.state);
+    EXPECT_EQ(report.value().batch_scores, want.batch_scores);
+  }
 }
 
 }  // namespace

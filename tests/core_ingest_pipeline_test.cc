@@ -127,11 +127,12 @@ TEST_F(IngestPipelineTest, FastDeterministicAcrossWriterCounts) {
 }
 
 TEST_F(IngestPipelineTest, FastTracksSerialQuality) {
-  // The pipeline deliberately diverges from the serial trainer (per-step
-  // RNG streams, within-group stale reads) but it is the SAME algorithm on
-  // the same step sequence: step counts must match exactly and ranking
-  // quality must land in the serial run's neighborhood. Both runs are
-  // fully deterministic, so these are fixed values, not flaky bands.
+  // The pipeline deliberately diverges from the serial trainer (its group
+  // reads embeddings as of the group start) but it is the SAME algorithm
+  // on the same step sequence and per-step RNG streams: step counts must
+  // match exactly and ranking quality must land in the serial run's
+  // neighborhood. Both runs are fully deterministic, so these are fixed
+  // values, not flaky bands.
   const PipelineResult serial =
       RunPipeline(data_, 8, 1, path_, ModelConfig(8));
   const PipelineResult fast =

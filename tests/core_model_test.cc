@@ -261,6 +261,32 @@ TEST(SupaModelTest, DeterministicGivenSeed) {
   EXPECT_EQ(a.TakeSnapshot().params, b.TakeSnapshot().params);
 }
 
+// Walks and negatives are drawn from a stream keyed by (seed, optimizer
+// step). Rolling a step back rewinds the optimizer, so training the same
+// edge again redraws the same sample and lands on the same bytes.
+TEST(SupaModelTest, SerialDrawsDependOnlyOnTheStep) {
+  Dataset data = SmallData();
+  SupaModel model(data, SmallConfig());
+  Warm(model, data, 2000);
+  for (size_t i = 1980; i < 2000; ++i) {
+    ASSERT_TRUE(model.TrainEdge(data.edges[i]).ok());
+  }
+  const TemporalEdge& e = data.edges[2000];
+  const SupaModel::Snapshot start = model.TakeSnapshot();
+  auto first_stats = model.TrainEdge(e);
+  ASSERT_TRUE(first_stats.ok());
+  ASSERT_GT(first_stats.value().prop_steps, 0u);
+  const SupaModel::Snapshot first = model.TakeSnapshot();
+
+  model.RestoreSnapshot(start);
+  ASSERT_TRUE(model.TrainEdge(e).ok());
+  const SupaModel::Snapshot second = model.TakeSnapshot();
+  EXPECT_EQ(second.params, first.params);
+  EXPECT_EQ(second.adam.m, first.adam.m);
+  EXPECT_EQ(second.adam.v, first.adam.v);
+  EXPECT_EQ(second.adam.step, first.adam.step);
+}
+
 TEST(SupaModelTest, StreamTrainingSeparatesPositivesFromRandom) {
   // After streaming a chunk, true interacting pairs should on average
   // score above random pairs under the interaction's relation.

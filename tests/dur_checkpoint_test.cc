@@ -1,5 +1,5 @@
-// Durability file formats: SUPACP01 base checkpoints (CRC footer, legacy
-// acceptance, corruption fuzzing), SUPADL01 deltas (round trip, apply,
+// Durability file formats: SUPACP01 base checkpoints (CRC footer, footer
+// required, corruption fuzzing), SUPADL01 deltas (round trip, apply,
 // shard invariance), the manifest/cursor codec, and the compaction
 // byte-identity contract (base + deltas folded == a directly saved
 // checkpoint).
@@ -92,18 +92,22 @@ TEST_F(DurCheckpointTest, BaseFileRoundTrip) {
   EXPECT_EQ(loaded.value().v, lc.v);
 }
 
-TEST_F(DurCheckpointTest, LegacyFooterlessFileStillLoads) {
+TEST_F(DurCheckpointTest, FooterlessFileIsRejected) {
   SupaModel model(data_, Config());
   TrainSome(model, 0, 200);
   ASSERT_TRUE(SaveCheckpoint(model, Path("full.bin")).ok());
-  // Strip the 16-byte CRC footer: the pre-durability format.
+  // Strip exactly the 16-byte CRC footer: the header and body are intact,
+  // but nothing vouches for them. Recovery reads bases through the same
+  // function; TruncationFuzzFailsCleanly checks that LoadCheckpoint leaves
+  // the model untouched at this cut.
   std::string bytes = ReadBytes(Path("full.bin"));
   ASSERT_GT(bytes.size(), 16u);
-  WriteBytes(Path("legacy.bin"), bytes.substr(0, bytes.size() - 16));
+  WriteBytes(Path("footerless.bin"), bytes.substr(0, bytes.size() - 16));
 
-  SupaModel restored(data_, Config());
-  ASSERT_TRUE(LoadCheckpoint(Path("legacy.bin"), &restored).ok());
-  EXPECT_TRUE(SnapshotsEqual(restored.TakeSnapshot(), model.TakeSnapshot()));
+  auto read = ReadBaseFile(Path("footerless.bin"));
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIOError)
+      << read.status().ToString();
 }
 
 TEST_F(DurCheckpointTest, TruncationFuzzFailsCleanly) {
@@ -117,20 +121,19 @@ TEST_F(DurCheckpointTest, TruncationFuzzFailsCleanly) {
   const SupaModel::Snapshot before = victim.TakeSnapshot();
 
   // Every truncation length — header-splitting, body-splitting, and
-  // footer-splitting cuts included — must fail with a descriptive Status
-  // and leave the destination model untouched.
+  // footer-splitting cuts, and the cut that drops exactly the footer — must
+  // fail with a descriptive Status and leave the destination model
+  // untouched.
   std::vector<size_t> cuts = {0, 1, 7, 8, 55, 56, 57};
   for (size_t step = 64; step < bytes.size(); step += bytes.size() / 23) {
     cuts.push_back(step);
   }
-  // bytes.size() - 16 is deliberately absent: stripping exactly the footer
-  // yields a *valid* legacy file (LegacyFooterlessFileStillLoads).
   cuts.push_back(bytes.size() - 17);
+  cuts.push_back(bytes.size() - 16);
   cuts.push_back(bytes.size() - 15);
   cuts.push_back(bytes.size() - 1);
   for (const size_t cut : cuts) {
     ASSERT_LT(cut, bytes.size());
-    if (cut == bytes.size() - 16) continue;  // the valid legacy length
     WriteBytes(Path("cut.bin"), bytes.substr(0, cut));
     const Status st = LoadCheckpoint(Path("cut.bin"), &victim);
     EXPECT_FALSE(st.ok()) << "cut=" << cut;
