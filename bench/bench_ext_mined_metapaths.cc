@@ -54,11 +54,11 @@ int main(int argc, char** argv) {
     auto hand = RunWith(data, data.metapaths, env);
 
     // (b) mined from the first 30% of the stream.
-    auto graph = data.BuildGraphPrefix(data.num_edges() * 3 / 10).value();
+    auto graph = data.BuildGraphRange(0, data.num_edges() * 3 / 10);
     MinerConfig miner;
     miner.num_walks = 8000;
     miner.skeleton_support = 0.005;
-    auto mined_schemas = MineMetapaths(graph, miner);
+    auto mined_schemas = MineMetapaths(*graph.value(), miner);
     Result<RankingResult> mined =
         mined_schemas.ok()
             ? RunWith(data, mined_schemas.value(), env)

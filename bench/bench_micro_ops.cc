@@ -64,7 +64,8 @@ void BM_InfluencedGraphSampling(benchmark::State& state) {
   SupaConfig config = BenchConfig();
   config.num_walks = static_cast<int>(state.range(0));
   auto model = WarmModel(config, 5000);
-  InfluencedGraphSampler sampler(model->graph(), data.metapaths,
+  InfluencedGraphSampler sampler(model->graph(),
+                                 data.schema.num_node_types(), data.metapaths,
                                  config.num_walks, config.walk_len);
   Rng rng(1);
   size_t i = 0;
@@ -301,7 +302,8 @@ void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
   SupaConfig config = BenchConfig();
   config.num_walks = static_cast<int>(state.range(0));
   auto model = WarmModel(config, 5000);
-  InfluencedGraphSampler sampler(model->graph(), data.metapaths,
+  InfluencedGraphSampler sampler(model->graph(),
+                                 data.schema.num_node_types(), data.metapaths,
                                  config.num_walks, config.walk_len);
   Rng rng(1);
   WalkBuffer arena;
@@ -367,7 +369,7 @@ void BM_RestoreFullSnapshot(benchmark::State& state) {
     TrainBurst(*model, 2000 + (i++ % 2000), 32);
     state.ResumeTiming();
     model->RestoreSnapshot(snap);
-    benchmark::DoNotOptimize(model->store().data());
+    benchmark::DoNotOptimize(model->embeddings().data());
   }
   state.SetItemsProcessed(state.iterations());
 }

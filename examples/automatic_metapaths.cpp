@@ -46,11 +46,11 @@ int main() {
 
   // Mine schemas from the first 30% of the stream (what an online system
   // would have observed before configuring itself).
-  auto graph = data.BuildGraphPrefix(data.num_edges() * 3 / 10).value();
+  auto graph = data.BuildGraphRange(0, data.num_edges() * 3 / 10);
   MinerConfig miner;
   miner.num_walks = 8000;
   miner.skeleton_support = 0.005;
-  auto mined_or = MineMetapaths(graph, miner);
+  auto mined_or = MineMetapaths(*graph.value(), miner);
   if (!mined_or.ok()) {
     std::fprintf(stderr, "miner: %s\n", mined_or.status().ToString().c_str());
     return 1;

@@ -5,16 +5,16 @@
 namespace supa {
 
 Status DeepWalkRecommender::Fit(const Dataset& data, EdgeRange range) {
-  SUPA_ASSIGN_OR_RETURN(DynamicGraph graph,
+  SUPA_ASSIGN_OR_RETURN(std::unique_ptr<store::GraphStore> graph,
                         data.BuildGraphRange(range.begin, range.end));
-  graph.set_neighbor_cap(neighbor_cap_);
-  Walker walker(graph);
+  graph->set_neighbor_cap(neighbor_cap_);
+  Walker walker(*graph);
   Rng rng(config_.seed);
 
   std::vector<std::vector<NodeId>> walks;
-  walks.reserve(graph.num_nodes() * config_.walks_per_node);
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (graph.Degree(v) == 0) continue;
+  walks.reserve(graph->num_nodes() * config_.walks_per_node);
+  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
+    if (graph->Degree(v) == 0) continue;
     for (int w = 0; w < config_.walks_per_node; ++w) {
       Walk walk = walker.SampleUniformWalk(
           v, static_cast<size_t>(config_.walk_len), rng);
@@ -27,8 +27,8 @@ Status DeepWalkRecommender::Fit(const Dataset& data, EdgeRange range) {
   }
 
   SUPA_ASSIGN_OR_RETURN(AliasTable neg_table,
-                        BuildWalkNegativeTable(walks, graph.num_nodes()));
-  trainer_ = std::make_unique<SkipGramTrainer>(graph.num_nodes(),
+                        BuildWalkNegativeTable(walks, graph->num_nodes()));
+  trainer_ = std::make_unique<SkipGramTrainer>(graph->num_nodes(),
                                                config_.skipgram);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     SUPA_RETURN_NOT_OK(trainer_->TrainWalks(walks, neg_table));

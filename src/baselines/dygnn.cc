@@ -14,7 +14,8 @@ Status DyGnnRecommender::Fit(const Dataset& data, EdgeRange range) {
   for (auto& x : state_) {
     x = static_cast<float>(rng_.Gaussian(0.0, config_.init_scale));
   }
-  graph_ = std::make_unique<DynamicGraph>(data.schema, data.node_types);
+  graph_ = std::make_unique<store::GraphStore>(
+      data.schema.num_edge_types(), data.node_types);
   graph_->set_neighbor_cap(neighbor_cap_);
   initialized_ = true;
   return Stream(data, range);

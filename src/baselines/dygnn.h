@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "eval/recommender.h"
-#include "graph/dynamic_graph.h"
+#include "store/graph_store.h"
 #include "util/rng.h"
 
 namespace supa {
@@ -56,7 +56,7 @@ class DyGnnRecommender : public Recommender {
   DyGnnConfig config_;
   size_t dim_ = 0;
   std::vector<float> state_;
-  std::unique_ptr<DynamicGraph> graph_;
+  std::unique_ptr<store::GraphStore> graph_;
   Rng rng_{30};
   bool initialized_ = false;
 };

@@ -5,22 +5,22 @@
 namespace supa {
 
 Status DyhneRecommender::Fit(const Dataset& data, EdgeRange range) {
-  SUPA_ASSIGN_OR_RETURN(DynamicGraph graph,
+  SUPA_ASSIGN_OR_RETURN(std::unique_ptr<store::GraphStore> graph,
                         data.BuildGraphRange(range.begin, range.end));
-  graph.set_neighbor_cap(neighbor_cap_);
-  Walker walker(graph);
+  graph->set_neighbor_cap(neighbor_cap_);
+  Walker walker(*graph);
   Rng rng(config_.seed);
 
   // Metapath-constrained walks carry the heterogeneity-aware proximity.
   std::vector<std::vector<NodeId>> walks;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    if (graph.Degree(v) == 0) continue;
+  for (NodeId v = 0; v < graph->num_nodes(); ++v) {
+    if (graph->Degree(v) == 0) continue;
     for (int w = 0; w < config_.walks_per_node; ++w) {
       const auto& metapaths = data.metapaths;
       // Pick a schema whose head matches v's type; skip if none.
       std::vector<size_t> heads;
       for (size_t m = 0; m < metapaths.size(); ++m) {
-        if (metapaths[m].head() == graph.NodeType(v)) heads.push_back(m);
+        if (metapaths[m].head() == graph->NodeType(v)) heads.push_back(m);
       }
       if (heads.empty()) continue;
       const auto& mp = metapaths[heads[rng.Index(heads.size())]];
@@ -37,8 +37,8 @@ Status DyhneRecommender::Fit(const Dataset& data, EdgeRange range) {
   }
 
   SUPA_ASSIGN_OR_RETURN(AliasTable neg_table,
-                        BuildWalkNegativeTable(walks, graph.num_nodes()));
-  trainer_ = std::make_unique<SkipGramTrainer>(graph.num_nodes(),
+                        BuildWalkNegativeTable(walks, graph->num_nodes()));
+  trainer_ = std::make_unique<SkipGramTrainer>(graph->num_nodes(),
                                                config_.skipgram);
   for (int epoch = 0; epoch < config_.epochs; ++epoch) {
     SUPA_RETURN_NOT_OK(trainer_->TrainWalks(walks, neg_table));

@@ -7,19 +7,19 @@
 namespace supa {
 
 Status GatneRecommender::Fit(const Dataset& data, EdgeRange range) {
-  SUPA_ASSIGN_OR_RETURN(DynamicGraph graph,
+  SUPA_ASSIGN_OR_RETURN(std::unique_ptr<store::GraphStore> graph,
                         data.BuildGraphRange(range.begin, range.end));
-  graph.set_neighbor_cap(neighbor_cap_);
-  const size_t n = graph.num_nodes();
+  graph->set_neighbor_cap(neighbor_cap_);
+  const size_t n = graph->num_nodes();
   dim_ = static_cast<size_t>(config_.skipgram.dim);
   num_relations_ = data.schema.num_edge_types();
   Rng rng(config_.seed);
 
   // ---- base embeddings: skip-gram over uniform walks ----------------------
-  Walker walker(graph);
+  Walker walker(*graph);
   std::vector<std::vector<NodeId>> walks;
   for (NodeId v = 0; v < n; ++v) {
-    if (graph.Degree(v) == 0) continue;
+    if (graph->Degree(v) == 0) continue;
     for (int w = 0; w < config_.walks_per_node; ++w) {
       Walk walk = walker.SampleUniformWalk(
           v, static_cast<size_t>(config_.walk_len), rng);

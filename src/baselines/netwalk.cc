@@ -8,7 +8,8 @@ namespace supa {
 
 Status NetWalkRecommender::Fit(const Dataset& data, EdgeRange range) {
   rng_ = Rng(config_.seed);
-  graph_ = std::make_unique<DynamicGraph>(data.schema, data.node_types);
+  graph_ = std::make_unique<store::GraphStore>(
+      data.schema.num_edge_types(), data.node_types);
   graph_->set_neighbor_cap(neighbor_cap_);
   trainer_ = std::make_unique<SkipGramTrainer>(data.num_nodes(),
                                                config_.skipgram);

@@ -15,7 +15,7 @@
 
 #include "baselines/skipgram.h"
 #include "eval/recommender.h"
-#include "graph/dynamic_graph.h"
+#include "store/graph_store.h"
 
 namespace supa {
 
@@ -47,7 +47,7 @@ class NetWalkRecommender : public Recommender {
   Status UpdateReservoirAndTrain(const std::vector<NodeId>& touched);
 
   NetWalkConfig config_;
-  std::unique_ptr<DynamicGraph> graph_;
+  std::unique_ptr<store::GraphStore> graph_;
   std::unique_ptr<SkipGramTrainer> trainer_;
   /// Reservoir: walk list per root node (index into walks_).
   std::vector<std::vector<size_t>> root_walks_;

@@ -5,7 +5,7 @@ namespace supa {
 Status SupaRecommender::Fit(const Dataset& data, EdgeRange range) {
   model_ = std::make_unique<SupaModel>(data, model_config_);
   if (neighbor_cap_ > 0) {
-    model_->mutable_graph().set_neighbor_cap(neighbor_cap_);
+    model_->graph_store().set_neighbor_cap(neighbor_cap_);
   }
   InsLearnConfig effective = train_config_;
   if (effective.auto_static_fallback && effective.single_pass &&

@@ -56,7 +56,8 @@ Status TgatRecommender::Fit(const Dataset& data, EdgeRange range) {
   for (auto& x : base_) {
     x = static_cast<float>(rng.Gaussian(0.0, config_.init_scale));
   }
-  graph_ = std::make_unique<DynamicGraph>(data.schema, data.node_types);
+  graph_ = std::make_unique<store::GraphStore>(
+      data.schema.num_edge_types(), data.node_types);
   graph_->set_neighbor_cap(neighbor_cap_);
 
   std::vector<float> hu(dim_);

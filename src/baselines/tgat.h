@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "eval/recommender.h"
-#include "graph/dynamic_graph.h"
+#include "store/graph_store.h"
 #include "util/rng.h"
 
 namespace supa {
@@ -56,7 +56,7 @@ class TgatRecommender : public Recommender {
   TgatConfig config_;
   size_t dim_ = 0;
   std::vector<float> base_;
-  std::unique_ptr<DynamicGraph> graph_;
+  std::unique_ptr<store::GraphStore> graph_;
   Timestamp final_time_ = 0.0;
 };
 

@@ -1,4 +1,4 @@
-// Sparse AdamW over the contiguous parameter buffer of EmbeddingStore.
+// Sparse AdamW over the contiguous parameter buffer of store::EmbeddingBank.
 //
 // Each training edge touches only a handful of parameter rows (the two
 // interactive nodes, the influenced nodes' contexts, the negatives, two α
@@ -116,7 +116,7 @@ class GradBuffer {
 ///     copies (DESIGN.md §16.3).
 class SparseAdam {
  public:
-  /// `num_params` must equal the EmbeddingStore buffer size.
+  /// `num_params` must equal the EmbeddingBank buffer size.
   SparseAdam(size_t num_params, double lr, double weight_decay,
              double beta1 = 0.9, double beta2 = 0.999, double eps = 1e-8);
 
@@ -143,7 +143,7 @@ class SparseAdam {
   /// Sets the step counter of a whole-state load through m_data()/v_data().
   void set_step_count(uint64_t step) { step_ = step; }
 
-  /// Optimizer-state snapshot/rollback, paired with EmbeddingStore's.
+  /// Optimizer-state snapshot/rollback, paired with EmbeddingBank's.
   struct State {
     std::vector<float> m;
     std::vector<float> v;

@@ -67,26 +67,25 @@ SupaModel::SupaModel(const Dataset& data, SupaConfig config)
   store::StoreOptions store_options;
   store_options.num_shards = config_.shards;
   store_options.publish_metrics = true;
-  graph_store_ = std::make_shared<store::GraphStore>(
+  graph_store_ = std::make_unique<store::GraphStore>(
       data.schema.num_edge_types(), data.node_types, store_options);
   graph_store_->AttachEmbeddings(data.schema.num_edge_types(),
                                  data.schema.num_node_types(), config_.dim,
                                  config_.init_scale, rng_);
-  graph_ = std::make_unique<DynamicGraph>(graph_store_, data.schema);
-  store_ =
-      std::make_unique<EmbeddingStore>(graph_store_->shared_embeddings());
+  bank_ = &graph_store_->embeddings();
+  layout_ = &bank_->layout();
   sampler_ = std::make_unique<InfluencedGraphSampler>(
       *graph_store_, data.schema.num_node_types(), data.metapaths,
       config_.num_walks, config_.walk_len);
-  adam_ = std::make_unique<SparseAdam>(store_->size(), config_.lr,
+  adam_ = std::make_unique<SparseAdam>(bank_->size(), config_.lr,
                                        config_.weight_decay);
   adam_->SetRowLayout(static_cast<uint32_t>(config_.dim),
-                      store_->bank().layout().alpha_begin());
+                      layout_->alpha_begin());
   degrees_.assign(data.num_nodes(), 0.0);
 }
 
 Status SupaModel::ObserveEdge(const TemporalEdge& e) {
-  SUPA_RETURN_NOT_OK(graph_->AddEdge(e.src, e.dst, e.type, e.time));
+  SUPA_RETURN_NOT_OK(graph_store_->AddEdge(e.src, e.dst, e.type, e.time));
   if (edge_log_ != nullptr) edge_log_->LogAdd(e);
   // New-node checks read the pre-increment degrees; the recorded degrees
   // are post-insert, matching what the negative table will see.
@@ -111,7 +110,7 @@ Status SupaModel::RebuildNegativeTable() {
   // The weight vector is scratch reused across rebuilds — the table is
   // refreshed every neg_table_refresh observed edges, so reallocating
   // O(|V|) doubles each time adds up on long streams.
-  if (graph_->num_edges() == 0) {
+  if (graph_store_->num_edges() == 0) {
     // Uniform before any structure exists.
     neg_weight_scratch_.assign(degrees_.size(), 1.0);
     return neg_table_.Build(neg_weight_scratch_);
@@ -143,18 +142,18 @@ void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
 
   const NodeTypeId otype =
       config_.shared_alpha ? static_cast<NodeTypeId>(0)
-                           : graph_->NodeType(node);
-  ctx->alpha_offset = store_->AlphaOffset(otype);
+                           : graph_store_->NodeType(node);
+  ctx->alpha_offset = layout_->AlphaOffset(otype);
 
-  const float* hl = store_->LongMem(node);
-  const float* hs = store_->ShortMem(node);
+  const float* hl = bank_->LongMem(node);
+  const float* hs = bank_->ShortMem(node);
 
   if (config_.use_short_term) {
     ctx->delta =
         (last_active == kNeverActive) ? 0.0 : std::max(0.0, t - last_active);
     ctx->short_before.assign(hs, hs + d);
     if (config_.use_update_decay) {
-      const double alpha = *store_->Alpha(otype);
+      const double alpha = *bank_->Alpha(otype);
       ctx->decay_input = Sigmoid(alpha) * ctx->delta;
       ctx->gamma = DecayG(ctx->decay_input);
       // Persistent forgetting: the short-term memory itself decays, and the
@@ -177,14 +176,14 @@ void SupaModel::RunUpdater(NodeId node, Timestamp t, Timestamp last_active,
 void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads) {
   const size_t d = static_cast<size_t>(config_.dim);
   const float* g = ctx.grad_h_star.data();
-  grads.Accumulate(store_->LongMemOffset(ctx.node), d, 1.0, g);
+  grads.Accumulate(layout_->LongMemOffset(ctx.node), d, 1.0, g);
   if (!config_.use_short_term) return;
-  grads.Accumulate(store_->ShortMemOffset(ctx.node), d, 1.0, g);
+  grads.Accumulate(layout_->ShortMemOffset(ctx.node), d, 1.0, g);
   if (config_.use_update_decay && ctx.delta > 0.0) {
     // h* depends on α through the forgetting factor γ = g(σ(α)·Δ):
     // ∂h*/∂α = h^S_before · g'(x)·σ(α)(1-σ(α))·Δ with x = σ(α)·Δ.
     const double alpha =
-        store_->data()[ctx.alpha_offset];
+        bank_->data()[ctx.alpha_offset];
     const double sig = Sigmoid(alpha);
     const double dgamma_dalpha =
         DecayGPrime(ctx.decay_input) * sig * (1.0 - sig) * ctx.delta;
@@ -196,7 +195,8 @@ void SupaModel::BackpropUpdater(const UpdateContext& ctx, GradBuffer& grads) {
 
 Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
                            EdgePlan* plan) {
-  if (e.src >= graph_->num_nodes() || e.dst >= graph_->num_nodes()) {
+  const size_t n = graph_store_->num_nodes();
+  if (e.src >= n || e.dst >= n) {
     return Status::OutOfRange("train edge endpoint out of range");
   }
   if (e.src == e.dst) {
@@ -206,8 +206,8 @@ Status SupaModel::PlanEdge(const TemporalEdge& e, const TrainOptions& options,
   plan->options = options;
   // The last-active timestamps feed Δ_V; the serial trainer reads them at
   // step start, before the edge is observed, so they are banked here.
-  plan->last_active_u = graph_->LastActive(e.src);
-  plan->last_active_v = graph_->LastActive(e.dst);
+  plan->last_active_u = graph_store_->LastActive(e.src);
+  plan->last_active_v = graph_store_->LastActive(e.dst);
   // Pipeline executors sample the table concurrently and must never mutate
   // it, so a pending build happens here, on the dispatcher. It consumes no
   // RNG and the walks never read it, so building it before the serial
@@ -267,8 +267,8 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
   if (config_.use_inter_loss && plan.options.use_inter_loss) {
     scratch->hr_u.resize(d);
     scratch->hr_v.resize(d);
-    const float* cu = store_->Context(e.src, r_ctx);
-    const float* cv = store_->Context(e.dst, r_ctx);
+    const float* cu = bank_->Context(e.src, r_ctx);
+    const float* cv = bank_->Context(e.dst, r_ctx);
     simd::HalfSum(ctx_u.h_star.data(), cu, scratch->hr_u.data(), d);
     simd::HalfSum(ctx_v.h_star.data(), cv, scratch->hr_v.data(), d);
     const double s = Dot(scratch->hr_u.data(), scratch->hr_v.data(), d);
@@ -277,9 +277,9 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
     // dL/dh^r_u = -a·h^r_v; h^r = ½(h* + c) so both receive a ½ factor.
     Axpy(-0.5 * a, scratch->hr_v.data(), ctx_u.grad_h_star.data(), d);
     Axpy(-0.5 * a, scratch->hr_u.data(), ctx_v.grad_h_star.data(), d);
-    grads.Accumulate(store_->ContextOffset(e.src, r_ctx), d, -0.5 * a,
+    grads.Accumulate(layout_->ContextOffset(e.src, r_ctx), d, -0.5 * a,
                      scratch->hr_v.data());
-    grads.Accumulate(store_->ContextOffset(e.dst, r_ctx), d, -0.5 * a,
+    grads.Accumulate(layout_->ContextOffset(e.dst, r_ctx), d, -0.5 * a,
                      scratch->hr_u.data());
   }
 
@@ -301,13 +301,13 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
             f *= DecayG(delta_e);                             // attenuation
           }
           const EdgeTypeId rr = CtxRel(step.via_type);
-          const float* c = store_->Context(step.node, rr);
+          const float* c = bank_->Context(step.node, rr);
           // d_{p,z} = f · h*_origin, so s = c·d = f·(c·h*).
           const double s = f * Dot(c, origin.h_star.data(), d);
           stats.loss_prop += -LogSigmoid(s);
           ++stats.prop_steps;
           const double a = 1.0 - Sigmoid(s);
-          grads.Accumulate(store_->ContextOffset(step.node, rr), d, -a * f,
+          grads.Accumulate(layout_->ContextOffset(step.node, rr), d, -a * f,
                            origin.h_star.data());
           Axpy(-a * f, c, origin.grad_h_star.data(), d);
         }
@@ -326,11 +326,11 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
       for (size_t j = 0; j < n; ++j) {
         const NodeId neg = plan.negatives[base + j];
         if (neg == kInvalidNode) continue;
-        const float* c = store_->Context(neg, r_ctx);
+        const float* c = bank_->Context(neg, r_ctx);
         const double s = Dot(c, origin.h_star.data(), d);
         stats.loss_neg += -LogSigmoid(-s);
         const double p = Sigmoid(s);  // dL/ds
-        grads.Accumulate(store_->ContextOffset(neg, r_ctx), d, p,
+        grads.Accumulate(layout_->ContextOffset(neg, r_ctx), d, p,
                          origin.h_star.data());
         Axpy(p, c, origin.grad_h_star.data(), d);
       }
@@ -388,8 +388,8 @@ void SupaModel::RecordStepWrites(const TemporalEdge& e,
     lease->RecordRow(offset);
   });
   if (config_.use_short_term && config_.use_update_decay) {
-    lease->RecordRow(store_->ShortMemOffset(e.src));
-    lease->RecordRow(store_->ShortMemOffset(e.dst));
+    lease->RecordRow(layout_->ShortMemOffset(e.src));
+    lease->RecordRow(layout_->ShortMemOffset(e.dst));
   }
 }
 
@@ -409,17 +409,17 @@ void SupaModel::CommitPlan(const EdgePlan& plan,
     // parameters outside the optimizer step, so the rows pass the write
     // barrier here, before the scale: an undo generation must save them
     // undecayed.
-    adam_->MarkRow(store_->ShortMemOffset(plan.edge.src),
-                   static_cast<uint32_t>(d), store_->data());
-    adam_->MarkRow(store_->ShortMemOffset(plan.edge.dst),
-                   static_cast<uint32_t>(d), store_->data());
-    Scale(plan.gamma_u, store_->ShortMem(plan.edge.src), d);
-    Scale(plan.gamma_v, store_->ShortMem(plan.edge.dst), d);
+    adam_->MarkRow(layout_->ShortMemOffset(plan.edge.src),
+                   static_cast<uint32_t>(d), bank_->data());
+    adam_->MarkRow(layout_->ShortMemOffset(plan.edge.dst),
+                   static_cast<uint32_t>(d), bank_->data());
+    Scale(plan.gamma_u, bank_->ShortMem(plan.edge.src), d);
+    Scale(plan.gamma_v, bank_->ShortMem(plan.edge.dst), d);
   }
   auto& monitor = obs::ModelMonitor::Global();
   const bool monitored = monitor.enabled();
   SparseAdam::StepStats step_stats;
-  adam_->Step(plan.grads, store_->data(), monitored ? &step_stats : nullptr);
+  adam_->Step(plan.grads, bank_->data(), monitored ? &step_stats : nullptr);
   RecordStepWrites(plan.edge, plan.grads, lease);
   if (monitored) {
     monitor.RecordTrainStep(plan.stats.loss_inter, plan.stats.loss_prop,
@@ -432,7 +432,7 @@ void SupaModel::CommitPlan(const EdgePlan& plan,
 
 Result<TrainStats> SupaModel::DeleteEdge(NodeId u, NodeId v, EdgeTypeId r,
                                          Timestamp t) {
-  SUPA_RETURN_NOT_OK(graph_->RemoveEdge(u, v, r));
+  SUPA_RETURN_NOT_OK(graph_store_->RemoveEdge(u, v, r));
   if (edge_log_ != nullptr) edge_log_->LogRemove(u, v, r, t);
   degrees_[u] = std::max(0.0, degrees_[u] - 1.0);
   degrees_[v] = std::max(0.0, degrees_[v] - 1.0);
@@ -453,7 +453,7 @@ Status SupaModel::ReplayRemoveEdge(NodeId u, NodeId v, EdgeTypeId r) {
   // timestamps are only ever written by graph insertion, so removal +
   // degree decrement is the complete state delta. No edge-log callback —
   // the record being replayed *is* the log entry.
-  SUPA_RETURN_NOT_OK(graph_->RemoveEdge(u, v, r));
+  SUPA_RETURN_NOT_OK(graph_store_->RemoveEdge(u, v, r));
   degrees_[u] = std::max(0.0, degrees_[u] - 1.0);
   degrees_[v] = std::max(0.0, degrees_[v] - 1.0);
   return Status::OK();
@@ -463,9 +463,9 @@ double SupaModel::Score(NodeId u, NodeId v, EdgeTypeId r) const {
   const size_t d = static_cast<size_t>(config_.dim);
   const EdgeTypeId rr = CtxRel(r);
   const double short_w = config_.use_short_term ? 1.0 : 0.0;
-  return simd::ScoreDot(store_->LongMem(u), store_->ShortMem(u),
-                        store_->Context(u, rr), store_->LongMem(v),
-                        store_->ShortMem(v), store_->Context(v, rr), short_w,
+  return simd::ScoreDot(bank_->LongMem(u), bank_->ShortMem(u),
+                        bank_->Context(u, rr), bank_->LongMem(v),
+                        bank_->ShortMem(v), bank_->Context(v, rr), short_w,
                         d);
 }
 
@@ -473,8 +473,8 @@ void SupaModel::FinalEmbedding(NodeId v, EdgeTypeId r, float* out) const {
   const size_t d = static_cast<size_t>(config_.dim);
   const EdgeTypeId rr = CtxRel(r);
   const double short_w = config_.use_short_term ? 1.0 : 0.0;
-  simd::CombineHalf(store_->LongMem(v), store_->ShortMem(v),
-                    store_->Context(v, rr), short_w, out, d);
+  simd::CombineHalf(bank_->LongMem(v), bank_->ShortMem(v),
+                    bank_->Context(v, rr), short_w, out, d);
 }
 
 std::shared_ptr<const store::StoreSnapshot> SupaModel::AcquireSnapshot()
@@ -506,7 +506,7 @@ SupaModel::Snapshot SupaModel::TakeSnapshot() const {
   SUPA_TRACE_SPAN_CAT("snapshot/full_take", "snapshot");
   SUPA_PERF_SCOPE(kSnapshotTake);
   SnapshotMetrics::Get().full_takes.Increment();
-  return Snapshot{store_->Snapshot(), adam_->Snapshot()};
+  return Snapshot{bank_->Snapshot(), adam_->Snapshot()};
 }
 
 void SupaModel::RestoreSnapshot(const Snapshot& snapshot) {
@@ -515,7 +515,7 @@ void SupaModel::RestoreSnapshot(const Snapshot& snapshot) {
   SnapshotMetrics::Get().full_restores.Increment();
   DiscardBest();
   store::ShardWriteLease lease = graph_store_->LeaseAll();
-  store_->Restore(snapshot.params);
+  bank_->Restore(snapshot.params);
   adam_->Restore(snapshot.adam);
 }
 
@@ -524,9 +524,9 @@ void SupaModel::LoadLogicalState(const float* params, const float* m,
   DiscardBest();
   // Undeclared: every shard's next publish copies it whole.
   store::ShardWriteLease lease = graph_store_->LeaseAll();
-  store_->ScatterLogical(params, store_->data());
-  store_->ScatterLogical(m, adam_->m_data());
-  store_->ScatterLogical(v, adam_->v_data());
+  bank_->ScatterLogical(params, bank_->data());
+  bank_->ScatterLogical(m, adam_->m_data());
+  bank_->ScatterLogical(v, adam_->v_data());
   adam_->set_step_count(adam_step);
   adam_->MarkAllCheckpointDirty();
 }
@@ -559,7 +559,7 @@ Status SupaModel::RestoreBest() {
     for (const SparseAdam::RowSpan& row : rows) lease.RecordRow(row.offset);
     lease.DeclareComplete();
   }
-  adam_->RollBackUndo(store_->data());
+  adam_->RollBackUndo(bank_->data());
   return Status::OK();
 }
 

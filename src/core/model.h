@@ -13,7 +13,6 @@
 #include "core/adam.h"
 #include "core/config.h"
 #include "core/durability.h"
-#include "core/embedding_store.h"
 #include "core/sampler.h"
 #include "data/dataset.h"
 #include "store/graph_store.h"
@@ -81,9 +80,10 @@ struct EdgePlan {
 };
 
 /// A trainable SUPA instance bound to one dataset's node universe, schema,
-/// and metapath set. The model owns its incrementally-built DynamicGraph;
-/// callers drive the stream with ObserveEdge (graph insertion) and
-/// TrainEdge (gradient step) — InsLearnTrainer does this per Algorithm 1.
+/// and metapath set. The model owns one storage engine holding its
+/// incrementally-built graph and its embeddings; callers drive the stream
+/// with ObserveEdge (graph insertion) and TrainEdge (gradient step) —
+/// InsLearnTrainer does this per Algorithm 1.
 class SupaModel {
  public:
   /// Builds an untrained model. The dataset supplies |V|, node types, the
@@ -170,18 +170,20 @@ class SupaModel {
   Status RestoreBest();
 
   /// Writes a validated state in the canonical logical layout (params, m
-  /// and v of store().size() floats each, plus the Adam step) straight
-  /// into the store and the optimizer. Like RestoreSnapshot it is a
+  /// and v of embeddings().size() floats each, plus the Adam step) straight
+  /// into the bank and the optimizer. Like RestoreSnapshot it is a
   /// whole-state write. Checkpoint loads and recovery validate everything
   /// before calling it.
   void LoadLogicalState(const float* params, const float* m, const float* v,
                         uint64_t adam_step);
 
-  const DynamicGraph& graph() const { return *graph_; }
-  DynamicGraph& mutable_graph() { return *graph_; }
+  /// The model's graph: the storage engine's live read API.
+  const store::GraphStore& graph() const { return *graph_store_; }
   const SupaConfig& config() const { return config_; }
-  EmbeddingStore& store() { return *store_; }
-  const EmbeddingStore& store() const { return *store_; }
+  /// The parameters h^L, h^S, c^r and α; offsets and sizes come from
+  /// embeddings().layout().
+  store::EmbeddingBank& embeddings() { return *bank_; }
+  const store::EmbeddingBank& embeddings() const { return *bank_; }
 
   /// Attaches (or detaches, with nullptr) the durability edge log. Every
   /// committed graph mutation — ObserveEdge inserts and DeleteEdge
@@ -300,10 +302,11 @@ class SupaModel {
   SupaConfig config_;
   /// Durability edge log (null when durability is off). Not owned.
   EdgeLogSink* edge_log_ = nullptr;
-  /// The engine; graph_ and store_ are facades sharing its state.
-  std::shared_ptr<store::GraphStore> graph_store_;
-  std::unique_ptr<DynamicGraph> graph_;
-  std::unique_ptr<EmbeddingStore> store_;
+  /// The engine, and its bank and layout cached so a row access costs no
+  /// more hops than the offset arithmetic.
+  std::unique_ptr<store::GraphStore> graph_store_;
+  store::EmbeddingBank* bank_ = nullptr;
+  const store::EmbeddingLayout* layout_ = nullptr;
   std::unique_ptr<InfluencedGraphSampler> sampler_;
   std::unique_ptr<SparseAdam> adam_;
   Rng rng_;  // draws the initial embeddings only

@@ -3,13 +3,6 @@
 namespace supa {
 
 InfluencedGraphSampler::InfluencedGraphSampler(
-    const DynamicGraph& graph, std::vector<MetapathSchema> metapaths,
-    int num_walks, int walk_len)
-    : InfluencedGraphSampler(graph.store(),
-                             graph.schema().num_node_types(),
-                             std::move(metapaths), num_walks, walk_len) {}
-
-InfluencedGraphSampler::InfluencedGraphSampler(
     const store::GraphStore& store, size_t num_node_types,
     std::vector<MetapathSchema> metapaths, int num_walks, int walk_len)
     : walker_(store),

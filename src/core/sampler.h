@@ -42,11 +42,6 @@ class InfluencedGraphSampler {
                          std::vector<MetapathSchema> metapaths,
                          int num_walks, int walk_len);
 
-  /// Facade convenience: unwraps the graph's store and schema.
-  InfluencedGraphSampler(const DynamicGraph& graph,
-                         std::vector<MetapathSchema> metapaths,
-                         int num_walks, int walk_len);
-
   /// Samples \vec{p}_u and \vec{p}_v for a new edge (u, v, ., .). For each
   /// walk a schema whose head matches the start node's type is chosen
   /// uniformly; nodes with no matching schema yield no paths.

@@ -1,6 +1,7 @@
 #include "data/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "util/tsv.h"
@@ -47,6 +48,9 @@ Status Dataset::Validate() const {
     if (e.type >= schema.num_edge_types()) {
       return Status::OutOfRange("edge type out of range");
     }
+    if (!std::isfinite(e.time)) {
+      return Status::InvalidArgument("edge time is not finite");
+    }
     if (e.time < prev) {
       return Status::FailedPrecondition("edges not sorted by time");
     }
@@ -72,19 +76,16 @@ Status Dataset::Validate() const {
   return Status::OK();
 }
 
-Result<DynamicGraph> Dataset::BuildGraphPrefix(size_t edge_count) const {
-  return BuildGraphRange(0, edge_count);
-}
-
-Result<DynamicGraph> Dataset::BuildGraphRange(size_t begin,
-                                              size_t end) const {
+Result<std::unique_ptr<store::GraphStore>> Dataset::BuildGraphRange(
+    size_t begin, size_t end) const {
   if (begin > end || end > edges.size()) {
     return Status::OutOfRange("bad edge range");
   }
-  DynamicGraph graph(schema, node_types);
+  auto graph =
+      std::make_unique<store::GraphStore>(schema.num_edge_types(), node_types);
   for (size_t i = begin; i < end; ++i) {
     const auto& e = edges[i];
-    SUPA_RETURN_NOT_OK(graph.AddEdge(e.src, e.dst, e.type, e.time));
+    SUPA_RETURN_NOT_OK(graph->AddEdge(e.src, e.dst, e.type, e.time));
   }
   return graph;
 }
@@ -99,26 +100,35 @@ Status SaveEdgesTsv(const Dataset& data, const std::string& path) {
   return WriteTsv(path, rows);
 }
 
+Result<TemporalEdge> ParseEdgeRow(const std::vector<std::string>& fields) {
+  if (fields.size() != 4) {
+    return Status::InvalidArgument("edge rows need 4 fields");
+  }
+  TemporalEdge e;
+  SUPA_ASSIGN_OR_RETURN(e.src, ParseId<NodeId>(fields[0]));
+  SUPA_ASSIGN_OR_RETURN(e.dst, ParseId<NodeId>(fields[1]));
+  SUPA_ASSIGN_OR_RETURN(e.type, ParseId<EdgeTypeId>(fields[2]));
+  SUPA_ASSIGN_OR_RETURN(e.time, ParseDouble(fields[3]));
+  // A NaN would also break the strict weak ordering the sorts rely on.
+  if (!std::isfinite(e.time)) {
+    return Status::InvalidArgument("edge time is not finite: " + fields[3]);
+  }
+  return e;
+}
+
 Status LoadEdgesTsv(const std::string& path, Dataset* data) {
   SUPA_ASSIGN_OR_RETURN(TsvTable table, ReadTsv(path));
-  data->edges.clear();
-  data->edges.reserve(table.rows.size());
+  std::vector<TemporalEdge> edges;
+  edges.reserve(table.rows.size());
   for (const auto& row : table.rows) {
-    if (row.size() != 4) {
-      return Status::InvalidArgument("edge rows need 4 fields");
-    }
-    SUPA_ASSIGN_OR_RETURN(uint64_t src, ParseUint(row[0]));
-    SUPA_ASSIGN_OR_RETURN(uint64_t dst, ParseUint(row[1]));
-    SUPA_ASSIGN_OR_RETURN(uint64_t type, ParseUint(row[2]));
-    SUPA_ASSIGN_OR_RETURN(double time, ParseDouble(row[3]));
-    data->edges.push_back(TemporalEdge{static_cast<NodeId>(src),
-                                       static_cast<NodeId>(dst),
-                                       static_cast<EdgeTypeId>(type), time});
+    SUPA_ASSIGN_OR_RETURN(TemporalEdge e, ParseEdgeRow(row));
+    edges.push_back(e);
   }
-  std::stable_sort(data->edges.begin(), data->edges.end(),
+  std::stable_sort(edges.begin(), edges.end(),
                    [](const TemporalEdge& a, const TemporalEdge& b) {
                      return a.time < b.time;
                    });
+  data->edges = std::move(edges);
   return Status::OK();
 }
 

@@ -5,13 +5,14 @@
 #ifndef SUPA_DATA_DATASET_H_
 #define SUPA_DATA_DATASET_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "graph/dynamic_graph.h"
 #include "graph/metapath.h"
 #include "graph/schema.h"
 #include "graph/types.h"
+#include "store/graph_store.h"
 #include "util/status.h"
 
 namespace supa {
@@ -54,18 +55,23 @@ struct Dataset {
   /// schema, metapath types valid.
   Status Validate() const;
 
-  /// Builds a DynamicGraph containing edges [0, edge_count).
-  Result<DynamicGraph> BuildGraphPrefix(size_t edge_count) const;
-
-  /// Builds a DynamicGraph over the given edge index range [begin, end).
-  Result<DynamicGraph> BuildGraphRange(size_t begin, size_t end) const;
+  /// Builds a graph store over the given edge index range [begin, end),
+  /// with default StoreOptions.
+  Result<std::unique_ptr<store::GraphStore>> BuildGraphRange(
+      size_t begin, size_t end) const;
 };
+
+/// Parses one `src, dst, type, time` edge row, the format of both dataset
+/// loaders. InvalidArgument unless there are four fields, the ids fit
+/// NodeId and EdgeTypeId, and the time is finite.
+Result<TemporalEdge> ParseEdgeRow(const std::vector<std::string>& fields);
 
 /// Serializes a dataset's edge stream to TSV: src, dst, type, time.
 Status SaveEdgesTsv(const Dataset& data, const std::string& path);
 
 /// Loads an edge stream previously written by SaveEdgesTsv into `data`
 /// (schema/node_types must already be populated). Edges are sorted by time.
+/// `data->edges` changes only when every row parses.
 Status LoadEdgesTsv(const std::string& path, Dataset* data);
 
 }  // namespace supa

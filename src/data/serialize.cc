@@ -12,6 +12,14 @@ namespace {
 
 constexpr char kMagic[] = "supa-dataset v1";
 
+/// The one value of a `key<TAB>value` header line.
+Result<std::string_view> HeaderValue(const std::vector<std::string>& fields) {
+  if (fields.size() != 2) {
+    return Status::InvalidArgument("header " + fields[0] + " needs one value");
+  }
+  return std::string_view(fields[1]);
+}
+
 }  // namespace
 
 Status SaveDataset(const Dataset& data, const std::string& path) {
@@ -78,22 +86,13 @@ Result<Dataset> LoadDataset(const std::string& path) {
   }
 
   Dataset data;
-  size_t expected_edges = 0;
+  uint64_t expected_edges = 0;
   bool in_edges = false;
   while (std::getline(in, line)) {
     if (in_edges) {
-      const auto fields = SplitString(line, '\t');
-      if (fields.size() != 4) {
-        return Status::InvalidArgument("bad edge line: " + line);
-      }
-      SUPA_ASSIGN_OR_RETURN(uint64_t src, ParseUint(fields[0]));
-      SUPA_ASSIGN_OR_RETURN(uint64_t dst, ParseUint(fields[1]));
-      SUPA_ASSIGN_OR_RETURN(uint64_t type, ParseUint(fields[2]));
-      SUPA_ASSIGN_OR_RETURN(double time, ParseDouble(fields[3]));
-      data.edges.push_back(TemporalEdge{static_cast<NodeId>(src),
-                                        static_cast<NodeId>(dst),
-                                        static_cast<EdgeTypeId>(type),
-                                        time});
+      SUPA_ASSIGN_OR_RETURN(TemporalEdge e,
+                            ParseEdgeRow(SplitString(line, '\t')));
+      data.edges.push_back(e);
       continue;
     }
     const auto fields = SplitString(line, '\t');
@@ -115,22 +114,24 @@ Result<Dataset> LoadDataset(const std::string& path) {
         if (parts.size() != 2) {
           return Status::InvalidArgument("bad node run: " + fields[f]);
         }
-        SUPA_ASSIGN_OR_RETURN(uint64_t type, ParseUint(parts[0]));
+        SUPA_ASSIGN_OR_RETURN(NodeTypeId type, ParseId<NodeTypeId>(parts[0]));
         SUPA_ASSIGN_OR_RETURN(uint64_t count, ParseUint(parts[1]));
-        for (uint64_t c = 0; c < count; ++c) {
-          data.node_types.push_back(static_cast<NodeTypeId>(type));
+        // Node ids must stay below kInvalidNode.
+        if (count > kInvalidNode - data.node_types.size()) {
+          return Status::InvalidArgument("node runs exceed the NodeId range");
         }
+        data.node_types.insert(data.node_types.end(), count, type);
       }
     } else if (key == "query_type") {
-      SUPA_ASSIGN_OR_RETURN(uint64_t t, ParseUint(fields.at(1)));
-      data.query_type = static_cast<NodeTypeId>(t);
+      SUPA_ASSIGN_OR_RETURN(std::string_view value, HeaderValue(fields));
+      SUPA_ASSIGN_OR_RETURN(data.query_type, ParseId<NodeTypeId>(value));
     } else if (key == "target_type") {
-      SUPA_ASSIGN_OR_RETURN(uint64_t t, ParseUint(fields.at(1)));
-      data.target_type = static_cast<NodeTypeId>(t);
+      SUPA_ASSIGN_OR_RETURN(std::string_view value, HeaderValue(fields));
+      SUPA_ASSIGN_OR_RETURN(data.target_type, ParseId<NodeTypeId>(value));
     } else if (key == "target_relations") {
       for (size_t f = 1; f < fields.size(); ++f) {
-        SUPA_ASSIGN_OR_RETURN(uint64_t r, ParseUint(fields[f]));
-        data.target_relations.push_back(static_cast<EdgeTypeId>(r));
+        SUPA_ASSIGN_OR_RETURN(EdgeTypeId r, ParseId<EdgeTypeId>(fields[f]));
+        data.target_relations.push_back(r);
       }
     } else if (key == "metapath") {
       if (fields.size() < 2) {
@@ -140,9 +141,10 @@ Result<Dataset> LoadDataset(const std::string& path) {
                             MetapathSchema::Parse(fields[1], data.schema));
       data.metapaths.push_back(std::move(mp));
     } else if (key == "edges") {
-      SUPA_ASSIGN_OR_RETURN(uint64_t n, ParseUint(fields.at(1)));
-      expected_edges = n;
-      data.edges.reserve(expected_edges);
+      // The count is only checked against the rows that follow: a hostile
+      // count must not size an allocation.
+      SUPA_ASSIGN_OR_RETURN(std::string_view value, HeaderValue(fields));
+      SUPA_ASSIGN_OR_RETURN(expected_edges, ParseUint(value));
       in_edges = true;
     } else {
       return Status::InvalidArgument("unknown header key: " + key);

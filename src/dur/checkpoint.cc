@@ -77,15 +77,16 @@ Status ReadAll(int fd, void* data, size_t size, const std::string& path) {
 }  // namespace
 
 LogicalCheckpoint GatherLogicalState(const SupaModel& model) {
-  const EmbeddingStore& store = model.store();
+  const store::EmbeddingBank& bank = model.embeddings();
+  const store::EmbeddingLayout& layout = bank.layout();
   const SparseAdam& adam = model.optimizer();
-  const size_t n = store.size();
+  const size_t n = bank.size();
 
   LogicalCheckpoint lc;
-  lc.meta.num_nodes = store.num_nodes();
-  lc.meta.num_relations = store.num_relations();
-  lc.meta.num_node_types = store.num_node_types();
-  lc.meta.dim = static_cast<uint64_t>(store.dim());
+  lc.meta.num_nodes = layout.num_nodes();
+  lc.meta.num_relations = layout.num_relations();
+  lc.meta.num_node_types = layout.num_node_types();
+  lc.meta.dim = static_cast<uint64_t>(layout.dim());
   lc.meta.param_count = n;
   lc.meta.adam_step = adam.step_count();
 
@@ -93,20 +94,20 @@ LogicalCheckpoint GatherLogicalState(const SupaModel& model) {
   lc.params.resize(n);
   lc.m.resize(n);
   lc.v.resize(n);
-  store.GatherLogical(store.data(), lc.params.data());
-  store.GatherLogical(adam.m_data(), lc.m.data());
-  store.GatherLogical(adam.v_data(), lc.v.data());
+  bank.GatherLogical(bank.data(), lc.params.data());
+  bank.GatherLogical(adam.m_data(), lc.m.data());
+  bank.GatherLogical(adam.v_data(), lc.v.data());
   return lc;
 }
 
 Status ValidateMetaAgainstModel(const CheckpointMeta& meta,
                                 const SupaModel& model) {
-  const EmbeddingStore& store = model.store();
-  if (meta.num_nodes != store.num_nodes() ||
-      meta.num_relations != store.num_relations() ||
-      meta.num_node_types != store.num_node_types() ||
-      meta.dim != static_cast<uint64_t>(store.dim()) ||
-      meta.param_count != store.size()) {
+  const store::EmbeddingLayout& layout = model.embeddings().layout();
+  if (meta.num_nodes != layout.num_nodes() ||
+      meta.num_relations != layout.num_relations() ||
+      meta.num_node_types != layout.num_node_types() ||
+      meta.dim != static_cast<uint64_t>(layout.dim()) ||
+      meta.param_count != layout.size()) {
     return Status::FailedPrecondition(
         "checkpoint layout does not match the model (wrong dataset or dim)");
   }

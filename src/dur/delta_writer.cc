@@ -79,7 +79,7 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
     return Status::FailedPrecondition(
         "checkpoint dirty set overflowed; a full base is required");
   }
-  const EmbeddingStore& store = model.store();
+  const store::EmbeddingBank& bank = model.embeddings();
   const std::vector<SparseAdam::RowSpan>& dirty = adam.checkpoint_dirty_rows();
 
   // (logical offset, physical offset, len) per row, then sort by logical
@@ -94,8 +94,8 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
   rows.reserve(dirty.size());
   size_t num_floats = 0;
   for (const SparseAdam::RowSpan& row : dirty) {
-    rows.push_back(Row{store.PhysicalToLogical(row.offset), row.offset,
-                       row.len});
+    rows.push_back(Row{bank.layout().PhysicalToLogical(row.offset),
+                       row.offset, row.len});
     num_floats += row.len;
   }
   std::sort(rows.begin(), rows.end(),
@@ -103,13 +103,13 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
 
   DeltaCapture delta;
   delta.adam_step = adam.step_count();
-  delta.param_count = store.size();
+  delta.param_count = bank.size();
   delta.offsets.reserve(rows.size());
   delta.lens.reserve(rows.size());
   delta.params.reserve(num_floats);
   delta.m.reserve(num_floats);
   delta.v.reserve(num_floats);
-  const float* params = store.data();
+  const float* params = bank.data();
   const float* m = adam.m_data();
   const float* v = adam.v_data();
   for (const Row& row : rows) {

@@ -303,7 +303,7 @@ Status DurabilityEngine::WriteLink(PendingLink link) {
   entry.wal_seq = link.cursor.wal_seq;
   entry.cursor = link.cursor;
 
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
   manifest_.links.push_back(std::move(entry));
   SUPA_RETURN_NOT_OK(SaveManifest(options_.dir, manifest_));
   if (link.kind == ManifestLink::Kind::kBase) {
@@ -319,17 +319,19 @@ Status DurabilityEngine::WriteLink(PendingLink link) {
   reg.GetGauge("dur.chain_length").Set(
       static_cast<double>(manifest_.links.size()));
 
-  if (deltas_since_base_ > options_.compact_threshold) {
-    SUPA_RETURN_NOT_OK(CompactLocked());
-  }
-  return Status::OK();
+  if (deltas_since_base_ <= options_.compact_threshold) return Status::OK();
+  lock.unlock();
+  return Compact();
 }
 
 // Folds the whole chain into one fresh base (byte-identical to saving the
 // newest link's state directly — pinned by dur_checkpoint_test). Runs on
-// the writer thread with mu_ held: OnCheckpoint's enqueue may briefly wait
-// behind it, but the trainer thread itself never does file merges.
-Status DurabilityEngine::CompactLocked() {
+// the writer thread, which alone changes manifest_, next_link_id_ and
+// deltas_since_base_, so it reads them without mu_; it takes mu_ only to
+// allocate the file id and to swap in the compacted manifest. A cut that
+// lands during the merge enqueues without waiting; Flush still waits,
+// because the link stays in flight until WriteLink returns.
+Status DurabilityEngine::Compact() {
   auto& reg = obs::MetricsRegistry::Global();
   if (manifest_.links.empty()) return Status::OK();
 
@@ -355,7 +357,11 @@ Status DurabilityEngine::CompactLocked() {
   }
 
   const ManifestLink& newest = manifest_.links.back();
-  const uint64_t id = next_link_id_++;
+  uint64_t id = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    id = next_link_id_++;
+  }
   const std::string file = LinkFileName(id, ManifestLink::Kind::kBase);
   SUPA_RETURN_NOT_OK(WriteBaseFile(options_.dir + "/" + file, merged));
   SUPA_RETURN_NOT_OK(SyncDir(options_.dir));
@@ -371,14 +377,17 @@ Status DurabilityEngine::CompactLocked() {
   old_files.reserve(manifest_.links.size());
   for (const ManifestLink& l : manifest_.links) old_files.push_back(l.file);
 
-  manifest_.links.clear();
-  manifest_.links.push_back(std::move(compacted));
-  SUPA_RETURN_NOT_OK(SaveManifest(options_.dir, manifest_));
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    manifest_.links.clear();
+    manifest_.links.push_back(std::move(compacted));
+    SUPA_RETURN_NOT_OK(SaveManifest(options_.dir, manifest_));
+    deltas_since_base_ = 0;
+  }
   // Only after the new manifest is durable are the old files garbage.
   for (const std::string& old : old_files) {
     SUPA_RETURN_NOT_OK(RemoveFileIfExists(options_.dir + "/" + old));
   }
-  deltas_since_base_ = 0;
   reg.GetCounter("dur.compactions").Increment();
   stat_compactions_.fetch_add(1, std::memory_order_relaxed);
   stat_chain_links_.store(1, std::memory_order_relaxed);

@@ -100,7 +100,7 @@ class DurabilityEngine : public EdgeLogSink, public CheckpointSink {
 
   void WriterLoop();
   Status WriteLink(PendingLink link);
-  Status CompactLocked();
+  Status Compact();
   void StashError(const Status& st);
 
   SupaModel& model_;
@@ -113,6 +113,9 @@ class DurabilityEngine : public EdgeLogSink, public CheckpointSink {
   bool stop_ = false;
   size_t inflight_ = 0;  // links dequeued but not yet durable
   Status async_error_;
+  // After Attach starts the writer thread, only that thread writes these,
+  // under mu_. Other threads read them under mu_; the writer thread may
+  // read them without it.
   Manifest manifest_;
   uint64_t next_link_id_ = 0;
   size_t deltas_since_base_ = 0;

@@ -7,8 +7,8 @@
 
 namespace supa {
 
-Result<std::vector<MetapathSchema>> MineMetapaths(const DynamicGraph& graph,
-                                                  const MinerConfig& config) {
+Result<std::vector<MetapathSchema>> MineMetapaths(
+    const store::GraphStore& graph, const MinerConfig& config) {
   if (graph.num_edges() == 0) {
     return Status::FailedPrecondition("cannot mine an empty graph");
   }

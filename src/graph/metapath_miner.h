@@ -14,8 +14,8 @@
 
 #include <vector>
 
-#include "graph/dynamic_graph.h"
 #include "graph/metapath.h"
+#include "store/graph_store.h"
 #include "util/rng.h"
 
 namespace supa {
@@ -38,7 +38,7 @@ struct MinerConfig {
 /// Mines symmetric two-hop multiplex metapath schemas from the graph.
 /// Fails when the graph has no edges.
 Result<std::vector<MetapathSchema>> MineMetapaths(
-    const DynamicGraph& graph, const MinerConfig& config = MinerConfig());
+    const store::GraphStore& graph, const MinerConfig& config = MinerConfig());
 
 }  // namespace supa
 

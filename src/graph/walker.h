@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/dynamic_graph.h"
 #include "graph/metapath.h"
+#include "store/graph_store.h"
 #include "util/rng.h"
 
 namespace supa {
@@ -108,13 +108,11 @@ class WalkBuffer {
   bool open_ = false;
 };
 
-/// Samples walks honoring the graph's neighbor cap. Reads go through the
-/// storage engine directly; the DynamicGraph overload is a convenience
-/// that unwraps the facade.
+/// Samples walks over the storage engine's live adjacency, honoring its
+/// neighbor cap.
 class Walker {
  public:
   explicit Walker(const store::GraphStore& store) : store_(&store) {}
-  explicit Walker(const DynamicGraph& graph) : store_(&graph.store()) {}
 
   /// Samples one walk from `start` constrained by `schema` (Eq. 2–3): node
   /// position i must have type o_{P, f(i)} and hop j must use an edge type

@@ -100,9 +100,6 @@ class EmbeddingLayout {
   size_t num_node_types() const { return num_node_types_; }
   size_t num_shards() const { return map_raw_->num_shards(); }
   const NodeShardMap& map() const { return *map_raw_; }
-  const std::shared_ptr<const NodeShardMap>& shared_map() const {
-    return map_;
-  }
 
  private:
   std::shared_ptr<const NodeShardMap> map_;
@@ -117,9 +114,8 @@ class EmbeddingLayout {
   size_t size_;
 };
 
-/// The live parameter buffer. Copyable (deep copy sharing the immutable
-/// layout), which is what lets the EmbeddingStore facade keep its value
-/// semantics.
+/// The live parameter buffer. Not copyable: a bank can hold hundreds of
+/// MB, and whole-state copies go through Snapshot() explicitly.
 class EmbeddingBank {
  public:
   /// Allocates and randomly initializes all parameters with
@@ -129,6 +125,9 @@ class EmbeddingBank {
   /// initial model as the monolith.
   EmbeddingBank(std::shared_ptr<const EmbeddingLayout> layout,
                 double init_scale, Rng& rng);
+
+  EmbeddingBank(const EmbeddingBank&) = delete;
+  EmbeddingBank& operator=(const EmbeddingBank&) = delete;
 
   float* LongMem(NodeId v) { return data() + L_->LongMemOffset(v); }
   const float* LongMem(NodeId v) const {

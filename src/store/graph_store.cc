@@ -135,38 +135,13 @@ GraphStore::GraphStore(size_t num_edge_types,
 
 GraphStore::~GraphStore() = default;
 
-std::unique_ptr<GraphStore> GraphStore::Clone() const {
-  StoreOptions options = options_;
-  // Clones back value-semantic copies (eval protocols churn through
-  // them); re-exporting gauges from every copy would thrash the registry.
-  options.publish_metrics = false;
-  auto clone =
-      std::make_unique<GraphStore>(num_edge_types_, *node_types_, options);
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& src = *shards_[s];
-    Shard& dst = *clone->shards_[s];
-    std::lock_guard<std::mutex> lock(src.mu);
-    dst.adj = src.adj;
-    dst.last_active = src.last_active;
-    dst.edge_slots.store(src.edge_slots.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  }
-  if (bank_ != nullptr) {
-    clone->bank_ = std::make_shared<EmbeddingBank>(*bank_);
-  }
-  clone->num_edges_.store(num_edges(), std::memory_order_relaxed);
-  clone->latest_time_.store(latest_time(), std::memory_order_relaxed);
-  clone->neighbor_cap_.store(neighbor_cap(), std::memory_order_relaxed);
-  return clone;
-}
-
 void GraphStore::AttachEmbeddings(size_t num_relations, size_t num_node_types,
                                   int dim, double init_scale, Rng& rng) {
   // Undeclared: every shard's next publish copies the new bank whole.
   ShardWriteLease lease = LeaseAll();
   auto layout = std::make_shared<const EmbeddingLayout>(
       map_, num_relations, num_node_types, dim);
-  bank_ = std::make_shared<EmbeddingBank>(std::move(layout), init_scale, rng);
+  bank_ = std::make_unique<EmbeddingBank>(std::move(layout), init_scale, rng);
 }
 
 void GraphStore::AppendHalfEdge(ShardWriteLease& lease, NodeId from,

@@ -130,10 +130,6 @@ class GraphStore {
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
-  /// Deep copy (fresh mutexes/epochs, same placement and contents). Used
-  /// by the DynamicGraph facade's value semantics.
-  std::unique_ptr<GraphStore> Clone() const;
-
   /// Allocates the embedding bank over this store's shard map. Rows are
   /// initialized in logical order from `rng` (see EmbeddingBank).
   void AttachEmbeddings(size_t num_relations, size_t num_node_types, int dim,
@@ -141,9 +137,6 @@ class GraphStore {
   bool has_embeddings() const { return bank_ != nullptr; }
   EmbeddingBank& embeddings() { return *bank_; }
   const EmbeddingBank& embeddings() const { return *bank_; }
-  const std::shared_ptr<EmbeddingBank>& shared_embeddings() const {
-    return bank_;
-  }
 
   // -- Mutations (lease internally) --
 
@@ -222,10 +215,6 @@ class GraphStore {
   size_t num_edge_types() const { return num_edge_types_; }
   size_t num_shards() const { return map_->num_shards(); }
   const NodeShardMap& shard_map() const { return *map_; }
-  const std::shared_ptr<const std::vector<NodeTypeId>>& shared_node_types()
-      const {
-    return node_types_;
-  }
 
   // -- Epoch snapshots --
 
@@ -342,7 +331,7 @@ class GraphStore {
   std::shared_ptr<const std::vector<NodeTypeId>> node_types_;
   std::shared_ptr<const NodeShardMap> map_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::shared_ptr<EmbeddingBank> bank_;
+  std::unique_ptr<EmbeddingBank> bank_;
   StoreOptions options_;
 
   std::atomic<size_t> num_edges_{0};

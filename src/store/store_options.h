@@ -25,8 +25,9 @@ struct StoreOptions {
   /// Requested shard count; 0 defers to SUPA_SHARDS (then to 1).
   size_t num_shards = 0;
   /// Export store.shard_* gauges and the /statusz shard-balance section.
-  /// Tests that construct thousands of throwaway stores switch this off.
-  bool publish_metrics = true;
+  /// Only the trainer's store (SupaModel) turns this on; eval protocols,
+  /// baselines and tests churn through throwaway stores.
+  bool publish_metrics = false;
 };
 
 /// Resolves a requested shard count against the SUPA_SHARDS environment

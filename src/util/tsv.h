@@ -6,6 +6,7 @@
 #ifndef SUPA_UTIL_TSV_H_
 #define SUPA_UTIL_TSV_H_
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +26,18 @@ Result<double> ParseDouble(std::string_view s);
 
 /// Parses a non-negative integer.
 Result<uint64_t> ParseUint(std::string_view s);
+
+/// Parses a non-negative integer that must fit `T` (an id type);
+/// InvalidArgument instead of narrowing.
+template <typename T>
+Result<T> ParseId(std::string_view s) {
+  SUPA_ASSIGN_OR_RETURN(uint64_t value, ParseUint(s));
+  if (value > std::numeric_limits<T>::max()) {
+    return Status::InvalidArgument("id out of range: '" + std::string(s) +
+                                   "'");
+  }
+  return static_cast<T>(value);
+}
 
 /// A fully-parsed TSV file: `rows[i][j]` is field j of line i.
 struct TsvTable {

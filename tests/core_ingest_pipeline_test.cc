@@ -76,7 +76,7 @@ PipelineResult RunPipeline(const Dataset& data, size_t shards, size_t writers,
   PipelineResult out;
   const SupaModel::Snapshot snap = rec.model()->TakeSnapshot();
   out.logical_params.resize(snap.params.size());
-  rec.model()->store().GatherLogical(snap.params.data(),
+  rec.model()->embeddings().GatherLogical(snap.params.data(),
                                      out.logical_params.data());
   out.batch_scores = rec.last_report().batch_scores;
   out.train_steps = rec.last_report().train_steps;

@@ -120,12 +120,14 @@ TEST(SupaModelTest, ShortTermMemoryDecaysWithTimeGap) {
   TemporalEdge future = e;
   future.time = model.graph().latest_time() + gap;
   const double norm_before =
-      Norm2(model.store().ShortMem(e.src), static_cast<size_t>(config.dim));
+      Norm2(model.embeddings().ShortMem(e.src),
+            static_cast<size_t>(config.dim));
   ASSERT_TRUE(model.TrainEdge(future).ok());
   // γ = g(σ(0)·1000) = 1/log(e + 500) ≈ 0.16: the decay dominates the
   // single Adam update.
   const double norm_after =
-      Norm2(model.store().ShortMem(e.src), static_cast<size_t>(config.dim));
+      Norm2(model.embeddings().ShortMem(e.src),
+            static_cast<size_t>(config.dim));
   EXPECT_LT(norm_after, 0.6 * norm_before);
 }
 
@@ -142,10 +144,12 @@ TEST(SupaModelTest, NoDecayWhenUpdateDecayDisabled) {
   TemporalEdge future = e;
   future.time = model.graph().latest_time() + 1e6;
   const double norm_before =
-      Norm2(model.store().ShortMem(e.src), static_cast<size_t>(config.dim));
+      Norm2(model.embeddings().ShortMem(e.src),
+            static_cast<size_t>(config.dim));
   ASSERT_TRUE(model.TrainEdge(future).ok());
   const double norm_after =
-      Norm2(model.store().ShortMem(e.src), static_cast<size_t>(config.dim));
+      Norm2(model.embeddings().ShortMem(e.src),
+            static_cast<size_t>(config.dim));
   // Only the (small) gradient step moved it; no multiplicative collapse.
   EXPECT_GT(norm_after, 0.5 * norm_before);
 }
@@ -224,13 +228,13 @@ TEST(SupaModelTest, AlphaLearnsWhenTimeGapsExist) {
   SupaConfig config = SmallConfig();
   SupaModel model(data, config);
   const NodeTypeId user_type = data.schema.NodeType("User").value();
-  const float alpha_before = *model.store().Alpha(user_type);
+  const float alpha_before = *model.embeddings().Alpha(user_type);
   // Stream a chunk of real edges (train + observe) so Δ > 0 regularly.
   for (size_t i = 0; i < 400; ++i) {
     ASSERT_TRUE(model.TrainEdge(data.edges[i]).ok());
     ASSERT_TRUE(model.ObserveEdge(data.edges[i]).ok());
   }
-  EXPECT_NE(*model.store().Alpha(user_type), alpha_before);
+  EXPECT_NE(*model.embeddings().Alpha(user_type), alpha_before);
 }
 
 TEST(SupaModelTest, SharedAlphaUsesSingleSlot) {
@@ -243,8 +247,8 @@ TEST(SupaModelTest, SharedAlphaUsesSingleSlot) {
     ASSERT_TRUE(model.ObserveEdge(data.edges[i]).ok());
   }
   // Slot 0 moved; slot 1 (unused under shared alpha) stayed at exactly 0.
-  EXPECT_NE(*model.store().Alpha(0), 0.0f);
-  EXPECT_EQ(*model.store().Alpha(1), 0.0f);
+  EXPECT_NE(*model.embeddings().Alpha(0), 0.0f);
+  EXPECT_EQ(*model.embeddings().Alpha(1), 0.0f);
 }
 
 TEST(SupaModelTest, DeterministicGivenSeed) {

@@ -9,23 +9,23 @@ namespace {
 
 struct Fixture {
   Dataset data;
-  std::unique_ptr<DynamicGraph> graph;
+  std::unique_ptr<store::GraphStore> graph;
 
   explicit Fixture(double scale = 0.2) {
     data = MakeTaobao(scale, 11).value();
-    graph = std::make_unique<DynamicGraph>(data.schema, data.node_types);
     // Load the first half of the stream.
-    for (size_t i = 0; i < data.edges.size() / 2; ++i) {
-      const auto& e = data.edges[i];
-      EXPECT_TRUE(graph->AddEdge(e.src, e.dst, e.type, e.time).ok());
-    }
+    graph = data.BuildGraphRange(0, data.edges.size() / 2).value();
+  }
+
+  InfluencedGraphSampler Sampler(int num_walks, int walk_len) const {
+    return InfluencedGraphSampler(*graph, data.schema.num_node_types(),
+                                  data.metapaths, num_walks, walk_len);
   }
 };
 
 TEST(InfluencedGraphSamplerTest, SamplesUpToKWalksPerSide) {
   Fixture f;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths,
-                                 /*num_walks=*/4, /*walk_len=*/3);
+  InfluencedGraphSampler sampler = f.Sampler(/*num_walks=*/4, /*walk_len=*/3);
   Rng rng(1);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
   InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
@@ -37,7 +37,7 @@ TEST(InfluencedGraphSamplerTest, SamplesUpToKWalksPerSide) {
 
 TEST(InfluencedGraphSamplerTest, WalksStartAtInteractiveNodes) {
   Fixture f;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths, 3, 4);
+  InfluencedGraphSampler sampler = f.Sampler(3, 4);
   Rng rng(2);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
   InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
@@ -48,7 +48,7 @@ TEST(InfluencedGraphSamplerTest, WalksStartAtInteractiveNodes) {
 TEST(InfluencedGraphSamplerTest, WalkLengthBounded) {
   Fixture f;
   const int walk_len = 5;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths, 4, walk_len);
+  InfluencedGraphSampler sampler = f.Sampler(4, walk_len);
   Rng rng(3);
   for (size_t i = f.data.edges.size() / 2;
        i < f.data.edges.size() / 2 + 50 && i < f.data.edges.size(); ++i) {
@@ -63,7 +63,7 @@ TEST(InfluencedGraphSamplerTest, WalkLengthBounded) {
 
 TEST(InfluencedGraphSamplerTest, StepsFollowMetapathTypes) {
   Fixture f;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths, 4, 4);
+  InfluencedGraphSampler sampler = f.Sampler(4, 4);
   Rng rng(4);
   const NodeTypeId user = f.data.schema.NodeType("User").value();
   const NodeTypeId item = f.data.schema.NodeType("Item").value();
@@ -84,8 +84,9 @@ TEST(InfluencedGraphSamplerTest, StepsFollowMetapathTypes) {
 
 TEST(InfluencedGraphSamplerTest, IsolatedNodeYieldsNoPaths) {
   Dataset data = MakeTaobao(0.2, 12).value();
-  DynamicGraph graph(data.schema, data.node_types);  // empty graph
-  InfluencedGraphSampler sampler(graph, data.metapaths, 4, 3);
+  auto graph = data.BuildGraphRange(0, 0).value();  // empty graph
+  InfluencedGraphSampler sampler(*graph, data.schema.num_node_types(),
+                                 data.metapaths, 4, 3);
   Rng rng(5);
   InfluencedGraph g = sampler.Sample(0, 1, rng);
   EXPECT_TRUE(g.from_u.empty());
@@ -97,14 +98,11 @@ TEST(InfluencedGraphSamplerTest, NodeTypeWithoutSchemaGetsNoPaths) {
   // Kuaishou metapaths exist for all three types, but if we restrict the
   // schema set to user-headed paths only, an author start yields nothing.
   Dataset data = MakeKuaishou(0.1, 13).value();
-  DynamicGraph graph(data.schema, data.node_types);
-  for (size_t i = 0; i < data.edges.size() / 2; ++i) {
-    const auto& e = data.edges[i];
-    ASSERT_TRUE(graph.AddEdge(e.src, e.dst, e.type, e.time).ok());
-  }
+  auto graph = data.BuildGraphRange(0, data.edges.size() / 2).value();
   std::vector<MetapathSchema> user_only = {data.metapaths[0]};
   ASSERT_EQ(user_only[0].head(), data.schema.NodeType("User").value());
-  InfluencedGraphSampler sampler(graph, user_only, 4, 3);
+  InfluencedGraphSampler sampler(*graph, data.schema.num_node_types(),
+                                 user_only, 4, 3);
   Rng rng(6);
   const NodeId author = data.num_nodes() - 1;  // authors are the last block
   ASSERT_EQ(data.node_types[author], data.schema.NodeType("Author").value());
@@ -119,7 +117,7 @@ TEST(InfluencedGraphSamplerTest, NodeTypeWithoutSchemaGetsNoPaths) {
 // training.
 TEST(InfluencedGraphSamplerTest, ArenaSamplingMatchesWalkSampling) {
   Fixture f;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths, 4, 4);
+  InfluencedGraphSampler sampler = f.Sampler(4, 4);
   WalkBuffer arena;
   for (size_t k = 0; k < 8; ++k) {
     Rng rng_a(100 + k);
@@ -150,7 +148,7 @@ TEST(InfluencedGraphSamplerTest, ArenaSamplingMatchesWalkSampling) {
 
 TEST(InfluencedGraphSamplerTest, TotalStepsCountsAllHops) {
   Fixture f;
-  InfluencedGraphSampler sampler(*f.graph, f.data.metapaths, 4, 3);
+  InfluencedGraphSampler sampler = f.Sampler(4, 3);
   Rng rng(7);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
   InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 
 #include "data/synthetic.h"
 #include "util/tsv.h"
@@ -48,6 +49,15 @@ TEST(DatasetTest, ValidateRejectsOutOfRangeIds) {
   EXPECT_EQ(d2.Validate().code(), StatusCode::kOutOfRange);
 }
 
+TEST(DatasetTest, ValidateRejectsNonFiniteTimes) {
+  for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity()}) {
+    Dataset d = TinyDataset();
+    d.edges.back().time = t;
+    EXPECT_EQ(d.Validate().code(), StatusCode::kInvalidArgument) << t;
+  }
+}
+
 TEST(DatasetTest, ValidateRejectsEmpty) {
   Dataset d;
   EXPECT_FALSE(d.Validate().ok());
@@ -71,26 +81,26 @@ TEST(DatasetTest, NumDistinctTimestamps) {
   EXPECT_EQ(d.NumDistinctTimestamps(), 3u);
 }
 
-TEST(DatasetTest, BuildGraphPrefix) {
+TEST(DatasetTest, BuildGraphRangeFromTheStart) {
   Dataset d = TinyDataset();
-  auto g = d.BuildGraphPrefix(2);
+  auto g = d.BuildGraphRange(0, 2);
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g.value().num_edges(), 2u);
-  EXPECT_EQ(g.value().Degree(0), 1u);
+  EXPECT_EQ(g.value()->num_edges(), 2u);
+  EXPECT_EQ(g.value()->Degree(0), 1u);
 
-  auto all = d.BuildGraphPrefix(d.edges.size());
+  auto all = d.BuildGraphRange(0, d.edges.size());
   ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all.value().num_edges(), 3u);
+  EXPECT_EQ(all.value()->num_edges(), 3u);
 
-  EXPECT_FALSE(d.BuildGraphPrefix(99).ok());
+  EXPECT_FALSE(d.BuildGraphRange(0, 99).ok());
 }
 
 TEST(DatasetTest, BuildGraphRange) {
   Dataset d = TinyDataset();
   auto g = d.BuildGraphRange(1, 3);
   ASSERT_TRUE(g.ok());
-  EXPECT_EQ(g.value().num_edges(), 2u);
-  EXPECT_EQ(g.value().Degree(0), 1u);  // only edge (0,3)
+  EXPECT_EQ(g.value()->num_edges(), 2u);
+  EXPECT_EQ(g.value()->Degree(0), 1u);  // only edge (0,3)
   EXPECT_FALSE(d.BuildGraphRange(2, 1).ok());
 }
 
@@ -134,6 +144,24 @@ TEST_F(DatasetIoTest, LoadRejectsMalformedRows) {
   ASSERT_TRUE(WriteTsv(path_, {{"1", "2", "0"}}).ok());
   Dataset d = TinyDataset();
   EXPECT_FALSE(LoadEdgesTsv(path_, &d).ok());
+}
+
+TEST_F(DatasetIoTest, LoadRejectsUnfitIdsAndKeepsTheEdges) {
+  const std::vector<std::vector<std::string>> bad_rows = {
+      {"4294967296", "2", "0", "1"},
+      {"0", "4294967296", "0", "1"},
+      {"0", "2", "65536", "1"},
+      {"0", "2", "0", "nan"},
+  };
+  for (const auto& bad : bad_rows) {
+    // A good row first: a failed load must not leave it behind.
+    ASSERT_TRUE(WriteTsv(path_, {{"1", "3", "0", "0.5"}, bad}).ok());
+    Dataset d = TinyDataset();
+    const std::vector<TemporalEdge> before = d.edges;
+    EXPECT_EQ(LoadEdgesTsv(path_, &d).code(), StatusCode::kInvalidArgument)
+        << bad[0] << " " << bad[2] << " " << bad[3];
+    EXPECT_EQ(d.edges, before);
+  }
 }
 
 }  // namespace

@@ -19,6 +19,30 @@ class SerializeTest : public ::testing::Test {
     path_ = ::testing::TempDir() + "/supa_dataset_" + info->name() + ".tsv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Loads kTinyFile with the first `from` replaced by `to`.
+  Status LoadPatched(const std::string& from, const std::string& to) {
+    std::string text = kTinyFile;
+    const size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+    std::ofstream(path_) << text;
+    return LoadDataset(path_).status();
+  }
+
+  static constexpr char kTinyFile[] =
+      "supa-dataset v1\n"
+      "name\ttiny\n"
+      "node_types\tUser\tItem\n"
+      "edge_types\tclick\n"
+      "node_runs\t0:2\t1:2\n"
+      "query_type\t0\n"
+      "target_type\t1\n"
+      "target_relations\t0\n"
+      "edges\t2\n"
+      "0\t2\t0\t1\n"
+      "1\t3\t0\t2\n";
+
   std::string path_;
 };
 
@@ -74,6 +98,54 @@ TEST_F(SerializeTest, RejectsTruncatedEdges) {
             static_cast<std::streamsize>(contents.size() - 40));
   out.close();
   EXPECT_FALSE(LoadDataset(path_).ok());
+}
+
+TEST_F(SerializeTest, TinyFileLoads) {
+  EXPECT_TRUE(LoadPatched("name\ttiny", "name\ttiny").ok());
+}
+
+TEST_F(SerializeTest, BareHeaderLinesAreRejected) {
+  for (const char* line : {"query_type\t0\n", "target_type\t1\n",
+                           "edges\t2\n"}) {
+    const std::string bare =
+        std::string(line).substr(0, std::string(line).find('\t')) + "\n";
+    EXPECT_EQ(LoadPatched(line, bare).code(), StatusCode::kInvalidArgument)
+        << bare;
+  }
+}
+
+TEST_F(SerializeTest, HugeEdgeCountIsRejectedWithoutAllocating) {
+  EXPECT_EQ(LoadPatched("edges\t2", "edges\t4611686018427387904").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, NodeIdBeyondNodeIdIsRejected) {
+  // Narrowed, 4294967296 would load as node 0 and pass Validate.
+  EXPECT_EQ(LoadPatched("0\t2\t0\t1", "4294967296\t2\t0\t1").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, EdgeTypeBeyondEdgeTypeIdIsRejected) {
+  EXPECT_EQ(LoadPatched("0\t2\t0\t1", "0\t2\t65536\t1").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, HeaderTypeBeyondNodeTypeIdIsRejected) {
+  EXPECT_EQ(LoadPatched("query_type\t0", "query_type\t65536").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, NanTimestampIsRejected) {
+  EXPECT_EQ(LoadPatched("0\t2\t0\t1", "0\t2\t0\tnan").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, NodeRunsBeyondNodeIdAreRejectedWithoutAllocating) {
+  EXPECT_EQ(LoadPatched("0:2\t1:2", "0:4294967296").code(),
+            StatusCode::kInvalidArgument);
+  // The bound is on |V| across runs, checked before a run is appended.
+  EXPECT_EQ(LoadPatched("0:2\t1:2", "0:2\t1:4294967294").code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(SerializeTest, MissingFileIsIOError) {

@@ -9,10 +9,7 @@ namespace supa {
 namespace {
 
 TEST(MetapathMinerTest, EmptyGraphRejected) {
-  Schema s;
-  s.AddNodeType("N");
-  s.AddEdgeType("e");
-  DynamicGraph g(s, {0, 0});
+  store::GraphStore g(/*num_edge_types=*/1, {0, 0});
   EXPECT_FALSE(MineMetapaths(g).ok());
 }
 
@@ -20,8 +17,8 @@ TEST(MetapathMinerTest, RecoversTaobaoSchemas) {
   // On a bipartite User-Item graph the only symmetric two-hop skeletons
   // are U-I-U and I-U-I — exactly Table IV's hand-picked schemas.
   Dataset data = MakeTaobao(0.3, 91).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size()).value();
-  auto mined = MineMetapaths(graph);
+  auto graph = data.BuildGraphRange(0, data.edges.size()).value();
+  auto mined = MineMetapaths(*graph);
   ASSERT_TRUE(mined.ok()) << mined.status().ToString();
   const NodeTypeId user = data.schema.NodeType("User").value();
   const NodeTypeId item = data.schema.NodeType("Item").value();
@@ -45,8 +42,8 @@ TEST(MetapathMinerTest, EdgeTypeSetsAreMultiplex) {
   // Taobao has four behaviours on the same skeleton; with the default
   // support threshold the mined U-I-U schema should contain several.
   Dataset data = MakeTaobao(0.3, 92).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size()).value();
-  auto mined = MineMetapaths(graph).value();
+  auto graph = data.BuildGraphRange(0, data.edges.size()).value();
+  auto mined = MineMetapaths(*graph).value();
   const NodeTypeId user = data.schema.NodeType("User").value();
   for (const auto& mp : mined) {
     if (mp.head() != user) continue;
@@ -60,11 +57,11 @@ TEST(MetapathMinerTest, EdgeTypeSetsAreMultiplex) {
 
 TEST(MetapathMinerTest, RecoversKuaishouAuthorSchema) {
   Dataset data = MakeKuaishou(0.2, 93).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size()).value();
+  auto graph = data.BuildGraphRange(0, data.edges.size()).value();
   MinerConfig config;
   config.num_walks = 8000;
   config.skeleton_support = 0.005;
-  auto mined = MineMetapaths(graph, config);
+  auto mined = MineMetapaths(*graph, config);
   ASSERT_TRUE(mined.ok());
   // Must find the user-video behaviour schema; the author-upload schema
   // appears when support is low enough.
@@ -81,19 +78,19 @@ TEST(MetapathMinerTest, RecoversKuaishouAuthorSchema) {
 
 TEST(MetapathMinerTest, MaxSchemasRespected) {
   Dataset data = MakeKuaishou(0.2, 94).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size()).value();
+  auto graph = data.BuildGraphRange(0, data.edges.size()).value();
   MinerConfig config;
   config.max_schemas = 1;
-  auto mined = MineMetapaths(graph, config);
+  auto mined = MineMetapaths(*graph, config);
   ASSERT_TRUE(mined.ok());
   EXPECT_EQ(mined.value().size(), 1u);
 }
 
 TEST(MetapathMinerTest, DeterministicGivenSeed) {
   Dataset data = MakeTaobao(0.2, 95).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size()).value();
-  auto a = MineMetapaths(graph).value();
-  auto b = MineMetapaths(graph).value();
+  auto graph = data.BuildGraphRange(0, data.edges.size()).value();
+  auto a = MineMetapaths(*graph).value();
+  auto b = MineMetapaths(*graph).value();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i], b[i]);
 }
@@ -102,8 +99,8 @@ TEST(MetapathMinerTest, MinedSchemasDriveSupaTraining) {
   // End-to-end future-work demo: replace Table IV's hand-written schemas
   // with mined ones and train SUPA successfully.
   Dataset data = MakeTaobao(0.15, 96).value();
-  DynamicGraph graph = data.BuildGraphPrefix(data.edges.size() / 2).value();
-  auto mined = MineMetapaths(graph).value();
+  auto graph = data.BuildGraphRange(0, data.edges.size() / 2).value();
+  auto mined = MineMetapaths(*graph).value();
   data.metapaths = mined;
   ASSERT_TRUE(data.Validate().ok());
 

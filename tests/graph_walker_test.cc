@@ -10,7 +10,7 @@ namespace {
 // Bipartite User-Item graph with two relations.
 struct Fixture {
   Schema schema;
-  std::unique_ptr<DynamicGraph> graph;
+  std::unique_ptr<store::GraphStore> graph;
   NodeTypeId user, item;
   EdgeTypeId click, buy;
 
@@ -20,8 +20,8 @@ struct Fixture {
     click = schema.AddEdgeType("click");
     buy = schema.AddEdgeType("buy");
     // 3 users (0-2), 4 items (3-6).
-    graph = std::make_unique<DynamicGraph>(
-        schema, std::vector<NodeTypeId>{0, 0, 0, 1, 1, 1, 1});
+    graph = std::make_unique<store::GraphStore>(
+        schema.num_edge_types(), std::vector<NodeTypeId>{0, 0, 0, 1, 1, 1, 1});
     // clicks
     EXPECT_TRUE(graph->AddEdge(0, 3, click, 1.0).ok());
     EXPECT_TRUE(graph->AddEdge(1, 3, click, 2.0).ok());
@@ -134,10 +134,7 @@ TEST(WalkerUniformTest, CoversAllNeighbors) {
 }
 
 TEST(WalkerUniformTest, IsolatedNodeYieldsEmptyWalk) {
-  Schema s;
-  s.AddNodeType("N");
-  s.AddEdgeType("e");
-  DynamicGraph g(s, {0, 0});
+  store::GraphStore g(/*num_edge_types=*/1, {0, 0});
   Walker walker(g);
   Rng rng(8);
   EXPECT_TRUE(walker.SampleUniformWalk(0, 5, rng).steps.empty());
@@ -146,10 +143,7 @@ TEST(WalkerUniformTest, IsolatedNodeYieldsEmptyWalk) {
 TEST(WalkerNode2vecTest, LowPEncouragesReturning) {
   // Chain graph 0-1-2. With p tiny, returning to the previous node
   // dominates; with p huge, the walker pushes outward.
-  Schema s;
-  s.AddNodeType("N");
-  s.AddEdgeType("e");
-  DynamicGraph g(s, {0, 0, 0});
+  store::GraphStore g(/*num_edge_types=*/1, {0, 0, 0});
   ASSERT_TRUE(g.AddEdge(0, 1, 0, 1.0).ok());
   ASSERT_TRUE(g.AddEdge(1, 2, 0, 2.0).ok());
   Walker walker(g);

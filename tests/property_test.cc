@@ -140,7 +140,7 @@ TEST_P(ModelGridTest, TrainingInvariants) {
   SupaModel model(data, config);
 
   double prev_param_change = -1.0;
-  std::vector<float> before = model.store().Snapshot();
+  std::vector<float> before = model.embeddings().Snapshot();
   for (size_t i = 0; i < 300; ++i) {
     auto stats = model.TrainEdge(data.edges[i]);
     ASSERT_TRUE(stats.ok());
@@ -151,7 +151,7 @@ TEST_P(ModelGridTest, TrainingInvariants) {
     ASSERT_TRUE(model.ObserveEdge(data.edges[i]).ok());
   }
   // Parameters moved but stayed finite.
-  const std::vector<float> after = model.store().Snapshot();
+  const std::vector<float> after = model.embeddings().Snapshot();
   double change = 0.0;
   for (size_t i = 0; i < after.size(); ++i) {
     ASSERT_TRUE(std::isfinite(after[i]));

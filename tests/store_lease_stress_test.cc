@@ -32,7 +32,6 @@ class LeaseStressTest : public ::testing::Test {
   void SetUp() override {
     StoreOptions opts;
     opts.num_shards = kShards;
-    opts.publish_metrics = false;
     store_ = std::make_unique<GraphStore>(
         /*num_edge_types=*/2, std::vector<NodeTypeId>(kNodes, 0), opts);
     Rng rng(7);

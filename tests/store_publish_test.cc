@@ -31,7 +31,6 @@ namespace {
 StoreOptions Quiet(size_t shards) {
   StoreOptions o;
   o.num_shards = shards;
-  o.publish_metrics = false;
   return o;
 }
 

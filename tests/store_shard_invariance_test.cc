@@ -74,7 +74,7 @@ PipelineResult RunPipeline(const Dataset& data, size_t shards,
   PipelineResult out;
   const SupaModel::Snapshot snap = rec.model()->TakeSnapshot();
   out.logical_params.resize(snap.params.size());
-  rec.model()->store().GatherLogical(snap.params.data(),
+  rec.model()->embeddings().GatherLogical(snap.params.data(),
                                      out.logical_params.data());
   out.metrics = metrics.value();
   out.checkpoint_bytes = ReadFileBytes(ckpt_path);
@@ -159,8 +159,8 @@ TEST_F(ShardInvarianceTest, CheckpointsPortAcrossShardCounts) {
   const SupaModel::Snapshot sb = b.TakeSnapshot();
   std::vector<float> la(sa.params.size());
   std::vector<float> lb(sb.params.size());
-  a.store().GatherLogical(sa.params.data(), la.data());
-  b.store().GatherLogical(sb.params.data(), lb.data());
+  a.embeddings().GatherLogical(sa.params.data(), la.data());
+  b.embeddings().GatherLogical(sb.params.data(), lb.data());
   EXPECT_EQ(la, lb);
 }
 

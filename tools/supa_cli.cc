@@ -521,11 +521,11 @@ int CmdMine(const Args& args) {
     std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
     return 1;
   }
-  auto graph = data.value().BuildGraphPrefix(data.value().num_edges()).value();
+  auto graph = data.value().BuildGraphRange(0, data.value().num_edges());
   MinerConfig miner;
   miner.num_walks = args.GetUint("walks", 8000);
   miner.skeleton_support = 0.005;
-  auto mined = MineMetapaths(graph, miner);
+  auto mined = MineMetapaths(*graph.value(), miner);
   if (!mined.ok()) {
     std::fprintf(stderr, "%s\n", mined.status().ToString().c_str());
     return 1;
