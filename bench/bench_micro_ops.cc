@@ -10,6 +10,7 @@
 #include "core/inslearn.h"
 #include "core/model.h"
 #include "data/synthetic.h"
+#include "dur/chain_reader.h"
 #include "dur/checkpoint.h"
 #include "dur/delta_writer.h"
 #include "dur/wal.h"
@@ -17,6 +18,8 @@
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
+#include "util/crc32c.h"
+#include "util/rng.h"
 #include "util/simd.h"
 
 namespace supa {
@@ -593,62 +596,87 @@ void BM_DeltaFileWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_DeltaFileWrite);
 
-void BM_DeltaChainCompact(benchmark::State& state) {
-  // Folding `chain_len` deltas into a copy of their base — the in-memory
-  // half of what the engine's compaction does at the chain threshold.
-  auto model = TrainedModel(2000);
-  model->optimizer().set_checkpoint_tracking(true);
-  const dur::LogicalCheckpoint base = dur::GatherLogicalState(*model);
-  const size_t chain_len = static_cast<size_t>(state.range(0));
-  std::vector<dur::DeltaCapture> chain;
+/// Writes a base of `model`'s state and `chain_len` deltas of 64-edge
+/// bursts into `dir`; returns the delta paths, oldest first.
+std::vector<std::string> WriteBenchChain(SupaModel& model,
+                                         const std::string& dir,
+                                         size_t chain_len) {
+  namespace fs = std::filesystem;
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+  fs::create_directories(dir, ec);
+  model.optimizer().set_checkpoint_tracking(true);
+  (void)dur::WriteBaseFile(dir + "/base", dur::GatherLogicalState(model));
+  std::vector<std::string> files;
   for (size_t d = 0; d < chain_len; ++d) {
-    model->optimizer().ClearCheckpointDirty();
-    TrainBurst(*model, 2000 + d * 97, 64);
-    chain.push_back(dur::CaptureDirtyRows(*model).value());
+    model.optimizer().ClearCheckpointDirty();
+    TrainBurst(model, 2000 + d * 97, 64);
+    files.push_back(dir + "/d" + std::to_string(d));
+    (void)dur::WriteDeltaFile(files.back(),
+                              dur::CaptureDirtyRows(model).value());
   }
+  return files;
+}
+
+void BM_DeltaChainCompact(benchmark::State& state) {
+  // The engine's compaction: stream a base plus `chain_len` deltas from
+  // disk into a fresh base file (fsynced), through two 1 MiB buffers.
+  namespace fs = std::filesystem;
+  const std::string dir = "bench_chain_compact.tmp";
+  auto model = TrainedModel(2000);
+  const size_t chain_len = static_cast<size_t>(state.range(0));
+  const std::vector<std::string> files =
+      WriteBenchChain(*model, dir, chain_len);
   for (auto _ : state) {
-    state.PauseTiming();
-    dur::LogicalCheckpoint folded = base;
-    state.ResumeTiming();
-    for (const auto& delta : chain) {
-      benchmark::DoNotOptimize(dur::ApplyDelta(delta, &folded));
-    }
+    auto chain = dur::ChainReader::Open(dir + "/base", files);
+    benchmark::DoNotOptimize(
+        dur::WriteChainAsBase(chain.value(), dir + "/compacted"));
   }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
   state.SetItemsProcessed(state.iterations() * chain_len);
 }
 BENCHMARK(BM_DeltaChainCompact)->Arg(2)->Arg(8);
 
 void BM_DeltaChainRestore(benchmark::State& state) {
-  // Recovery's checkpoint half: read the base file plus `chain_len`
-  // delta files from disk and materialise the final logical state.
+  // Recovery's checkpoint half: open a base plus `chain_len` deltas,
+  // stream them once to check every CRC, then again into a fresh model.
   namespace fs = std::filesystem;
   const std::string dir = "bench_chain_restore.tmp";
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-  fs::create_directories(dir, ec);
   auto model = TrainedModel(2000);
-  model->optimizer().set_checkpoint_tracking(true);
-  (void)dur::WriteBaseFile(dir + "/base", dur::GatherLogicalState(*model));
   const size_t chain_len = static_cast<size_t>(state.range(0));
-  std::vector<std::string> files;
-  for (size_t d = 0; d < chain_len; ++d) {
-    model->optimizer().ClearCheckpointDirty();
-    TrainBurst(*model, 2000 + d * 97, 64);
-    files.push_back(dir + "/d" + std::to_string(d));
-    (void)dur::WriteDeltaFile(files.back(),
-                              dur::CaptureDirtyRows(*model).value());
-  }
+  const std::vector<std::string> files =
+      WriteBenchChain(*model, dir, chain_len);
+  SupaModel target(BenchData(), BenchConfig());
   for (auto _ : state) {
-    dur::LogicalCheckpoint lc = dur::ReadBaseFile(dir + "/base").value();
-    for (const std::string& f : files) {
-      (void)dur::ApplyDelta(dur::ReadDeltaFile(f).value(), &lc);
-    }
-    benchmark::DoNotOptimize(lc.params.data());
+    auto chain = dur::ChainReader::Open(dir + "/base", files);
+    (void)dur::VerifyChainFor(chain.value(), target);
+    benchmark::DoNotOptimize(dur::LoadChainInto(chain.value(), &target));
   }
+  std::error_code ec;
   fs::remove_all(dir, ec);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DeltaChainRestore)->Arg(2)->Arg(8);
+
+void BM_Crc32c(benchmark::State& state) {
+  // arg 0 = the dispatched backend (three-way SSE4.2 where available),
+  // 1 = the portable slicing-by-8 reference. 1 MiB, the chain reader's
+  // buffer size.
+  std::vector<uint8_t> buf(1u << 20);
+  Rng rng(7);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const bool portable = state.range(0) == 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(portable
+                                 ? Crc32cPortable(buf.data(), buf.size())
+                                 : Crc32c(buf.data(), buf.size()));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(buf.size()));
+  state.SetLabel(portable ? "portable" : Crc32cBackendName());
+}
+BENCHMARK(BM_Crc32c)->Arg(0)->Arg(1);
 
 void BM_InsLearnBatch(benchmark::State& state) {
   const Dataset& data = BenchData();

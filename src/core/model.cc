@@ -519,16 +519,17 @@ void SupaModel::RestoreSnapshot(const Snapshot& snapshot) {
   adam_->Restore(snapshot.adam);
 }
 
-void SupaModel::LoadLogicalState(const float* params, const float* m,
-                                 const float* v, uint64_t adam_step) {
+Status SupaModel::LoadState(
+    uint64_t adam_step,
+    const std::function<Status(float* params, float* m, float* v)>& fill) {
   DiscardBest();
   // Undeclared: every shard's next publish copies it whole.
   store::ShardWriteLease lease = graph_store_->LeaseAll();
-  bank_->ScatterLogical(params, bank_->data());
-  bank_->ScatterLogical(m, adam_->m_data());
-  bank_->ScatterLogical(v, adam_->v_data());
-  adam_->set_step_count(adam_step);
+  const Status st = fill(bank_->data(), adam_->m_data(), adam_->v_data());
   adam_->MarkAllCheckpointDirty();
+  if (!st.ok()) return st;
+  adam_->set_step_count(adam_step);
+  return Status::OK();
 }
 
 void SupaModel::TakeBest() {

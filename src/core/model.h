@@ -7,6 +7,7 @@
 #define SUPA_CORE_MODEL_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -169,13 +170,17 @@ class SupaModel {
   void TakeBest();
   Status RestoreBest();
 
-  /// Writes a validated state in the canonical logical layout (params, m
-  /// and v of embeddings().size() floats each, plus the Adam step) straight
-  /// into the bank and the optimizer. Like RestoreSnapshot it is a
-  /// whole-state write. Checkpoint loads and recovery validate everything
-  /// before calling it.
-  void LoadLogicalState(const float* params, const float* m, const float* v,
-                        uint64_t adam_step);
+  /// A whole-state write, like RestoreSnapshot: discards the open Φ_best
+  /// generation, then calls `fill` once, under one undeclared LeaseAll,
+  /// with the live params, m and v buffers (physical layout;
+  /// embeddings().ScatterLogicalRange places a range given in the logical
+  /// one). Then the Adam step is `adam_step` and the whole state is
+  /// checkpoint-dirty. A `fill` that fails part-way leaves the state
+  /// partly written and its Status is returned. Checkpoint loads and
+  /// recovery stream a validated chain through it.
+  Status LoadState(uint64_t adam_step,
+                   const std::function<Status(float* params, float* m,
+                                              float* v)>& fill);
 
   /// The model's graph: the storage engine's live read API.
   const store::GraphStore& graph() const { return *graph_store_; }

@@ -116,9 +116,14 @@ Result<Dataset> LoadDataset(const std::string& path) {
         }
         SUPA_ASSIGN_OR_RETURN(NodeTypeId type, ParseId<NodeTypeId>(parts[0]));
         SUPA_ASSIGN_OR_RETURN(uint64_t count, ParseUint(parts[1]));
-        // Node ids must stay below kInvalidNode.
-        if (count > kInvalidNode - data.node_types.size()) {
-          return Status::InvalidArgument("node runs exceed the NodeId range");
+        // The largest node universe a file may declare. It keeps the type
+        // table at 128 MiB; a model over 2^26 nodes would need more than
+        // 150 GB of params and Adam moments at d = 64 with one relation.
+        // It is also far below kInvalidNode, so node ids stay valid.
+        constexpr uint64_t kMaxNodes = uint64_t{1} << 26;
+        if (count > kMaxNodes - data.node_types.size()) {
+          return Status::InvalidArgument(
+              "node runs declare more than 2^26 nodes");
         }
         data.node_types.insert(data.node_types.end(), count, type);
       }

@@ -1,13 +1,10 @@
 #include "dur/checkpoint.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
-
 #include "core/model.h"
+#include "dur/chain_reader.h"
 #include "dur/fsio.h"
 #include "util/crc32c.h"
 
@@ -16,7 +13,7 @@ namespace {
 
 constexpr uint64_t kMagic = 0x5355504143503031ULL;     // "SUPACP01"
 constexpr uint64_t kFooterMagic = 0x5355504143524331ULL;  // "SUPACRC1"
-constexpr size_t kHeaderBytes = 7 * 8;
+constexpr size_t kHeaderBytes = BaseFileHead::kBodyOffset;
 constexpr size_t kFooterBytes = 8 + 4 + 4;
 
 struct Header {
@@ -36,43 +33,6 @@ struct Footer {
   uint32_t body_crc = 0;
 };
 static_assert(sizeof(Footer) == kFooterBytes);
-
-Status Errno(const char* op, const std::string& path) {
-  return Status::IOError(std::string(op) + " " + path + ": " +
-                         std::strerror(errno));
-}
-
-Status WriteAll(int fd, const void* data, size_t size,
-                const std::string& path) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, p + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status ReadAll(int fd, void* data, size_t size, const std::string& path) {
-  uint8_t* p = static_cast<uint8_t*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, p + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("read", path);
-    }
-    if (n == 0) {
-      return Status::IOError("checkpoint truncated mid-read: " + path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -114,66 +74,14 @@ Status ValidateMetaAgainstModel(const CheckpointMeta& meta,
   return Status::OK();
 }
 
-Status WriteBaseFile(const std::string& path, const LogicalCheckpoint& lc) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open", path);
-
-  Header header;
-  header.num_nodes = lc.meta.num_nodes;
-  header.num_relations = lc.meta.num_relations;
-  header.num_node_types = lc.meta.num_node_types;
-  header.dim = lc.meta.dim;
-  header.param_count = lc.meta.param_count;
-  header.adam_step = lc.meta.adam_step;
-
-  Footer footer;
-  footer.header_crc = Crc32c(&header, sizeof(header));
-  uint32_t body_crc = 0;
-  body_crc = Crc32c(lc.params.data(), lc.params.size() * sizeof(float),
-                    body_crc);
-  body_crc = Crc32c(lc.m.data(), lc.m.size() * sizeof(float), body_crc);
-  body_crc = Crc32c(lc.v.data(), lc.v.size() * sizeof(float), body_crc);
-  footer.body_crc = body_crc;
-
-  Status st = WriteAll(fd, &header, sizeof(header), path);
-  if (st.ok()) {
-    st = WriteAll(fd, lc.params.data(), lc.params.size() * sizeof(float),
-                  path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, lc.m.data(), lc.m.size() * sizeof(float), path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, lc.v.data(), lc.v.size() * sizeof(float), path);
-  }
-  if (st.ok()) st = WriteAll(fd, &footer, sizeof(footer), path);
-  if (st.ok() && ::fsync(fd) != 0) st = Errno("fsync", path);
-  ::close(fd);
-  if (!st.ok()) ::unlink(path.c_str());
-  return st;
-}
-
-Result<LogicalCheckpoint> ReadBaseFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no such checkpoint: " + path);
-    return Errno("open", path);
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
-  struct stat stt;
-  if (::fstat(fd, &stt) != 0) return Errno("fstat", path);
-  const uint64_t file_size = static_cast<uint64_t>(stt.st_size);
+Result<BaseFileHead> ReadBaseFileHead(int fd, uint64_t file_size,
+                                      const std::string& path) {
   if (file_size < kHeaderBytes) {
     return Status::IOError("checkpoint smaller than its header (" +
                            std::to_string(file_size) + " bytes): " + path);
   }
-
   Header header;
-  SUPA_RETURN_NOT_OK(ReadAll(fd, &header, sizeof(header), path));
+  SUPA_RETURN_NOT_OK(ReadAt(fd, &header, sizeof(header), 0, path));
   if (header.magic != kMagic) {
     return Status::InvalidArgument(path + " is not a SUPA checkpoint");
   }
@@ -192,39 +100,103 @@ Result<LogicalCheckpoint> ReadBaseFile(const std::string& path) {
                            " bytes, header implies " +
                            std::to_string(want_size) + ": " + path);
   }
-
-  LogicalCheckpoint lc;
-  lc.meta.num_nodes = header.num_nodes;
-  lc.meta.num_relations = header.num_relations;
-  lc.meta.num_node_types = header.num_node_types;
-  lc.meta.dim = header.dim;
-  lc.meta.param_count = header.param_count;
-  lc.meta.adam_step = header.adam_step;
-
-  lc.params.resize(header.param_count);
-  lc.m.resize(header.param_count);
-  lc.v.resize(header.param_count);
-  SUPA_RETURN_NOT_OK(
-      ReadAll(fd, lc.params.data(), lc.params.size() * sizeof(float), path));
-  SUPA_RETURN_NOT_OK(
-      ReadAll(fd, lc.m.data(), lc.m.size() * sizeof(float), path));
-  SUPA_RETURN_NOT_OK(
-      ReadAll(fd, lc.v.data(), lc.v.size() * sizeof(float), path));
-
   Footer footer;
-  SUPA_RETURN_NOT_OK(ReadAll(fd, &footer, sizeof(footer), path));
+  SUPA_RETURN_NOT_OK(
+      ReadAt(fd, &footer, sizeof(footer), file_size - kFooterBytes, path));
   if (footer.magic != kFooterMagic) {
     return Status::IOError("bad checkpoint footer magic: " + path);
   }
   if (footer.header_crc != Crc32c(&header, sizeof(header))) {
     return Status::IOError("checkpoint header CRC mismatch: " + path);
   }
+
+  BaseFileHead head;
+  head.meta.num_nodes = header.num_nodes;
+  head.meta.num_relations = header.num_relations;
+  head.meta.num_node_types = header.num_node_types;
+  head.meta.dim = header.dim;
+  head.meta.param_count = header.param_count;
+  head.meta.adam_step = header.adam_step;
+  head.body_crc = footer.body_crc;
+  return head;
+}
+
+Result<BaseFileWriter> BaseFileWriter::Create(const std::string& path,
+                                              const CheckpointMeta& meta) {
+  BaseFileWriter writer;
+  writer.path_ = path;
+  writer.fd_ = ScopedFd(::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+  if (writer.fd_.get() < 0) return ErrnoStatus("open", path);
+  writer.remaining_ = 3 * meta.param_count;
+
+  Header header;
+  header.num_nodes = meta.num_nodes;
+  header.num_relations = meta.num_relations;
+  header.num_node_types = meta.num_node_types;
+  header.dim = meta.dim;
+  header.param_count = meta.param_count;
+  header.adam_step = meta.adam_step;
+  writer.header_crc_ = Crc32c(&header, sizeof(header));
+  SUPA_RETURN_NOT_OK(WriteAll(writer.fd_.get(), &header, sizeof(header), path));
+  return writer;
+}
+
+BaseFileWriter::~BaseFileWriter() {
+  if (fd_.get() < 0) return;
+  fd_.Close();
+  ::unlink(path_.c_str());
+}
+
+Status BaseFileWriter::Append(const float* data, size_t n) {
+  if (n > remaining_) {
+    return Status::Internal("base file body overrun: " + path_);
+  }
+  remaining_ -= n;
+  body_crc_ = Crc32c(data, n * sizeof(float), body_crc_);
+  return WriteAll(fd_.get(), data, n * sizeof(float), path_);
+}
+
+Status BaseFileWriter::Finish() {
+  if (remaining_ != 0) {
+    return Status::Internal("base file body is " + std::to_string(remaining_) +
+                            " floats short: " + path_);
+  }
+  Footer footer;
+  footer.header_crc = header_crc_;
+  footer.body_crc = body_crc_;
+  SUPA_RETURN_NOT_OK(WriteAll(fd_.get(), &footer, sizeof(footer), path_));
+  if (::fsync(fd_.get()) != 0) return ErrnoStatus("fsync", path_);
+  fd_.Close();  // the file is complete: the destructor keeps it
+  return Status::OK();
+}
+
+Status WriteBaseFile(const std::string& path, const LogicalCheckpoint& lc) {
+  SUPA_ASSIGN_OR_RETURN(BaseFileWriter writer,
+                        BaseFileWriter::Create(path, lc.meta));
+  for (const std::vector<float>* region : {&lc.params, &lc.m, &lc.v}) {
+    SUPA_RETURN_NOT_OK(writer.Append(region->data(), region->size()));
+  }
+  return writer.Finish();
+}
+
+Result<LogicalCheckpoint> ReadBaseFile(const std::string& path) {
+  uint64_t file_size = 0;
+  SUPA_ASSIGN_OR_RETURN(const ScopedFd fd, OpenForRead(path, &file_size));
+  SUPA_ASSIGN_OR_RETURN(const BaseFileHead head,
+                        ReadBaseFileHead(fd.get(), file_size, path));
+
+  LogicalCheckpoint lc;
+  lc.meta = head.meta;
+  uint64_t at = kHeaderBytes;
   uint32_t body_crc = 0;
-  body_crc =
-      Crc32c(lc.params.data(), lc.params.size() * sizeof(float), body_crc);
-  body_crc = Crc32c(lc.m.data(), lc.m.size() * sizeof(float), body_crc);
-  body_crc = Crc32c(lc.v.data(), lc.v.size() * sizeof(float), body_crc);
-  if (footer.body_crc != body_crc) {
+  for (std::vector<float>* region : {&lc.params, &lc.m, &lc.v}) {
+    region->resize(head.meta.param_count);
+    const size_t bytes = region->size() * sizeof(float);
+    SUPA_RETURN_NOT_OK(ReadAt(fd.get(), region->data(), bytes, at, path));
+    body_crc = Crc32c(region->data(), bytes, body_crc);
+    at += bytes;
+  }
+  if (body_crc != head.body_crc) {
     return Status::IOError("checkpoint body CRC mismatch: " + path);
   }
   return lc;
@@ -239,16 +211,9 @@ Status SaveCheckpoint(const SupaModel& model, const std::string& path) {
 }
 
 Status LoadCheckpoint(const std::string& path, SupaModel* model) {
-  // ReadBaseFile performs every validation (magic, size, CRCs) before we
-  // touch the model; ValidateMetaAgainstModel completes the checks. Only
-  // then is the state scattered into the model, so a bad file can never
-  // partially mutate it.
-  SUPA_ASSIGN_OR_RETURN(const dur::LogicalCheckpoint lc,
-                        dur::ReadBaseFile(path));
-  SUPA_RETURN_NOT_OK(dur::ValidateMetaAgainstModel(lc.meta, *model));
-  model->LoadLogicalState(lc.params.data(), lc.m.data(), lc.v.data(),
-                          lc.meta.adam_step);
-  return Status::OK();
+  SUPA_ASSIGN_OR_RETURN(dur::ChainReader chain, dur::ChainReader::Open(path, {}));
+  SUPA_RETURN_NOT_OK(dur::VerifyChainFor(chain, *model));
+  return dur::LoadChainInto(chain, model);
 }
 
 }  // namespace supa

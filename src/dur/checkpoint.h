@@ -11,12 +11,11 @@
 //   footer   16 bytes: u64 magic "SUPACRC1" | u32 header crc32c |
 //            u32 body crc32c
 //
-// The footer is new in the durability engine; files written before it
-// (bare header + body) still load, with size validation but no CRC check.
-// LoadCheckpoint validates everything — magic, version, size arithmetic,
-// CRCs, layout-vs-model — before mutating the model, so a truncated or
-// bit-flipped file fails cleanly with a descriptive Status and leaves the
-// model untouched.
+// Every file must carry the footer: one without it is rejected, and every
+// load checks both CRCs. LoadCheckpoint validates everything — magic, size
+// arithmetic, CRCs, layout-vs-model — in a first streamed pass before it
+// mutates the model, so a truncated or bit-flipped file fails cleanly with
+// a descriptive Status and leaves the model untouched (DESIGN.md §16.4).
 
 #ifndef SUPA_DUR_CHECKPOINT_H_
 #define SUPA_DUR_CHECKPOINT_H_
@@ -25,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "dur/fsio.h"
 #include "util/status.h"
 
 namespace supa {
@@ -59,9 +59,47 @@ LogicalCheckpoint GatherLogicalState(const SupaModel& model);
 Status ValidateMetaAgainstModel(const CheckpointMeta& meta,
                                 const SupaModel& model);
 
-/// Writes a SUPACP01 file (with CRC footer) atomically-enough for the
-/// engine's needs: plain write; callers needing atomicity write to a tmp
-/// name first. fsyncs before returning.
+/// A SUPACP01 file's header and footer, checked: magic, size arithmetic,
+/// footer magic and header CRC. The body is not read; its offset is
+/// kBodyOffset and `body_crc` is what it must hash to.
+struct BaseFileHead {
+  static constexpr uint64_t kBodyOffset = 56;
+  CheckpointMeta meta;
+  uint32_t body_crc = 0;
+};
+
+/// Parses and checks the head of the open SUPACP01 file `fd` of
+/// `file_size` bytes. The one parser of the format's header and footer.
+Result<BaseFileHead> ReadBaseFileHead(int fd, uint64_t file_size,
+                                      const std::string& path);
+
+/// Writes a SUPACP01 file front to back without holding its body: Create
+/// writes the header, Append takes the body in file order (params, m, v:
+/// 3 × param_count floats) and hashes it on the way, and Finish writes the
+/// CRC footer and fsyncs. Plain writes; callers needing atomicity write to
+/// a tmp name first. A writer destroyed before Finish succeeds removes
+/// its file.
+class BaseFileWriter {
+ public:
+  static Result<BaseFileWriter> Create(const std::string& path,
+                                       const CheckpointMeta& meta);
+  BaseFileWriter(BaseFileWriter&&) noexcept = default;
+  ~BaseFileWriter();
+
+  Status Append(const float* data, size_t n);
+  Status Finish();
+
+ private:
+  BaseFileWriter() = default;
+
+  std::string path_;
+  ScopedFd fd_;
+  uint64_t remaining_ = 0;  // body floats still expected
+  uint32_t header_crc_ = 0;
+  uint32_t body_crc_ = 0;
+};
+
+/// Writes `lc` as a SUPACP01 file through BaseFileWriter.
 Status WriteBaseFile(const std::string& path, const LogicalCheckpoint& lc);
 
 /// Reads and fully validates a SUPACP01 file: its size, magic and both
@@ -78,10 +116,13 @@ namespace supa {
 Status SaveCheckpoint(const SupaModel& model, const std::string& path);
 
 /// Restores parameters and optimizer state into `model`, which must have
-/// been constructed with a matching dataset + dim. All validation happens
-/// before any model mutation. The model's graph is not part of the
-/// checkpoint — the durability WAL (dur/recovery.h) or the original
-/// dataset rebuilds it.
+/// been constructed with a matching dataset + dim. It streams the file
+/// twice through dur::ChainReader: a first pass checks every byte and the
+/// layout before any model mutation, a second scatters it into the model.
+/// Only a file that changes between the passes fails after the model was
+/// written (an IOError). The model's graph is not part of the checkpoint
+/// — the durability WAL (dur/recovery.h) or the original dataset rebuilds
+/// it.
 Status LoadCheckpoint(const std::string& path, SupaModel* model);
 
 }  // namespace supa

@@ -1,16 +1,15 @@
 #include "dur/delta_writer.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstring>
-#include <numeric>
+#include <utility>
 
 #include "core/model.h"
 #include "dur/checkpoint.h"
+#include "dur/fsio.h"
 #include "util/crc32c.h"
 
 namespace supa::dur {
@@ -35,41 +34,6 @@ struct Footer {
   uint32_t body_crc = 0;
 };
 static_assert(sizeof(Footer) == 16);
-
-Status Errno(const char* op, const std::string& path) {
-  return Status::IOError(std::string(op) + " " + path + ": " +
-                         std::strerror(errno));
-}
-
-Status WriteAll(int fd, const void* data, size_t size,
-                const std::string& path) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, p + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("write", path);
-    }
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
-
-Status ReadAll(int fd, void* data, size_t size, const std::string& path) {
-  uint8_t* p = static_cast<uint8_t*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::read(fd, p + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Errno("read", path);
-    }
-    if (n == 0) return Status::IOError("delta truncated mid-read: " + path);
-    done += static_cast<size_t>(n);
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -124,80 +88,60 @@ Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model) {
 }
 
 Status WriteDeltaFile(const std::string& path, const DeltaCapture& delta) {
-  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open", path);
-
   DeltaHeader header;
   header.num_rows = delta.num_rows();
   header.num_floats = delta.num_floats();
   header.adam_step = delta.adam_step;
   header.param_count = delta.param_count;
 
+  struct Span {
+    const void* data;
+    size_t bytes;
+  };
+  const Span body[] = {
+      {delta.offsets.data(), delta.offsets.size() * sizeof(uint64_t)},
+      {delta.lens.data(), delta.lens.size() * sizeof(uint32_t)},
+      {delta.params.data(), delta.params.size() * sizeof(float)},
+      {delta.m.data(), delta.m.size() * sizeof(float)},
+      {delta.v.data(), delta.v.size() * sizeof(float)},
+  };
   Footer footer;
   footer.header_crc = Crc32c(&header, sizeof(header));
-  uint32_t crc = 0;
-  crc = Crc32c(delta.offsets.data(), delta.offsets.size() * sizeof(uint64_t),
-               crc);
-  crc = Crc32c(delta.lens.data(), delta.lens.size() * sizeof(uint32_t), crc);
-  crc = Crc32c(delta.params.data(), delta.params.size() * sizeof(float), crc);
-  crc = Crc32c(delta.m.data(), delta.m.size() * sizeof(float), crc);
-  crc = Crc32c(delta.v.data(), delta.v.size() * sizeof(float), crc);
-  footer.body_crc = crc;
+  for (const Span& span : body) {
+    footer.body_crc = Crc32c(span.data, span.bytes, footer.body_crc);
+  }
 
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoStatus("open", path);
   Status st = WriteAll(fd, &header, sizeof(header), path);
-  if (st.ok()) {
-    st = WriteAll(fd, delta.offsets.data(),
-                  delta.offsets.size() * sizeof(uint64_t), path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, delta.lens.data(), delta.lens.size() * sizeof(uint32_t),
-                  path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, delta.params.data(), delta.params.size() * sizeof(float),
-                  path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, delta.m.data(), delta.m.size() * sizeof(float), path);
-  }
-  if (st.ok()) {
-    st = WriteAll(fd, delta.v.data(), delta.v.size() * sizeof(float), path);
+  for (const Span& span : body) {
+    if (st.ok()) st = WriteAll(fd, span.data, span.bytes, path);
   }
   if (st.ok()) st = WriteAll(fd, &footer, sizeof(footer), path);
-  if (st.ok() && ::fsync(fd) != 0) st = Errno("fsync", path);
+  if (st.ok() && ::fsync(fd) != 0) st = ErrnoStatus("fsync", path);
   ::close(fd);
   if (!st.ok()) ::unlink(path.c_str());
   return st;
 }
 
-Result<DeltaCapture> ReadDeltaFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no such delta: " + path);
-    return Errno("open", path);
-  }
-  struct FdCloser {
-    int fd;
-    ~FdCloser() { ::close(fd); }
-  } closer{fd};
-
-  struct stat stt;
-  if (::fstat(fd, &stt) != 0) return Errno("fstat", path);
-  const uint64_t file_size = static_cast<uint64_t>(stt.st_size);
+Result<DeltaFileHead> ReadDeltaFileHead(int fd, uint64_t file_size,
+                                        const std::string& path) {
   if (file_size < sizeof(DeltaHeader)) {
     return Status::IOError("delta smaller than its header: " + path);
   }
-
   DeltaHeader header;
-  SUPA_RETURN_NOT_OK(ReadAll(fd, &header, sizeof(header), path));
+  SUPA_RETURN_NOT_OK(ReadAt(fd, &header, sizeof(header), 0, path));
   if (header.magic != kDeltaMagic) {
     return Status::InvalidArgument(path + " is not a SUPA delta checkpoint");
   }
   constexpr uint64_t kMaxFloats = uint64_t{1} << 40;
-  if (header.num_floats > kMaxFloats || header.num_rows > header.num_floats) {
+  if (header.num_floats > kMaxFloats || header.num_rows > header.num_floats ||
+      header.param_count > kMaxFloats) {
     return Status::IOError("implausible delta row counts: " + path);
   }
-  const uint64_t expect = sizeof(DeltaHeader) + header.num_rows * 12 +
+  const uint64_t table_bytes =
+      header.num_rows * (sizeof(uint64_t) + sizeof(uint32_t));
+  const uint64_t expect = sizeof(DeltaHeader) + table_bytes +
                           3 * header.num_floats * sizeof(float) +
                           sizeof(Footer);
   if (file_size != expect) {
@@ -205,49 +149,79 @@ Result<DeltaCapture> ReadDeltaFile(const std::string& path) {
         "delta size mismatch: " + std::to_string(file_size) +
         " bytes, header implies " + std::to_string(expect) + ": " + path);
   }
-
-  DeltaCapture delta;
-  delta.adam_step = header.adam_step;
-  delta.param_count = header.param_count;
-  delta.offsets.resize(header.num_rows);
-  delta.lens.resize(header.num_rows);
-  delta.params.resize(header.num_floats);
-  delta.m.resize(header.num_floats);
-  delta.v.resize(header.num_floats);
-  SUPA_RETURN_NOT_OK(ReadAll(fd, delta.offsets.data(),
-                             delta.offsets.size() * sizeof(uint64_t), path));
-  SUPA_RETURN_NOT_OK(ReadAll(fd, delta.lens.data(),
-                             delta.lens.size() * sizeof(uint32_t), path));
-  SUPA_RETURN_NOT_OK(ReadAll(fd, delta.params.data(),
-                             delta.params.size() * sizeof(float), path));
-  SUPA_RETURN_NOT_OK(
-      ReadAll(fd, delta.m.data(), delta.m.size() * sizeof(float), path));
-  SUPA_RETURN_NOT_OK(
-      ReadAll(fd, delta.v.data(), delta.v.size() * sizeof(float), path));
-
   Footer footer;
-  SUPA_RETURN_NOT_OK(ReadAll(fd, &footer, sizeof(footer), path));
+  SUPA_RETURN_NOT_OK(
+      ReadAt(fd, &footer, sizeof(footer), file_size - sizeof(Footer), path));
   if (footer.magic != kFooterMagic) {
     return Status::IOError("bad delta footer magic: " + path);
   }
   if (footer.header_crc != Crc32c(&header, sizeof(header))) {
     return Status::IOError("delta header CRC mismatch: " + path);
   }
-  uint32_t crc = 0;
-  crc = Crc32c(delta.offsets.data(), delta.offsets.size() * sizeof(uint64_t),
-               crc);
-  crc = Crc32c(delta.lens.data(), delta.lens.size() * sizeof(uint32_t), crc);
-  crc = Crc32c(delta.params.data(), delta.params.size() * sizeof(float), crc);
-  crc = Crc32c(delta.m.data(), delta.m.size() * sizeof(float), crc);
-  crc = Crc32c(delta.v.data(), delta.v.size() * sizeof(float), crc);
-  if (footer.body_crc != crc) {
-    return Status::IOError("delta body CRC mismatch: " + path);
+
+  DeltaFileHead head;
+  head.adam_step = header.adam_step;
+  head.param_count = header.param_count;
+  head.num_floats = header.num_floats;
+  head.body_crc = footer.body_crc;
+  head.data_offset = sizeof(DeltaHeader) + table_bytes;
+  head.offsets.resize(header.num_rows);
+  head.lens.resize(header.num_rows);
+  const size_t offsets_bytes = head.offsets.size() * sizeof(uint64_t);
+  const size_t lens_bytes = head.lens.size() * sizeof(uint32_t);
+  SUPA_RETURN_NOT_OK(ReadAt(fd, head.offsets.data(), offsets_bytes,
+                            sizeof(DeltaHeader), path));
+  SUPA_RETURN_NOT_OK(ReadAt(fd, head.lens.data(), lens_bytes,
+                            sizeof(DeltaHeader) + offsets_bytes, path));
+  head.table_crc = Crc32c(head.offsets.data(), offsets_bytes);
+  head.table_crc = Crc32c(head.lens.data(), lens_bytes, head.table_crc);
+
+  // Rows must be ascending, disjoint and inside the state, and their
+  // lengths must add up to the floats the file carries.
+  uint64_t prev_end = 0;
+  uint64_t total = 0;
+  for (size_t i = 0; i < head.offsets.size(); ++i) {
+    const uint64_t off = head.offsets[i];
+    const uint64_t len = head.lens[i];
+    if ((i > 0 && off <= head.offsets[i - 1]) || off < prev_end) {
+      return Status::IOError("delta rows are not ascending and disjoint: " +
+                             path);
+    }
+    if (off > header.param_count || len > header.param_count - off) {
+      return Status::IOError("delta row out of range: " + path);
+    }
+    prev_end = off + len;
+    total += len;
   }
-  const uint64_t total =
-      std::accumulate(delta.lens.begin(), delta.lens.end(), uint64_t{0});
   if (total != header.num_floats) {
     return Status::IOError("delta row lengths do not sum to num_floats: " +
                            path);
+  }
+  return head;
+}
+
+Result<DeltaCapture> ReadDeltaFile(const std::string& path) {
+  uint64_t file_size = 0;
+  SUPA_ASSIGN_OR_RETURN(const ScopedFd fd, OpenForRead(path, &file_size));
+  SUPA_ASSIGN_OR_RETURN(DeltaFileHead head,
+                        ReadDeltaFileHead(fd.get(), file_size, path));
+
+  DeltaCapture delta;
+  delta.adam_step = head.adam_step;
+  delta.param_count = head.param_count;
+  delta.offsets = std::move(head.offsets);
+  delta.lens = std::move(head.lens);
+  uint64_t at = head.data_offset;
+  uint32_t crc = head.table_crc;
+  for (std::vector<float>* region : {&delta.params, &delta.m, &delta.v}) {
+    region->resize(head.num_floats);
+    const size_t bytes = region->size() * sizeof(float);
+    SUPA_RETURN_NOT_OK(ReadAt(fd.get(), region->data(), bytes, at, path));
+    crc = Crc32c(region->data(), bytes, crc);
+    at += bytes;
+  }
+  if (crc != head.body_crc) {
+    return Status::IOError("delta body CRC mismatch: " + path);
   }
   return delta;
 }

@@ -52,13 +52,37 @@ struct DeltaCapture {
 /// FailedPrecondition when the dirty set overflowed (take a base instead).
 Result<DeltaCapture> CaptureDirtyRows(const SupaModel& model);
 
+/// A SUPADL01 file's header, footer and row tables, checked: magic, size
+/// arithmetic, footer magic, header CRC, and rows that are ascending,
+/// disjoint, inside param_count and sum to num_floats. The row data is
+/// not read: params start at `data_offset`, then m and v, num_floats
+/// each. The body CRC covers the tables and then the data, so hashing
+/// the data onto `table_crc` must give `body_crc`.
+struct DeltaFileHead {
+  uint64_t adam_step = 0;
+  uint64_t param_count = 0;
+  uint64_t num_floats = 0;
+  std::vector<uint64_t> offsets;
+  std::vector<uint32_t> lens;
+  uint64_t data_offset = 0;
+  uint32_t table_crc = 0;
+  uint32_t body_crc = 0;
+};
+
+/// Parses and checks the head of the open SUPADL01 file `fd` of
+/// `file_size` bytes. The one parser of the format's header, footer and
+/// tables.
+Result<DeltaFileHead> ReadDeltaFileHead(int fd, uint64_t file_size,
+                                        const std::string& path);
+
 /// Writes / reads a SUPADL01 file (fsynced; fully validated on read).
 Status WriteDeltaFile(const std::string& path, const DeltaCapture& delta);
 Result<DeltaCapture> ReadDeltaFile(const std::string& path);
 
-/// Patches `lc` (a materialised base) with the delta's rows and advances
-/// its adam_step. InvalidArgument on param_count mismatch or out-of-range
-/// rows.
+/// Patches `lc`, a base read into memory, with the delta's rows and
+/// advances its adam_step. InvalidArgument on param_count mismatch or
+/// out-of-range rows. Recovery and compaction stream the chain through
+/// dur::ChainReader instead; this is the in-memory reference.
 Status ApplyDelta(const DeltaCapture& delta, LogicalCheckpoint* lc);
 
 }  // namespace supa::dur

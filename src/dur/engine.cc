@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/model.h"
+#include "dur/chain_reader.h"
 #include "dur/fsio.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -325,8 +326,10 @@ Status DurabilityEngine::WriteLink(PendingLink link) {
 }
 
 // Folds the whole chain into one fresh base (byte-identical to saving the
-// newest link's state directly — pinned by dur_checkpoint_test). Runs on
-// the writer thread, which alone changes manifest_, next_link_id_ and
+// newest link's state directly — pinned by dur_checkpoint_test) by
+// streaming it through a ChainReader straight into the new file, so the
+// merge holds two 1 MiB buffers, not a merged state. Runs on the writer
+// thread, which alone changes manifest_, next_link_id_ and
 // deltas_since_base_, so it reads them without mu_; it takes mu_ only to
 // allocate the file id and to swap in the compacted manifest. A cut that
 // lands during the merge enqueues without waiting; Flush still waits,
@@ -335,27 +338,9 @@ Status DurabilityEngine::Compact() {
   auto& reg = obs::MetricsRegistry::Global();
   if (manifest_.links.empty()) return Status::OK();
 
-  // Materialise the newest link's state from the last base forward.
-  size_t base_idx = manifest_.links.size();
-  for (size_t i = manifest_.links.size(); i-- > 0;) {
-    if (manifest_.links[i].kind == ManifestLink::Kind::kBase) {
-      base_idx = i;
-      break;
-    }
-  }
-  if (base_idx == manifest_.links.size()) {
-    return Status::Internal("manifest chain has no base link");
-  }
   SUPA_ASSIGN_OR_RETURN(
-      LogicalCheckpoint merged,
-      ReadBaseFile(options_.dir + "/" + manifest_.links[base_idx].file));
-  for (size_t i = base_idx + 1; i < manifest_.links.size(); ++i) {
-    SUPA_ASSIGN_OR_RETURN(
-        const DeltaCapture delta,
-        ReadDeltaFile(options_.dir + "/" + manifest_.links[i].file));
-    SUPA_RETURN_NOT_OK(ApplyDelta(delta, &merged));
-  }
-
+      ChainReader chain,
+      OpenLinkChain(options_.dir, manifest_, manifest_.links.size() - 1));
   const ManifestLink& newest = manifest_.links.back();
   uint64_t id = 0;
   {
@@ -363,7 +348,7 @@ Status DurabilityEngine::Compact() {
     id = next_link_id_++;
   }
   const std::string file = LinkFileName(id, ManifestLink::Kind::kBase);
-  SUPA_RETURN_NOT_OK(WriteBaseFile(options_.dir + "/" + file, merged));
+  SUPA_RETURN_NOT_OK(WriteChainAsBase(chain, options_.dir + "/" + file));
   SUPA_RETURN_NOT_OK(SyncDir(options_.dir));
 
   ManifestLink compacted;

@@ -11,14 +11,14 @@
 // after an untracked whole-buffer mutation) or an O(dirty) delta on the
 // training thread, then hands the serialisation + manifest append to a
 // background writer thread so training resumes immediately. When the
-// delta chain exceeds `compact_threshold`, the writer folds base + deltas
-// into a fresh base file (byte-identical to a directly saved checkpoint)
-// and drops the old files.
+// delta chain exceeds `compact_threshold`, the writer streams base +
+// deltas through a dur::ChainReader into a fresh base file (byte-identical
+// to a directly saved checkpoint) and drops the old files.
 //
 // Crash safety: a link is published by the atomic MANIFEST rewrite only
 // after its checkpoint file is fsynced, and its wal_seq is only assigned
 // after the WAL covering it is synced. A crash at any instant therefore
-// leaves a manifest whose every link is materialisable, plus a WAL that
+// leaves a manifest whose every link is loadable, plus a WAL that
 // extends at least to the newest link — exactly what dur::Recover needs.
 
 #ifndef SUPA_DUR_ENGINE_H_

@@ -10,14 +10,59 @@
 #include <system_error>
 
 namespace supa::dur {
-namespace {
+void ScopedFd::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+}
 
-Status Errno(const char* op, const std::string& path) {
+Status ErrnoStatus(const char* op, const std::string& path) {
   return Status::IOError(std::string(op) + " " + path + ": " +
                          std::strerror(errno));
 }
 
-}  // namespace
+Result<ScopedFd> OpenForRead(const std::string& path, uint64_t* size) {
+  ScopedFd fd(::open(path.c_str(), O_RDONLY));
+  if (fd.get() < 0) {
+    if (errno == ENOENT) return Status::NotFound("no such file: " + path);
+    return ErrnoStatus("open", path);
+  }
+  struct stat st;
+  if (::fstat(fd.get(), &st) != 0) return ErrnoStatus("fstat", path);
+  *size = static_cast<uint64_t>(st.st_size);
+  return fd;
+}
+
+Status ReadAt(int fd, void* dst, size_t size, uint64_t offset,
+              const std::string& path) {
+  uint8_t* p = static_cast<uint8_t*>(dst);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, p + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("read", path);
+    }
+    if (n == 0) return Status::IOError("file truncated mid-read: " + path);
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+Status WriteAll(int fd, const void* data, size_t size,
+                const std::string& path) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::write(fd, p + done, size - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write", path);
+    }
+    done += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
 
 Status EnsureDir(const std::string& dir) {
   std::error_code ec;
@@ -30,41 +75,29 @@ Status EnsureDir(const std::string& dir) {
 
 Status SyncDir(const std::string& dir) {
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return Errno("open(dir)", dir);
+  if (fd < 0) return ErrnoStatus("open(dir)", dir);
   Status st = Status::OK();
-  if (::fsync(fd) != 0) st = Errno("fsync(dir)", dir);
+  if (::fsync(fd) != 0) st = ErrnoStatus("fsync(dir)", dir);
   ::close(fd);
   return st;
 }
 
 Status ReadFileBytes(const std::string& path, std::vector<uint8_t>* out) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return Status::NotFound("no such file: " + path);
-    return Errno("open", path);
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0) {
-    const Status s = Errno("fstat", path);
-    ::close(fd);
-    return s;
-  }
-  out->resize(static_cast<size_t>(st.st_size));
+  uint64_t size = 0;
+  SUPA_ASSIGN_OR_RETURN(const ScopedFd fd, OpenForRead(path, &size));
+  out->resize(static_cast<size_t>(size));
   size_t done = 0;
   while (done < out->size()) {
     const ssize_t n =
-        ::read(fd, out->data() + done, out->size() - done);
+        ::read(fd.get(), out->data() + done, out->size() - done);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const Status s = Errno("read", path);
-      ::close(fd);
-      return s;
+      return ErrnoStatus("read", path);
     }
     if (n == 0) break;  // shrank under us; keep what we got
     done += static_cast<size_t>(n);
   }
   out->resize(done);
-  ::close(fd);
   return Status::OK();
 }
 
@@ -72,29 +105,16 @@ Status WriteFileAtomic(const std::string& path, const void* data,
                        size_t size) {
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return Errno("open", tmp);
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, p + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const Status s = Errno("write", tmp);
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return s;
-    }
-    done += static_cast<size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const Status s = Errno("fsync", tmp);
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return s;
-  }
+  if (fd < 0) return ErrnoStatus("open", tmp);
+  Status st = WriteAll(fd, data, size, tmp);
+  if (st.ok() && ::fsync(fd) != 0) st = ErrnoStatus("fsync", tmp);
   ::close(fd);
+  if (!st.ok()) {
+    ::unlink(tmp.c_str());
+    return st;
+  }
   if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    const Status s = Errno("rename", tmp);
+    const Status s = ErrnoStatus("rename", tmp);
     ::unlink(tmp.c_str());
     return s;
   }
@@ -105,7 +125,7 @@ Status WriteFileAtomic(const std::string& path, const void* data,
 
 Status RemoveFileIfExists(const std::string& path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
-    return Errno("unlink", path);
+    return ErrnoStatus("unlink", path);
   }
   return Status::OK();
 }

@@ -5,8 +5,8 @@
 // delta (dirty rows only) checkpoint file, the Adam step it captures,
 // the WAL sequence number it is consistent with, and the trainer cursor
 // needed to resume from it. Recovery picks the newest link whose wal_seq
-// is covered by the valid WAL prefix, materialises base + deltas up to
-// it, then replays the WAL.
+// is covered by the valid WAL prefix, streams base + deltas up to it into
+// the model (dur/chain_reader.h), then replays the WAL.
 //
 // The file (`MANIFEST`) is line-oriented text, rewritten atomically
 // (tmp + rename + dir-fsync) on every change, so no record-level CRC is

@@ -57,6 +57,19 @@ size_t EmbeddingLayout::PhysicalToLogical(size_t offset) const {
          local % dim_;
 }
 
+size_t EmbeddingLayout::LogicalToPhysical(size_t offset) const {
+  if (offset >= alpha_off_) return offset;
+  const size_t n = map_raw_->num_nodes();
+  const size_t row = offset / dim_;
+  const size_t col = offset % dim_;
+  if (row < n) return LongMemOffset(static_cast<NodeId>(row)) + col;
+  if (row < 2 * n) return ShortMemOffset(static_cast<NodeId>(row - n)) + col;
+  const size_t ctx = row - 2 * n;
+  return ContextOffset(static_cast<NodeId>(ctx / num_relations_),
+                       static_cast<EdgeTypeId>(ctx % num_relations_)) +
+         col;
+}
+
 EmbeddingBank::EmbeddingBank(std::shared_ptr<const EmbeddingLayout> layout,
                              double init_scale, Rng& rng)
     : layout_(std::move(layout)), L_(layout_.get()) {
@@ -80,41 +93,41 @@ EmbeddingBank::EmbeddingBank(std::shared_ptr<const EmbeddingLayout> layout,
   }
 }
 
-namespace {
-
-/// Copies every row between physical and logical positions; `to_logical`
-/// picks the direction. The α tail occupies the same trailing offsets in
-/// both layouts.
-void Permute(const EmbeddingLayout& L, const float* src, float* dst,
-             bool to_logical) {
-  const size_t d = static_cast<size_t>(L.dim());
-  const size_t row_bytes = d * sizeof(float);
-  auto move_row = [&](size_t physical, size_t logical) {
-    if (to_logical) {
-      std::memcpy(dst + logical, src + physical, row_bytes);
-    } else {
-      std::memcpy(dst + physical, src + logical, row_bytes);
-    }
-  };
-  for (NodeId v = 0; v < L.num_nodes(); ++v) {
-    move_row(L.LongMemOffset(v), L.LogicalLongMemOffset(v));
-    move_row(L.ShortMemOffset(v), L.LogicalShortMemOffset(v));
-    for (EdgeTypeId r = 0; r < L.num_relations(); ++r) {
-      move_row(L.ContextOffset(v, r), L.LogicalContextOffset(v, r));
+void EmbeddingBank::GatherLogical(const float* src, float* dst) const {
+  const size_t row_bytes = static_cast<size_t>(L_->dim()) * sizeof(float);
+  for (NodeId v = 0; v < L_->num_nodes(); ++v) {
+    std::memcpy(dst + L_->LogicalLongMemOffset(v), src + L_->LongMemOffset(v),
+                row_bytes);
+    std::memcpy(dst + L_->LogicalShortMemOffset(v),
+                src + L_->ShortMemOffset(v), row_bytes);
+    for (EdgeTypeId r = 0; r < L_->num_relations(); ++r) {
+      std::memcpy(dst + L_->LogicalContextOffset(v, r),
+                  src + L_->ContextOffset(v, r), row_bytes);
     }
   }
-  std::memcpy(dst + L.alpha_begin(), src + L.alpha_begin(),
-              L.num_node_types() * sizeof(float));
+  // The α tail occupies the same trailing offsets in both layouts.
+  std::memcpy(dst + L_->alpha_begin(), src + L_->alpha_begin(),
+              L_->num_node_types() * sizeof(float));
 }
 
-}  // namespace
-
-void EmbeddingBank::GatherLogical(const float* src, float* dst) const {
-  Permute(*L_, src, dst, /*to_logical=*/true);
-}
-
-void EmbeddingBank::ScatterLogical(const float* src, float* dst) const {
-  Permute(*L_, src, dst, /*to_logical=*/false);
+void EmbeddingBank::ScatterLogicalRange(const float* src, size_t offset,
+                                        size_t n, float* dst) const {
+  // At one shard the two layouts coincide.
+  if (L_->num_shards() == 1) {
+    std::memcpy(dst + offset, src, n * sizeof(float));
+    return;
+  }
+  const size_t end = offset + n;
+  const size_t d = static_cast<size_t>(L_->dim());
+  size_t pos = offset;
+  while (pos < end && pos < L_->alpha_begin()) {
+    const size_t row_end = std::min(pos - pos % d + d, end);
+    std::memcpy(dst + L_->LogicalToPhysical(pos), src + (pos - offset),
+                (row_end - pos) * sizeof(float));
+    pos = row_end;
+  }
+  // The α tail sits at the same trailing offsets in both layouts.
+  std::memcpy(dst + pos, src + (pos - offset), (end - pos) * sizeof(float));
 }
 
 }  // namespace supa::store

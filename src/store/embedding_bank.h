@@ -12,7 +12,7 @@
 // arrangement: they address rows through offsets, which stay opaque to the
 // sparse optimizer, gradient buffer, and its write barrier. Anything that
 // must be layout-*invariant* across shard counts (checkpoints) converts
-// through GatherLogical / ScatterLogical.
+// through GatherLogical / ScatterLogicalRange.
 
 #ifndef SUPA_STORE_EMBEDDING_BANK_H_
 #define SUPA_STORE_EMBEDDING_BANK_H_
@@ -83,6 +83,10 @@ class EmbeddingLayout {
   /// shard-count-invariant coordinates. O(log S) shard search plus O(log
   /// n_s) reverse node lookup.
   size_t PhysicalToLogical(size_t offset) const;
+
+  /// The inverse: the physical offset of the float at logical `offset`.
+  /// O(1).
+  size_t LogicalToPhysical(size_t offset) const;
 
   // -- Per-shard regions (for snapshot copies and byte accounting). The α
   //    tail belongs to no shard; it rides with shard 0's write ordering. --
@@ -156,12 +160,20 @@ class EmbeddingBank {
   void Restore(const std::vector<float>& snapshot) { params_ = snapshot; }
 
   /// Permutes a buffer in this bank's physical layout into the canonical
-  /// logical layout (and back). `src` and `dst` are `size()` floats and
-  /// must not alias. Works on any parallel-indexed buffer — parameters or
+  /// logical layout. `src` and `dst` are `size()` floats and must not
+  /// alias. Works on any parallel-indexed buffer — parameters or
   /// per-offset optimizer moments — which is how checkpoints stay
   /// byte-identical across shard counts.
   void GatherLogical(const float* src, float* dst) const;
-  void ScatterLogical(const float* src, float* dst) const;
+
+  /// The way back, a range at a time: scatters `n` floats given in the
+  /// logical layout, the range starting at logical `offset`, to their
+  /// physical places in `dst` (a buffer of size() floats in this bank's
+  /// layout). One copy per row, partial rows at either end included; one
+  /// copy in all at one shard, where the two layouts coincide. This is how
+  /// a checkpoint streams into a bank chunk by chunk.
+  void ScatterLogicalRange(const float* src, size_t offset, size_t n,
+                           float* dst) const;
 
   const EmbeddingLayout& layout() const { return *L_; }
   const std::shared_ptr<const EmbeddingLayout>& shared_layout() const {

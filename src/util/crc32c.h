@@ -3,7 +3,10 @@
 //
 // Chosen over CRC-32 (zlib) because x86 has carried a native instruction
 // for it since SSE4.2, which turns per-record integrity checks into a few
-// cycles; the portable fallback is a slicing-by-8 table walk. Both
+// cycles. Inputs of 768 bytes or more run three interleaved instruction
+// streams over adjacent blocks and fold them with zero-shift tables, about
+// three times the one-stream rate on checkpoint bodies. The portable
+// fallback is a slicing-by-8 table walk. Both
 // backends produce identical values (the CRC is part of the on-disk
 // format, so it must not depend on the host), and the backend is picked
 // once at startup via the same runtime-dispatch idiom as util/simd.h.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 
@@ -145,6 +146,21 @@ TEST_F(SerializeTest, NodeRunsBeyondNodeIdAreRejectedWithoutAllocating) {
             StatusCode::kInvalidArgument);
   // The bound is on |V| across runs, checked before a run is appended.
   EXPECT_EQ(LoadPatched("0:2\t1:2", "0:2\t1:4294967294").code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(SerializeTest, NodeUniverseAboveTheCapIsRejectedWithoutAllocating) {
+  // A count just below the NodeId bound passes the id-range check, so only
+  // the 2^26 universe cap stops it from allocating a 8 GiB type table.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(LoadPatched("0:2\t1:2", "0:4294967294").code(),
+            StatusCode::kInvalidArgument);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_LT(seconds, 2.0) << "rejected only after a large allocation";
+  // The cap counts the universe across runs: 2 + (2^26 - 1) is one over.
+  EXPECT_EQ(LoadPatched("0:2\t1:2", "0:2\t1:67108863").code(),
             StatusCode::kInvalidArgument);
 }
 

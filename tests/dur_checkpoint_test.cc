@@ -1,8 +1,9 @@
 // Durability file formats: SUPACP01 base checkpoints (CRC footer, footer
 // required, corruption fuzzing), SUPADL01 deltas (round trip, apply,
-// shard invariance), the manifest/cursor codec, and the compaction
-// byte-identity contract (base + deltas folded == a directly saved
-// checkpoint).
+// shard invariance, row-table checks), the chain reader's streamed load
+// against the chain folded in memory, the manifest/cursor codec, and the
+// compaction byte-identity contract (the engine's compacted base == a
+// directly saved checkpoint).
 
 #include "dur/checkpoint.h"
 
@@ -17,7 +18,9 @@
 
 #include "core/model.h"
 #include "data/synthetic.h"
+#include "dur/chain_reader.h"
 #include "dur/delta_writer.h"
+#include "dur/engine.h"
 #include "dur/manifest.h"
 #include "util/rng.h"
 
@@ -258,27 +261,239 @@ TEST_F(DurCheckpointTest, DeltaAfterBestRollbackHoldsOnlyRowsWrittenSinceCut) {
 }
 
 TEST_F(DurCheckpointTest, CompactedChainIsByteIdenticalToFreshSave) {
-  // The compaction contract: folding base + deltas and writing the result
-  // as a base file yields the same bytes as SaveCheckpoint on the live
-  // model. Exercised here over a two-delta chain.
+  // The compaction contract, through the engine's own path: with a
+  // threshold of 2, the third delta makes the writer stream base + 3
+  // deltas into a fresh base, whose bytes must equal SaveCheckpoint at
+  // that cut, at any shard count.
+  for (const size_t shards : {1u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const std::string dir = Path("engine" + std::to_string(shards));
+    SupaModel model(data_, Config(shards));
+    DurabilityOptions options;
+    options.dir = dir;
+    options.compact_threshold = 2;
+    auto engine = DurabilityEngine::Attach(model, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    TrainerCursor cursor;
+    for (size_t cut = 0; cut < 4; ++cut) {
+      TrainSome(model, 80 * cut, 80 * cut + 80);
+      cursor.next_edge_index = 80 * cut + 80;
+      ASSERT_TRUE(engine.value()->OnCheckpoint(model, cursor).ok());
+    }
+    ASSERT_TRUE(engine.value()->Flush().ok());
+
+    auto manifest = engine.value()->CurrentManifest();
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    ASSERT_EQ(manifest.value().links.size(), 1u);
+    const ManifestLink& link = manifest.value().links[0];
+    EXPECT_EQ(link.kind, ManifestLink::Kind::kBase);
+    EXPECT_NE(link.file, "ckpt-0000000000000000.base") << "never compacted";
+    EXPECT_EQ(link.adam_step, model.optimizer().step_count());
+
+    ASSERT_TRUE(SaveCheckpoint(model, Path("fresh.bin")).ok());
+    EXPECT_EQ(ReadBytes(dir + "/" + link.file), ReadBytes(Path("fresh.bin")));
+  }
+}
+
+TEST_F(DurCheckpointTest, StreamedLoadMatchesTheMaterialisedChain) {
+  // A chain streamed into a model through ChainReader must equal the same
+  // chain folded in memory (ReadBaseFile + ApplyDelta), compared through
+  // GatherLogicalState. The state spans four chunks and a bit, and its
+  // 24-float rows do not divide a chunk, so chunk boundaries fall inside
+  // rows both in the reader and in the 8-shard scatter.
+  constexpr uint64_t kChunk = ChainReader::kChunkFloats;
+  const Dataset big = MakeTaobao(3.0, 81).value();
+  for (const size_t shards : {1u, 8u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    SupaConfig config = Config(shards);
+    config.dim = 24;
+    SupaModel model(big, config);
+    for (size_t i = 0; i < 100; ++i) {
+      ASSERT_TRUE(model.TrainEdge(big.edges[i]).ok());
+      ASSERT_TRUE(model.ObserveEdge(big.edges[i]).ok());
+    }
+    const LogicalCheckpoint base = GatherLogicalState(model);
+    ASSERT_TRUE(WriteBaseFile(Path("s.base"), base).ok());
+    const uint64_t total = base.meta.param_count;
+    const uint64_t alpha = total - base.meta.num_node_types;
+    const uint32_t dim = static_cast<uint32_t>(base.meta.dim);
+    ASSERT_GT(total, 4 * kChunk + 16) << "the state must span several chunks";
+    ASSERT_NE(kChunk % dim, 0u);
+    ASSERT_GE(base.meta.num_node_types, 2u);
+
+    // Rows are (logical offset, length); each delta writes recognisable
+    // values derived from `tag`.
+    using Rows = std::vector<std::pair<uint64_t, uint32_t>>;
+    auto delta = [&](uint64_t step, float tag, const Rows& rows) {
+      DeltaCapture d;
+      d.adam_step = step;
+      d.param_count = total;
+      for (const auto& [off, len] : rows) {
+        d.offsets.push_back(off);
+        d.lens.push_back(len);
+        for (uint32_t k = 0; k < len; ++k) {
+          d.params.push_back(tag + static_cast<float>(k));
+          d.m.push_back(-tag - static_cast<float>(k));
+          d.v.push_back(2 * tag + static_cast<float>(k));
+        }
+      }
+      return d;
+    };
+    const uint64_t row = 7 * dim;  // rewritten by every delta of a case
+    const uint32_t wide = static_cast<uint32_t>(kChunk + 10);
+    struct Case {
+      const char* name;
+      std::vector<DeltaCapture> deltas;
+    };
+    const std::vector<Case> cases = {
+        {"no_deltas", {}},
+        {"newest_write_wins",
+         {delta(11, 1.0f, {{row, dim}, {3 * kChunk, dim}}),
+          delta(12, 2.0f, {{row, dim}}),
+          delta(13, 3.0f, {{0, dim}, {row, dim}, {total - dim - 1, dim}})}},
+        {"alpha_tail", {delta(21, 5.0f, {{alpha - dim, dim},
+                                         {alpha, 1},
+                                         {total - 1, 1}})}},
+        {"chunk_boundaries",
+         {delta(31, 6.0f, {{kChunk - dim, dim},    // ends on a boundary
+                           {kChunk, dim},          // starts on it
+                           {2 * kChunk - 3, dim},  // straddles one
+                           {3 * kChunk - 5, wide}}),  // spans a chunk
+          delta(32, 7.0f, {{kChunk - 1, 2}, {2 * kChunk, 1}})}},
+        {"empty_delta",
+         {delta(41, 8.0f, {{row, dim}}), delta(42, 0.0f, {}),
+          delta(43, 9.0f, {{row + dim, dim}})}},
+    };
+
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      LogicalCheckpoint want = ReadBaseFile(Path("s.base")).value();
+      std::vector<std::string> files;
+      for (size_t i = 0; i < c.deltas.size(); ++i) {
+        files.push_back(Path(std::string(c.name) + std::to_string(i)));
+        ASSERT_TRUE(WriteDeltaFile(files.back(), c.deltas[i]).ok());
+        ASSERT_TRUE(ApplyDelta(ReadDeltaFile(files.back()).value(), &want).ok());
+      }
+      auto chain = ChainReader::Open(Path("s.base"), files);
+      ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+      EXPECT_EQ(chain.value().meta().adam_step, want.meta.adam_step);
+      SupaModel loaded(big, config);
+      ASSERT_TRUE(VerifyChainFor(chain.value(), loaded).ok());
+      ASSERT_TRUE(LoadChainInto(chain.value(), &loaded).ok());
+      const LogicalCheckpoint got = GatherLogicalState(loaded);
+      EXPECT_EQ(got.meta.adam_step, want.meta.adam_step);
+      EXPECT_TRUE(got.params == want.params);
+      EXPECT_TRUE(got.m == want.m);
+      EXPECT_TRUE(got.v == want.v);
+    }
+  }
+}
+
+TEST_F(DurCheckpointTest, FileChangedBetweenPassesFailsTheLoadPass) {
+  // The one failure after the model is touched: a file that changes
+  // between the verify and load passes fails the second pass's CRC check,
+  // and the error says the model is partly written.
   SupaModel model(data_, Config());
   TrainSome(model, 0, 100);
-  model.optimizer().set_checkpoint_tracking(true);
-  model.optimizer().ClearCheckpointDirty();
-  LogicalCheckpoint state = GatherLogicalState(model);
-
-  for (int leg = 0; leg < 2; ++leg) {
-    const size_t begin = 100 + 80 * static_cast<size_t>(leg);
-    TrainSome(model, begin, begin + 80);
-    auto delta = CaptureDirtyRows(model);
-    ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-    model.optimizer().ClearCheckpointDirty();
-    ASSERT_TRUE(ApplyDelta(delta.value(), &state).ok());
+  ASSERT_TRUE(SaveCheckpoint(model, Path("full.bin")).ok());
+  auto chain = ChainReader::Open(Path("full.bin"), {});
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  SupaModel target(data_, Config());
+  ASSERT_TRUE(VerifyChainFor(chain.value(), target).ok());
+  {
+    // Rewrite one body byte in place: the reader's descriptor sees it.
+    std::fstream file(Path("full.bin"),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(100);
+    const char byte = static_cast<char>(file.get() ^ 0x10);
+    file.seekp(100);
+    file.put(byte);
   }
+  const Status st = LoadChainInto(chain.value(), &target);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_NE(st.ToString().find("partly written"), std::string::npos)
+      << st.ToString();
+}
 
-  ASSERT_TRUE(WriteBaseFile(Path("compacted.bin"), state).ok());
-  ASSERT_TRUE(SaveCheckpoint(model, Path("fresh.bin")).ok());
-  EXPECT_EQ(ReadBytes(Path("compacted.bin")), ReadBytes(Path("fresh.bin")));
+TEST_F(DurCheckpointTest, CompactionOfACorruptChainLeavesNoPartialBase) {
+  // An input CRC mismatch during compaction removes the half-written base
+  // and surfaces as the writer's error; the manifest keeps the old chain.
+  SupaModel model(data_, Config());
+  DurabilityOptions options;
+  options.dir = Path("engine");
+  options.compact_threshold = 2;
+  auto engine = DurabilityEngine::Attach(model, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  TrainerCursor cursor;
+  for (size_t cut = 0; cut < 3; ++cut) {
+    TrainSome(model, 80 * cut, 80 * cut + 80);
+    ASSERT_TRUE(engine.value()->OnCheckpoint(model, cursor).ok());
+  }
+  ASSERT_TRUE(engine.value()->Flush().ok());
+  auto before = engine.value()->CurrentManifest();
+  ASSERT_TRUE(before.ok());
+  ASSERT_EQ(before.value().links.size(), 3u);
+  {
+    // Flip the last body byte before the footer of the first delta.
+    const std::string delta = options.dir + "/" + before.value().links[1].file;
+    std::fstream file(delta, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(-17, std::ios::end);
+    const char byte = static_cast<char>(file.get() ^ 0x01);
+    file.seekp(-17, std::ios::end);
+    file.put(byte);
+  }
+  TrainSome(model, 240, 320);
+  ASSERT_TRUE(engine.value()->OnCheckpoint(model, cursor).ok());
+  const Status flushed = engine.value()->Flush();
+  ASSERT_FALSE(flushed.ok());
+  EXPECT_EQ(flushed.code(), StatusCode::kIOError) << flushed.ToString();
+
+  // Base, three deltas and the MANIFEST: no compacted base is left behind.
+  size_t bases = 0;
+  for (const auto& entry : fs::directory_iterator(options.dir)) {
+    if (entry.path().extension() == ".base") ++bases;
+  }
+  EXPECT_EQ(bases, 1u);
+  auto after = LoadManifest(options.dir);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after.value().links.size(), 4u);
+}
+
+TEST_F(DurCheckpointTest, ChainReaderRejectsBadRowTables) {
+  // Tables are checked when the chain opens, before any sink sees a byte:
+  // rows out of order, overlapping, out of range, or whose lengths do not
+  // sum to the floats the file carries.
+  SupaModel model(data_, Config());
+  const LogicalCheckpoint base = GatherLogicalState(model);
+  ASSERT_TRUE(WriteBaseFile(Path("t.base"), base).ok());
+  const uint64_t total = base.meta.param_count;
+  DeltaCapture good;
+  good.param_count = total;
+  good.offsets = {0, 64};
+  good.lens = {16, 16};
+  good.params.assign(32, 1.0f);
+  good.m.assign(32, 2.0f);
+  good.v.assign(32, 3.0f);
+  ASSERT_TRUE(WriteDeltaFile(Path("good.delta"), good).ok());
+  ASSERT_TRUE(ChainReader::Open(Path("t.base"), {Path("good.delta")}).ok());
+
+  std::vector<DeltaCapture> bad(4, good);
+  bad[0].offsets = {64, 0};      // descending
+  bad[1].offsets = {0, 8};       // overlapping
+  bad[2].offsets = {0, total - 8};  // past the end
+  bad[3].lens = {16, 8};         // sums to 24; the file carries 32
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    // WriteDeltaFile writes whatever it is given; num_floats follows the
+    // data, so only the tables disagree with it.
+    ASSERT_TRUE(WriteDeltaFile(Path("bad.delta"), bad[i]).ok());
+    auto chain = ChainReader::Open(Path("t.base"), {Path("bad.delta")});
+    ASSERT_FALSE(chain.ok());
+    EXPECT_EQ(chain.status().code(), StatusCode::kIOError)
+        << chain.status().ToString();
+    EXPECT_FALSE(ReadDeltaFile(Path("bad.delta")).ok());
+  }
 }
 
 TEST_F(DurCheckpointTest, DeltaBytesAreShardInvariant) {

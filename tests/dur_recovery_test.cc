@@ -28,6 +28,7 @@
 #include "dur/engine.h"
 #include "dur/manifest.h"
 #include "dur/wal.h"
+#include "obs/metrics.h"
 
 namespace supa::dur {
 namespace {
@@ -324,6 +325,53 @@ TEST_F(DurRecoveryTest, RecoverRejectsBadPreconditions) {
   ASSERT_TRUE(used.ObserveEdge(data_.edges[0]).ok());
   EXPECT_EQ(Recover(Dir("full"), &used).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST_F(DurRecoveryTest, RejectsManifestStepMismatch) {
+  // The MANIFEST carries no checksum, so the Adam step each link records is
+  // cross-checked against the chain it names: an edited step must fail
+  // before the model is touched.
+  RunDurable(Dir("full"), /*compact_threshold=*/100);
+  auto manifest = LoadManifest(Dir("full"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  Manifest edited = manifest.value();
+  ASSERT_GE(edited.links.size(), 2u);
+  edited.links.back().adam_step += 1;
+  ASSERT_TRUE(SaveManifest(Dir("full"), edited).ok());
+
+  SupaModel model(data_, ModelConfig());
+  const SupaModel::Snapshot before = model.TakeSnapshot();
+  auto recovered = Recover(Dir("full"), &model);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kIOError)
+      << recovered.status().ToString();
+  const SupaModel::Snapshot after = model.TakeSnapshot();
+  EXPECT_TRUE(after.params == before.params);
+  EXPECT_TRUE(after.adam.m == before.adam.m);
+  EXPECT_TRUE(after.adam.v == before.adam.v);
+  EXPECT_EQ(after.adam.step, before.adam.step);
+  EXPECT_EQ(model.graph().num_edges(), 0u);
+}
+
+TEST_F(DurRecoveryTest, ReportsItsPhases) {
+  RunDurable(Dir("full"), /*compact_threshold=*/3);
+  SupaModel model(data_, ModelConfig());
+  auto recovered = Recover(Dir("full"), &model);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const RecoveryReport& report = recovered.value();
+  EXPECT_GT(report.verify_seconds, 0.0);
+  EXPECT_GT(report.load_seconds, 0.0);
+  EXPECT_GT(report.replay_seconds, 0.0);
+  EXPECT_LE(report.verify_seconds + report.load_seconds +
+                report.replay_seconds,
+            report.seconds);
+  auto& reg = obs::MetricsRegistry::Global();
+  EXPECT_EQ(reg.GetGauge("dur.recover.verify_seconds").Value(),
+            report.verify_seconds);
+  EXPECT_EQ(reg.GetGauge("dur.recover.load_seconds").Value(),
+            report.load_seconds);
+  EXPECT_EQ(reg.GetGauge("dur.recover.replay_seconds").Value(),
+            report.replay_seconds);
 }
 
 }  // namespace

@@ -147,10 +147,18 @@ TEST(EmbeddingBankTest, GatherScatterLogicalRoundTrip) {
   EmbeddingBank bank(layout, 0.1, rng);
 
   std::vector<float> logical(bank.size());
-  std::vector<float> back(bank.size());
   bank.GatherLogical(bank.data(), logical.data());
-  bank.ScatterLogical(logical.data(), back.data());
-  EXPECT_EQ(std::vector<float>(bank.data(), bank.data() + bank.size()), back);
+  // Scattered back whole, and in ranges of 7 floats, which split the
+  // 4-float rows at every possible point.
+  for (const size_t piece : {bank.size(), size_t{7}}) {
+    std::vector<float> back(bank.size());
+    for (size_t at = 0; at < bank.size(); at += piece) {
+      const size_t n = std::min(piece, bank.size() - at);
+      bank.ScatterLogicalRange(logical.data() + at, at, n, back.data());
+    }
+    EXPECT_EQ(std::vector<float>(bank.data(), bank.data() + bank.size()), back)
+        << "piece=" << piece;
+  }
 }
 
 TEST(EmbeddingBankTest, InitAndGatherMatchTheMonolithLayout) {

@@ -46,6 +46,46 @@ TEST(Crc32cTest, PortableMatchesActiveBackend) {
   }
 }
 
+// Three of the accelerated path's long blocks (8192 bytes each) plus 64
+// bytes: long enough to reach the long three-way loop, its short-block
+// remainder and the one-stream tail.
+constexpr size_t kThreeLongBlocksPlus = 3 * 8192 + 64;
+
+TEST(Crc32cTest, DispatchedMatchesPortableAtEveryLengthAndAlignment) {
+  Rng rng(0xc0ffee);
+  std::vector<uint8_t> buf(kThreeLongBlocksPlus + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = buf.data() + align;
+    // The portable reference for every prefix, one byte at a time.
+    uint32_t want = 0;
+    for (size_t len = 0; len <= kThreeLongBlocksPlus; ++len) {
+      if (len > 0) want = Crc32cPortable(p + len - 1, 1, want);
+      const uint32_t got = Crc32c(p, len);
+      if (got != want) {
+        ADD_FAILURE() << "len=" << len << " align=" << align;
+        return;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ContinuedAcrossEverySplitMatchesOneShot) {
+  Rng rng(0x5eed);
+  std::vector<uint8_t> buf(kThreeLongBlocksPlus);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  EXPECT_EQ(whole, Crc32cPortable(buf.data(), buf.size()));
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    const uint32_t crc = Crc32c(buf.data() + split, buf.size() - split, head);
+    if (crc != whole) {
+      ADD_FAILURE() << "split=" << split;
+      return;
+    }
+  }
+}
+
 TEST(Crc32cTest, IncrementalMatchesOneShot) {
   Rng rng(99);
   std::vector<uint8_t> buf(3000);

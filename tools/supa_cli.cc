@@ -286,15 +286,16 @@ int CmdRecover(const Args& args) {
     std::fprintf(stderr, "%s\n", recovered.status().ToString().c_str());
     return 1;
   }
+  const dur::RecoveryReport& rec = recovered.value();
   std::fprintf(stderr,
                "recovered %s: %llu checkpoint links, %llu WAL records "
-               "replayed%s in %.3fs\n",
+               "replayed%s in %.3fs (verify %.3fs, load %.3fs, replay "
+               "%.3fs)\n",
                wal_dir.c_str(),
-               static_cast<unsigned long long>(recovered.value().links_applied),
-               static_cast<unsigned long long>(
-                   recovered.value().wal_records_replayed),
-               recovered.value().used_fallback_link ? " (fallback link)" : "",
-               recovered.value().seconds);
+               static_cast<unsigned long long>(rec.links_applied),
+               static_cast<unsigned long long>(rec.wal_records_replayed),
+               rec.used_fallback_link ? " (fallback link)" : "", rec.seconds,
+               rec.verify_seconds, rec.load_seconds, rec.replay_seconds);
 
   InsLearnConfig tc = TrainerConfig(args);
   auto durability = MaybeAttachDurability(args, model);
@@ -306,7 +307,7 @@ int CmdRecover(const Args& args) {
 
   InsLearnTrainer trainer(tc);
   auto report = trainer.Train(model, data.value(), split.train,
-                              &recovered.value().cursor);
+                              &rec.cursor);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
