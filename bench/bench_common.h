@@ -42,11 +42,8 @@
 #include <vector>
 
 #include "obs/admin_server.h"
+#include "obs/exports.h"
 #include "obs/json_writer.h"
-#include "obs/metrics.h"
-#include "obs/model_monitor.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
 #include "util/logging.h"
 #include "util/tsv.h"
 
@@ -64,9 +61,24 @@ inline size_t EnvSize(const char* name, size_t fallback) {
       EnvDouble(name, static_cast<double>(fallback)));
 }
 
-/// Honors SUPA_METRICS_OUT / SUPA_TRACE_OUT / SUPA_ADMIN_PORT: enables
-/// tracing when a trace path is set, starts the HTTP admin server when a
-/// port is set, and installs one atexit hook that writes the exports when
+/// The export paths named by SUPA_METRICS_OUT / SUPA_TRACE_OUT /
+/// SUPA_PERF_OUT / SUPA_MODEL_OUT (unset = skipped).
+inline obs::ExportPaths ExportPathsFromEnv() {
+  const auto env = [](const char* name) {
+    const char* v = std::getenv(name);
+    return std::string(v == nullptr ? "" : v);
+  };
+  obs::ExportPaths paths;
+  paths.metrics = env("SUPA_METRICS_OUT");
+  paths.trace = env("SUPA_TRACE_OUT");
+  paths.perf = env("SUPA_PERF_OUT");
+  paths.model = env("SUPA_MODEL_OUT");
+  return paths;
+}
+
+/// Honors SUPA_ADMIN_PORT and the export paths above: starts the HTTP
+/// admin server when a port is set, turns on the instruments whose export
+/// is asked for, and installs one atexit hook that writes the exports when
 /// the harness ends (normal return or std::exit). Idempotent, so every
 /// BenchEnv construction may call it.
 inline void InitObservabilityFromEnv() {
@@ -93,56 +105,8 @@ inline void InitObservabilityFromEnv() {
         std::fprintf(stderr, "bad SUPA_ADMIN_PORT: %s\n", port_text);
       }
     }
-    const bool want_metrics = std::getenv("SUPA_METRICS_OUT") != nullptr;
-    const bool want_trace = std::getenv("SUPA_TRACE_OUT") != nullptr;
-    const bool want_perf = std::getenv("SUPA_PERF_OUT") != nullptr;
-    const bool want_model = std::getenv("SUPA_MODEL_OUT") != nullptr;
-    if (want_trace) obs::TraceRecorder::Global().Enable(true);
-    if (want_perf) obs::PerfProfiler::Global().Enable(true);
-    if (want_model) obs::ModelMonitor::Global().Enable(true);
-    if (!want_metrics && !want_trace && !want_perf && !want_model) {
-      return false;
-    }
-    std::atexit([] {
-      std::string error;
-      if (const char* path = std::getenv("SUPA_TRACE_OUT")) {
-        obs::TraceRecorder::Global().Enable(false);
-        if (obs::TraceRecorder::Global().WriteJson(path, &error)) {
-          std::fprintf(stderr, "(wrote trace %s)\n", path);
-        } else {
-          std::fprintf(stderr, "failed to write trace %s: %s\n", path,
-                       error.c_str());
-        }
-      }
-      if (const char* path = std::getenv("SUPA_PERF_OUT")) {
-        obs::PerfProfiler::Global().Enable(false);
-        if (obs::WritePerfJson(obs::MetricsRegistry::Global(), path,
-                               &error)) {
-          std::fprintf(stderr, "(wrote perf profile %s)\n", path);
-        } else {
-          std::fprintf(stderr, "failed to write perf profile %s: %s\n",
-                       path, error.c_str());
-        }
-      }
-      if (const char* path = std::getenv("SUPA_MODEL_OUT")) {
-        obs::ModelMonitor::Global().Enable(false);
-        if (obs::WriteModelJson(path, &error)) {
-          std::fprintf(stderr, "(wrote model report %s)\n", path);
-        } else {
-          std::fprintf(stderr, "failed to write model report %s: %s\n",
-                       path, error.c_str());
-        }
-      }
-      if (const char* path = std::getenv("SUPA_METRICS_OUT")) {
-        if (obs::WriteMetricsJson(obs::MetricsRegistry::Global(), path,
-                                  &error)) {
-          std::fprintf(stderr, "(wrote metrics %s)\n", path);
-        } else {
-          std::fprintf(stderr, "failed to write metrics %s: %s\n", path,
-                       error.c_str());
-        }
-      }
-    });
+    obs::StartExports(ExportPathsFromEnv());
+    std::atexit([] { obs::FinishExports(ExportPathsFromEnv()); });
     return true;
   }();
   (void)installed;

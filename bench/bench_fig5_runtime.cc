@@ -20,6 +20,7 @@
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
+#include "obs/perf_counters.h"
 #include "util/simd.h"
 #include "util/timer.h"
 

@@ -12,6 +12,8 @@
 #include "baselines/recommender.h"
 #include "data/synthetic.h"
 #include "eval/protocols.h"
+#include "obs/metrics.h"
+#include "obs/perf_counters.h"
 #include "store/graph_store.h"
 #include "util/timer.h"
 

@@ -396,10 +396,10 @@ BENCHMARK(BM_RestoreBest);
 
 // ---- Observability overhead ----------------------------------------------
 //
-// BM_TrainEdge above runs with tracing runtime-disabled, so comparing it
-// against the instrumentation-free seed (or an SUPA_OBS_TRACING=OFF build)
-// bounds the disabled-path cost; the acceptance budget is < 2% per edge.
-// The benches below price the primitives themselves.
+// BM_TrainEdge above runs with tracing and profiling off, so comparing it
+// against an instrumentation-free build bounds the disabled-path cost; the
+// acceptance budget is < 2% per edge. The benches below price the
+// primitives themselves.
 
 void BM_ObsCounterIncrement(benchmark::State& state) {
   obs::Counter c =
@@ -462,32 +462,35 @@ void BM_TrainEdgeTraced(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainEdgeTraced);
 
-void BM_ObsPerfScopeDisabled(benchmark::State& state) {
-  // Prices the disabled hot path of SUPA_PERF_SCOPE: one relaxed atomic
-  // load per scope. The acceptance budget is <= 0.1% per TrainEdge, which
-  // at 8 scopes/edge means this must stay in the ~1ns range.
+void BM_ObsPhaseDisabled(benchmark::State& state) {
+  // Prices the hot path of SUPA_PHASE with tracing and profiling off: two
+  // relaxed atomic loads per scope. The acceptance budget is <= 0.1% per
+  // TrainEdge, which at 8 scopes/edge means this must stay in the ~1ns
+  // range.
+  obs::TraceRecorder::Global().Enable(false);
   obs::PerfProfiler::Global().Enable(false);
   for (auto _ : state) {
-    SUPA_PERF_SCOPE(kTrainEdge);
+    SUPA_PHASE(kTrainEdge);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ObsPerfScopeDisabled);
+BENCHMARK(BM_ObsPhaseDisabled);
 
-void BM_ObsPerfScopeEnabled(benchmark::State& state) {
-  // Enabled cost: two counter-group reads plus the registry increments.
+void BM_ObsPhaseEnabled(benchmark::State& state) {
+  // Profiled cost: two counter-group reads plus the registry increments.
   // On a PMU-less host this prices the active fallback tier instead; the
-  // tier is whatever PerfProfiler detection picked.
+  // tier is whatever PerfProfiler detection picked. Tracing stays off
+  // (BM_ObsSpanEnabled prices a span).
   obs::PerfProfiler::Global().Enable(true);
   for (auto _ : state) {
-    SUPA_PERF_SCOPE(kTrainEdge);
+    SUPA_PHASE(kTrainEdge);
     benchmark::ClobberMemory();
   }
   obs::PerfProfiler::Global().Enable(false);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ObsPerfScopeEnabled);
+BENCHMARK(BM_ObsPhaseEnabled);
 
 void BM_TrainEdgeProfiled(benchmark::State& state) {
   // BM_TrainEdge's dim-64 workload with hardware profiling ENABLED; the

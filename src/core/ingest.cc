@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <string>
 
+#include "obs/perf_counters.h"
 #include "obs/trace.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -21,14 +22,8 @@ IngestPipeline::IngestPipeline(SupaModel& model, IngestOptions options)
   // One scratch per writer plus one for the dispatcher's work-stealing
   // wait (index options_.writers).
   scratches_.resize(options_.writers + 1);
-  // Value-initialized arrays: all per-writer counts start at zero.
+  // Value-initialized: all per-writer counts start at zero.
   writer_executed_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
-  writer_cycles_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
-  writer_llc_misses_ =
-      std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
-  writer_task_clock_ns_ =
       std::make_unique<std::atomic<uint64_t>[]>(options_.writers + 1);
 
   auto& reg = obs::MetricsRegistry::Global();
@@ -54,50 +49,21 @@ std::vector<obs::StatusItem> IngestPipeline::StatusItems() const {
   items.push_back(
       {"committed_edges",
        std::to_string(committed_.load(std::memory_order_relaxed))});
-  // Per-writer hardware cost rows appear once profiling has recorded
-  // something (task-clock is nonzero on every tier of the ladder).
-  const bool have_perf =
-      writer_task_clock_ns_[0].load(std::memory_order_relaxed) != 0 ||
-      writer_task_clock_ns_[options_.writers].load(
-          std::memory_order_relaxed) != 0;
-  auto writer_rows = [&](const std::string& label, size_t w) {
+  for (size_t w = 0; w <= options_.writers; ++w) {
+    const std::string label =
+        w < options_.writers ? "writer_" + std::to_string(w) : "dispatcher";
     items.push_back(
         {label + "_executed",
          std::to_string(writer_executed_[w].load(std::memory_order_relaxed))});
-    if (!have_perf) return;
-    items.push_back(
-        {label + "_cycles",
-         std::to_string(writer_cycles_[w].load(std::memory_order_relaxed))});
-    items.push_back({label + "_llc_misses",
-                     std::to_string(writer_llc_misses_[w].load(
-                         std::memory_order_relaxed))});
-    items.push_back({label + "_cpu_ms",
-                     std::to_string(writer_task_clock_ns_[w].load(
-                                        std::memory_order_relaxed) /
-                                    1000000)});
-  };
-  for (size_t w = 0; w < options_.writers; ++w) {
-    writer_rows("writer_" + std::to_string(w), w);
   }
-  writer_rows("dispatcher", options_.writers);
   return items;
-}
-
-void IngestPipeline::FoldWriterPerf(size_t w, const obs::PerfDelta& delta) {
-  if (delta.task_clock_ns == 0 && delta.cycles == 0) return;
-  writer_cycles_[w].fetch_add(delta.cycles, std::memory_order_relaxed);
-  writer_llc_misses_[w].fetch_add(delta.llc_misses,
-                                  std::memory_order_relaxed);
-  writer_task_clock_ns_[w].fetch_add(delta.task_clock_ns,
-                                     std::memory_order_relaxed);
 }
 
 void IngestPipeline::FormGroup(const std::vector<TemporalEdge>& edges,
                                bool observe_edges, double* observe_seconds) {
   count_ = 0;
   if (!error_.ok()) return;
-  SUPA_TRACE_SPAN_CAT("ingest/form_group", "ingest");
-  SUPA_PERF_SCOPE(kIngestPlan);
+  SUPA_PHASE(kIngestPlan);
   while (count_ < plans_.size() && next_edge_ < span_end_) {
     EdgePlan& slot = plans_[count_];
     const TemporalEdge& e = edges[next_edge_];
@@ -149,16 +115,14 @@ void IngestPipeline::Launch() {
 
 void IngestPipeline::ExecuteClaimed(size_t slot) {
   SupaModel::ExecScratch& scratch = scratches_[slot];
-  obs::PerfDelta perf;
   size_t i;
   while ((i = next_plan_.fetch_add(1, std::memory_order_relaxed)) <
          count_) {
-    SUPA_PERF_SCOPE_OUT(kIngestExecute, &perf);
+    SUPA_PHASE(kIngestExecute);
     model_.ExecutePlan(&plans_[i], &scratch);
     executed_counter_.Increment();
     writer_executed_[slot].fetch_add(1, std::memory_order_relaxed);
   }
-  FoldWriterPerf(slot, perf);
 }
 
 void IngestPipeline::WaitExecuted() {
@@ -176,8 +140,7 @@ void IngestPipeline::WaitExecuted() {
 
 void IngestPipeline::Commit(
     const std::function<void(const TrainStats&)>& on_edge) {
-  SUPA_TRACE_SPAN_CAT("ingest/commit", "ingest");
-  SUPA_PERF_SCOPE(kIngestCommit);
+  SUPA_PHASE(kIngestCommit);
   store::GraphStore& store = model_.graph_store();
   const uint64_t mask = store.all_shards_mask();
   store::ShardWriteLease lease;

@@ -45,7 +45,6 @@
 
 #include "core/model.h"
 #include "obs/metrics.h"
-#include "obs/perf_counters.h"
 #include "obs/statusz.h"
 #include "util/status.h"
 
@@ -107,10 +106,6 @@ class IngestPipeline {
   /// gradient row sets.
   void Commit(const std::function<void(const TrainStats&)>& on_edge);
 
-  /// Adds one execute loop's accumulated perf delta to writer slot `w`'s
-  /// atomics (no-op for an all-zero delta — profiling off).
-  void FoldWriterPerf(size_t w, const obs::PerfDelta& delta);
-
   std::vector<obs::StatusItem> StatusItems() const;
 
   SupaModel& model_;
@@ -143,14 +138,9 @@ class IngestPipeline {
   obs::Counter conflict_counter_;
   obs::Histogram lease_wait_hist_;
   obs::Histogram group_edges_hist_;
+  /// Plans executed per writer slot; slot options_.writers is the
+  /// dispatcher's work-stealing share.
   std::unique_ptr<std::atomic<uint64_t>[]> writer_executed_;
-  /// Per-writer hardware cost (cycles / LLC misses / thread CPU ns) from
-  /// the execute-stage perf scopes, folded in once per drained group so
-  /// the scrape-side reads are plain atomics. Slot options_.writers is
-  /// the dispatcher's work-stealing share, like writer_executed_.
-  std::unique_ptr<std::atomic<uint64_t>[]> writer_cycles_;
-  std::unique_ptr<std::atomic<uint64_t>[]> writer_llc_misses_;
-  std::unique_ptr<std::atomic<uint64_t>[]> writer_task_clock_ns_;
   std::atomic<uint64_t> committed_{0};
   std::optional<obs::StatusScope> status_scope_;
 };

@@ -8,7 +8,6 @@
 #include "core/ingest.h"
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
-#include "obs/perf_counters.h"
 #include "obs/statusz.h"
 #include "obs/trace.h"
 #include "util/logging.h"
@@ -79,23 +78,8 @@ class Heartbeat {
   }
 
  private:
-  /// Total of the five training phases' `perf.<phase>.<slot>` counters.
-  /// Both the serial trainer and the ingest pipeline record those
-  /// domains, so the per-edge hardware cost works at any writer count.
-  static uint64_t PhasePerfSum(const obs::MetricsSnapshot& snapshot,
-                               const char* slot) {
-    uint64_t total = 0;
-    for (const char* phase :
-         {"sample", "update", "propagate", "negative", "optimize"}) {
-      total += snapshot.CounterValue(std::string("perf.") + phase + "." +
-                                     slot);
-    }
-    return total;
-  }
-
-  /// ", queue_wait_us p50/p95/p99 2/11/52" for each live histogram, plus
-  /// the per-edge hardware cost since the last beat when profiling is on.
-  /// One registry snapshot per beat — far off the hot path.
+  /// ", queue_wait_us p50/p95/p99 2/11/52" for each live histogram. One
+  /// registry snapshot per beat — far off the hot path.
   std::string QuantileSuffix() {
     const obs::MetricsSnapshot snapshot =
         obs::MetricsRegistry::Global().Snapshot();
@@ -115,29 +99,6 @@ class Heartbeat {
                     h.label, e->Quantile(0.50), e->Quantile(0.95),
                     e->Quantile(0.99));
       out += buf;
-    }
-    if (obs::PerfProfiler::Global().enabled()) {
-      const uint64_t cycles = PhasePerfSum(snapshot, "cycles");
-      const uint64_t llc_misses = PhasePerfSum(snapshot, "llc_misses");
-      const uint64_t steps = steps_.load(std::memory_order_relaxed);
-      if (steps > last_hw_steps_) {
-        const double denom = static_cast<double>(steps - last_hw_steps_);
-        const double cyc_per_edge =
-            static_cast<double>(cycles - last_hw_cycles_) / denom;
-        const double miss_per_edge =
-            static_cast<double>(llc_misses - last_hw_llc_misses_) / denom;
-        hw_cycles_per_edge_.store(cyc_per_edge, std::memory_order_relaxed);
-        hw_llc_misses_per_edge_.store(miss_per_edge,
-                                      std::memory_order_relaxed);
-        char buf[96];
-        std::snprintf(buf, sizeof(buf),
-                      ", hw cyc/edge %.0f llc_miss/edge %.1f", cyc_per_edge,
-                      miss_per_edge);
-        out += buf;
-        last_hw_steps_ = steps;
-        last_hw_cycles_ = cycles;
-        last_hw_llc_misses_ = llc_misses;
-      }
     }
     return out;
   }
@@ -186,17 +147,6 @@ class Heartbeat {
     items.push_back({"best_score", buf});
     std::snprintf(buf, sizeof(buf), "%.0f", rate_gauge_.Value());
     items.push_back({"edges_per_sec", buf});
-    if (obs::PerfProfiler::Global().enabled()) {
-      std::snprintf(buf, sizeof(buf), "%.0f",
-                    hw_cycles_per_edge_.load(std::memory_order_relaxed));
-      items.push_back({"hw_cycles_per_edge", buf});
-      std::snprintf(buf, sizeof(buf), "%.1f",
-                    hw_llc_misses_per_edge_.load(std::memory_order_relaxed));
-      items.push_back({"hw_llc_misses_per_edge", buf});
-      items.push_back({"hw_perf_source",
-                       obs::PerfSourceName(
-                           obs::PerfProfiler::Global().source())});
-    }
     return items;
   }
 
@@ -208,16 +158,10 @@ class Heartbeat {
   std::atomic<uint64_t> batches_{0};
   std::atomic<double> best_score_{0.0};
   std::atomic<const char*> phase_{"train"};
-  /// Latest per-edge hardware cost, published at beat time for /statusz.
-  std::atomic<double> hw_cycles_per_edge_{0.0};
-  std::atomic<double> hw_llc_misses_per_edge_{0.0};
   uint64_t last_steps_ = 0;   // training thread only
   double last_beat_ = 0.0;    // training thread only
   uint64_t last_alerts_seen_ = 0;    // training thread only
   uint64_t last_trace_dropped_ = 0;  // training thread only
-  uint64_t last_hw_steps_ = 0;       // training thread only
-  uint64_t last_hw_cycles_ = 0;      // training thread only
-  uint64_t last_hw_llc_misses_ = 0;  // training thread only
   obs::StatusScope status_scope_;  // last member: registered when the
                                    // atomics above are already constructed
 };

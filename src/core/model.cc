@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
-#include "obs/trace.h"
 #include "util/math_utils.h"
 #include "util/simd.h"
 
@@ -229,8 +228,7 @@ void SupaModel::SampleStep(EdgePlan* plan) const {
   plan->u_walk_count = 0;
   plan->negatives.clear();
   if (config_.use_prop_loss) {
-    SUPA_TRACE_SPAN_CAT("sample", "model");
-    SUPA_PERF_SCOPE(kSample);
+    SUPA_PHASE(kSample);
     sampler_->SampleInto(e.src, e.dst, rng, &plan->walks,
                          &plan->u_walk_count);
   }
@@ -255,8 +253,7 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
 
   grads.Clear();
   {
-    SUPA_TRACE_SPAN_CAT("update", "model");
-    SUPA_PERF_SCOPE(kUpdate);
+    SUPA_PHASE(kUpdate);
     RunUpdater(e.src, e.time, plan.last_active_u, &ctx_u);
     RunUpdater(e.dst, e.time, plan.last_active_v, &ctx_v);
   }
@@ -285,8 +282,7 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
 
   // ---- time-aware propagation (Eq. 8–10) ----------------------------------
   if (config_.use_prop_loss) {
-    SUPA_TRACE_SPAN_CAT("propagate", "model");
-    SUPA_PERF_SCOPE(kPropagate);
+    SUPA_PHASE(kPropagate);
     auto propagate = [&](size_t walk_begin, size_t walk_end,
                          UpdateContext& origin) {
       for (size_t w = walk_begin; w < walk_end; ++w) {
@@ -319,8 +315,7 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
 
   // ---- negative sampling loss (Eq. 12) -------------------------------------
   if (config_.use_neg_loss) {
-    SUPA_TRACE_SPAN_CAT("negative", "model");
-    SUPA_PERF_SCOPE(kNegative);
+    SUPA_PHASE(kNegative);
     const size_t n = static_cast<size_t>(config_.num_neg);
     auto add_negatives = [&](size_t base, UpdateContext& origin) {
       for (size_t j = 0; j < n; ++j) {
@@ -340,8 +335,7 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
   }
 
   {
-    SUPA_TRACE_SPAN_CAT("optimize", "model");
-    SUPA_PERF_SCOPE(kOptimize);
+    SUPA_PHASE(kOptimize);
     BackpropUpdater(ctx_u, grads);
     BackpropUpdater(ctx_v, grads);
   }
@@ -350,8 +344,7 @@ void SupaModel::RunEdgeMath(EdgePlan* out, ExecScratch* scratch) {
 
 Result<TrainStats> SupaModel::TrainEdge(const TemporalEdge& e,
                                         const TrainOptions& options) {
-  SUPA_TRACE_SPAN_CAT("train_edge", "model");
-  SUPA_PERF_SCOPE(kTrainEdge);
+  SUPA_PHASE(kTrainEdge);
   SUPA_RETURN_NOT_OK(PlanEdge(e, options, &serial_plan_));
   serial_plan_.step = adam_->step_count() + 1;
   SampleStep(&serial_plan_);
@@ -400,8 +393,7 @@ void SupaModel::ExecutePlan(EdgePlan* plan, ExecScratch* scratch) {
 
 void SupaModel::CommitPlan(const EdgePlan& plan,
                            store::ShardWriteLease* lease) {
-  SUPA_TRACE_SPAN_CAT("optimize", "model");
-  SUPA_PERF_SCOPE(kOptimize);
+  SUPA_PHASE(kOptimize);
   const size_t d = static_cast<size_t>(config_.dim);
   if (config_.use_short_term && config_.use_update_decay) {
     // The banked forgetting scales the *live* rows — layered on top of
@@ -503,15 +495,13 @@ void SupaModel::FinalEmbeddingOn(const store::StoreSnapshot& snapshot,
 }
 
 SupaModel::Snapshot SupaModel::TakeSnapshot() const {
-  SUPA_TRACE_SPAN_CAT("snapshot/full_take", "snapshot");
-  SUPA_PERF_SCOPE(kSnapshotTake);
+  SUPA_PHASE(kSnapshotTake);
   SnapshotMetrics::Get().full_takes.Increment();
   return Snapshot{bank_->Snapshot(), adam_->Snapshot()};
 }
 
 void SupaModel::RestoreSnapshot(const Snapshot& snapshot) {
-  SUPA_TRACE_SPAN_CAT("snapshot/full_restore", "snapshot");
-  SUPA_PERF_SCOPE(kSnapshotRestore);
+  SUPA_PHASE(kSnapshotRestore);
   SnapshotMetrics::Get().full_restores.Increment();
   DiscardBest();
   store::ShardWriteLease lease = graph_store_->LeaseAll();
@@ -533,8 +523,7 @@ Status SupaModel::LoadState(
 }
 
 void SupaModel::TakeBest() {
-  SUPA_TRACE_SPAN_CAT("snapshot/take_best", "snapshot");
-  SUPA_PERF_SCOPE(kSnapshotTake);
+  SUPA_PHASE(kSnapshotTake);
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
   metrics.delta_takes.Increment();
   DiscardBest();
@@ -547,8 +536,7 @@ Status SupaModel::RestoreBest() {
     return Status::FailedPrecondition(
         "RestoreBest: no Φ_best generation is open");
   }
-  SUPA_TRACE_SPAN_CAT("snapshot/restore_best", "snapshot");
-  SUPA_PERF_SCOPE(kSnapshotRestore);
+  SUPA_PHASE(kSnapshotRestore);
   SnapshotMetrics& metrics = SnapshotMetrics::Get();
   metrics.delta_restores.Increment();
   const std::vector<SparseAdam::RowSpan>& rows = adam_->undo_rows();

@@ -1,8 +1,10 @@
 #include "dur/engine.h"
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <set>
 #include <system_error>
 #include <utility>
 
@@ -23,22 +25,50 @@ std::string LinkFileName(uint64_t id, ManifestLink::Kind kind) {
   return buf;
 }
 
-// Highest checkpoint-file id present in `dir`, so a re-attached engine
-// never reuses a name. Returns 0 when there are none.
-uint64_t MaxLinkId(const std::string& dir) {
-  uint64_t max_id = 0;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) return 0;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    uint64_t id = 0;
-    char kind[8] = {0};
-    if (std::sscanf(name.c_str(), "ckpt-%16" SCNx64 ".%7s", &id, kind) == 2) {
-      max_id = std::max(max_id, id + 1);
+// True for a name LinkFileName can produce: ckpt-<16 hex>.{base,delta}.
+bool IsLinkFileName(const std::string& name) {
+  constexpr size_t kIdEnd = 5 + 16;  // "ckpt-" + id
+  if (name.rfind("ckpt-", 0) != 0 || name.size() <= kIdEnd) return false;
+  for (size_t i = 5; i < kIdEnd; ++i) {
+    if (!std::isxdigit(static_cast<unsigned char>(name[i]))) return false;
+  }
+  const std::string kind = name.substr(kIdEnd);
+  return kind == ".base" || kind == ".delta";
+}
+
+// Deletes every checkpoint file in `dir` that `manifest` does not name and
+// syncs the directory. Such a file is the partial output of a cut or a
+// compaction killed mid-write, or a chain whose compaction was killed
+// before it removed it; no manifest will ever name it. Returns the id past
+// the highest one the manifest names, the next file id to use.
+Result<uint64_t> RemoveUnlistedLinks(const std::string& dir,
+                                     const Manifest& manifest) {
+  std::set<std::string> listed;
+  uint64_t next_id = 0;
+  for (const ManifestLink& link : manifest.links) {
+    listed.insert(link.file);
+    if (IsLinkFileName(link.file)) {
+      next_id = std::max<uint64_t>(
+          next_id, std::stoull(link.file.substr(5, 16), nullptr, 16) + 1);
     }
   }
-  return max_id;
+  std::vector<std::string> unlisted;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (IsLinkFileName(name) && listed.count(name) == 0) {
+      unlisted.push_back(name);
+    }
+  }
+  if (ec) return Status::IOError("listing " + dir + ": " + ec.message());
+  if (unlisted.empty()) return next_id;
+  for (const std::string& name : unlisted) {
+    SUPA_LOG(WARNING) << "removing " << name << ", which " << dir
+                      << "/MANIFEST does not name";
+    SUPA_RETURN_NOT_OK(RemoveFileIfExists(dir + "/" + name));
+  }
+  SUPA_RETURN_NOT_OK(SyncDir(dir));
+  return next_id;
 }
 
 size_t TrailingDeltas(const Manifest& manifest) {
@@ -70,7 +100,9 @@ Result<std::unique_ptr<DurabilityEngine>> DurabilityEngine::Attach(
     return loaded.status();
   }
   engine->deltas_since_base_ = TrailingDeltas(engine->manifest_);
-  engine->next_link_id_ = MaxLinkId(engine->options_.dir);
+  SUPA_ASSIGN_OR_RETURN(
+      engine->next_link_id_,
+      RemoveUnlistedLinks(engine->options_.dir, engine->manifest_));
   engine->stat_chain_links_.store(engine->manifest_.links.size(),
                                   std::memory_order_relaxed);
 

@@ -78,8 +78,7 @@ Result<RankingResult> EvaluateLinkPrediction(const Recommender& model,
   const size_t num_shards = std::min(cases.size(), kEvalShards);
   std::vector<MetricAccumulator> shard_acc(num_shards);
   ParallelFor(config.threads, num_shards, [&](size_t shard) {
-    SUPA_TRACE_SPAN_CAT("eval/shard", "eval");
-    SUPA_PERF_SCOPE(kEvalShard);
+    SUPA_PHASE(kEvalShard);
     Rng shard_rng(SplitMix64At(config.seed, shard));
     MetricAccumulator& acc = shard_acc[shard];
     std::vector<NodeId> sampled_candidates;

@@ -87,12 +87,6 @@ struct BuildInfo {
 #else
       "Debug";
 #endif
-  const char* tracing =
-#ifdef SUPA_TRACE_DISABLED
-      "compiled-out";
-#else
-      "available";
-#endif
 };
 
 std::string FormatDouble(double v, int digits = 3) {
@@ -156,13 +150,17 @@ AdminServer::AdminServer(AdminServerOptions options)
 AdminServer::~AdminServer() { Stop(); }
 
 bool AdminServer::Start(std::string* error) {
-  auto fail = [error](std::string why) {
+  if (running_.load(std::memory_order_acquire)) {
+    if (error != nullptr) *error = "admin server already running";
+    return false;
+  }
+  // Every failure below closes the listening socket, if it was opened.
+  auto fail = [this, error](std::string why) {
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
     if (error != nullptr) *error = std::move(why);
     return false;
   };
-  if (running_.load(std::memory_order_acquire)) {
-    return fail("admin server already running");
-  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return fail(Errno("socket"));
@@ -174,38 +172,22 @@ bool AdminServer::Start(std::string* error) {
   addr.sin_port = htons(options_.port);
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
     return fail("bad bind address: " + options_.bind_address);
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
       0) {
-    const std::string why = Errno("bind");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return fail(why);
+    return fail(Errno("bind"));
   }
   if (::listen(listen_fd_, options_.backlog) != 0) {
-    const std::string why = Errno("listen");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return fail(why);
+    return fail(Errno("listen"));
   }
   sockaddr_in bound{};
   socklen_t len = sizeof(bound);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
       0) {
-    const std::string why = Errno("getsockname");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return fail(why);
+    return fail(Errno("getsockname"));
   }
-  if (::pipe2(wake_pipe_, O_CLOEXEC) != 0) {
-    const std::string why = Errno("pipe2");
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return fail(why);
-  }
+  if (::pipe2(wake_pipe_, O_CLOEXEC) != 0) return fail(Errno("pipe2"));
 
   port_.store(ntohs(bound.sin_port), std::memory_order_release);
   start_time_ = std::chrono::steady_clock::now();
@@ -453,10 +435,8 @@ HttpResponse AdminServer::HandleMetrics() const {
   r.body = RenderPrometheusText(snapshot);
   AppendPrometheusSeries(
       "supa_build_info", "gauge", "build metadata (value is always 1)",
-      {{"compiler", build.compiler},
-       {"build_type", build.build_type},
-       {"tracing", build.tracing}},
-      1.0, &r.body);
+      {{"compiler", build.compiler}, {"build_type", build.build_type}}, 1.0,
+      &r.body);
   AppendPrometheusSeries("supa_admin_uptime_seconds", "gauge",
                          "seconds since the admin server started (steady "
                          "clock)",
@@ -541,7 +521,6 @@ HttpResponse AdminServer::HandleStatusz(bool as_json) const {
     w.Key("build").BeginObject();
     w.Field("compiler", std::string_view(build.compiler));
     w.Field("build_type", std::string_view(build.build_type));
-    w.Field("tracing", std::string_view(build.tracing));
     w.EndObject();
     w.Field("trace_dropped_events", trace_dropped);
     w.Key("perf").BeginObject();
@@ -602,8 +581,7 @@ HttpResponse AdminServer::HandleStatusz(bool as_json) const {
       "<!doctype html><title>supa statusz</title><h1>statusz</h1>";
   body += "<p>uptime " + FormatDouble(uptime, 1) + " s · " +
           EscapeHtml(build.build_type) + " build · compiler " +
-          EscapeHtml(build.compiler) + " · tracing " +
-          EscapeHtml(build.tracing) + "</p>";
+          EscapeHtml(build.compiler) + "</p>";
   if (trace_dropped > 0) {
     body += "<p style=\"color:#b00\"><b>warning:</b> trace ring dropped " +
             std::to_string(trace_dropped) +

@@ -363,9 +363,4 @@ std::string MetricsSnapshot::ToTable() const {
   return out;
 }
 
-bool WriteMetricsJson(const MetricsRegistry& registry,
-                      const std::string& path, std::string* error) {
-  return WriteTextFile(path, registry.Snapshot().ToJson() + "\n", error);
-}
-
 }  // namespace supa::obs

@@ -207,10 +207,6 @@ class MetricsRegistry {
   uint32_t next_dcell_ = 0;
 };
 
-/// Snapshots `registry` and writes the JSON export to `path`.
-bool WriteMetricsJson(const MetricsRegistry& registry,
-                      const std::string& path, std::string* error);
-
 }  // namespace supa::obs
 
 #endif  // SUPA_OBS_METRICS_H_

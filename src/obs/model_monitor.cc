@@ -473,10 +473,4 @@ void AppendModelPrometheusSeries(const ModelMonitorSnapshot& snapshot,
   }
 }
 
-bool WriteModelJson(const std::string& path, std::string* error) {
-  return WriteTextFile(
-      path, ModelReportJson(ModelMonitor::Global().Snapshot()) + "\n",
-      error);
-}
-
 }  // namespace supa::obs

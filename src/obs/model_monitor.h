@@ -281,9 +281,6 @@ std::string ModelReportHtml(const ModelMonitorSnapshot& snapshot);
 void AppendModelPrometheusSeries(const ModelMonitorSnapshot& snapshot,
                                  std::string* out);
 
-/// Snapshots the global monitor and writes ModelReportJson to `path`.
-bool WriteModelJson(const std::string& path, std::string* error);
-
 }  // namespace supa::obs
 
 #endif  // SUPA_OBS_MODEL_MONITOR_H_

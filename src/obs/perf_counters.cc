@@ -19,21 +19,17 @@
 namespace supa::obs {
 namespace {
 
+constexpr size_t kNumHwSlots = 6;  // slots 0..5 come from the PMU group
+
 // Counter slot order, shared by PerfReading::values, the per-domain
-// Counter array, and every report.
+// Counter array, and every report (kSlotNames): the PMU group's six
+// counters in kHwEvents order, then the software group's two.
 enum Slot : size_t {
-  kSlotCycles = 0,
-  kSlotInstructions,
-  kSlotLlcLoads,
-  kSlotLlcMisses,
-  kSlotBranches,
-  kSlotBranchMisses,
-  kSlotTaskClockNs,
+  kSlotTaskClockNs = kNumHwSlots,
   kSlotCtxSwitches,
-  kNumSlots,       // 8 counter slots ...
+  kNumSlots,                // 8 counter slots ...
   kSlotScopes = kNumSlots,  // ... plus the scope count
 };
-constexpr size_t kNumHwSlots = 6;  // slots 0..5 come from the PMU group
 
 constexpr const char* kSlotNames[kNumSlots + 1] = {
     "cycles",        "instructions", "llc_loads",
@@ -289,19 +285,6 @@ bool PerfErrnoMeansUnavailable(int err) {
   }
 }
 
-void PerfDelta::Accumulate(const PerfDelta& other) {
-  cycles += other.cycles;
-  instructions += other.instructions;
-  llc_loads += other.llc_loads;
-  llc_misses += other.llc_misses;
-  branches += other.branches;
-  branch_misses += other.branch_misses;
-  task_clock_ns += other.task_clock_ns;
-  ctx_switches += other.ctx_switches;
-}
-
-PerfProfiler::PerfProfiler() = default;
-
 PerfProfiler& PerfProfiler::Global() {
   // Leaked on purpose — see MetricsRegistry::Global().
   static PerfProfiler* profiler = new PerfProfiler();
@@ -359,7 +342,7 @@ void PerfProfiler::Enable(bool on) {
   enabled_.store(true, std::memory_order_relaxed);
 }
 
-bool PerfProfiler::BeginScope(internal::PerfReading* reading) {
+void PerfProfiler::BeginScope(internal::PerfReading* reading) {
   const uint64_t epoch = epoch_.load(std::memory_order_relaxed);
   if (t_perf.epoch != epoch) {
     OpenThreadState(source_.load(std::memory_order_relaxed), epoch);
@@ -374,81 +357,57 @@ bool PerfProfiler::BeginScope(internal::PerfReading* reading) {
     ReadGroup(t_perf.sw_fd, t_perf.sw_index, 2,
               reading->values + kSlotTaskClockNs, &reading->sw_enabled,
               &reading->sw_running);
-    return true;
+    return;
   }
 #endif
   // Rusage tier (or a thread whose perf opens all failed).
   reading->values[kSlotTaskClockNs] = ThreadCpuNs();
   reading->values[kSlotCtxSwitches] = ThreadCtxSwitches();
-  return true;
 }
 
 void PerfProfiler::EndScope(PerfDomain domain,
-                            const internal::PerfReading& begin,
-                            PerfDelta* out) {
+                            const internal::PerfReading& begin) {
   internal::PerfReading end;
-  if (!BeginScope(&end)) return;
-
+  BeginScope(&end);
+  const size_t d = static_cast<size_t>(domain);
+  if (d >= kNumPerfDomains ||
+      !counters_ready_.load(std::memory_order_acquire)) {
+    return;
+  }
   const uint64_t hw_en = end.hw_enabled - begin.hw_enabled;
   const uint64_t hw_run = end.hw_running - begin.hw_running;
   const uint64_t sw_en = end.sw_enabled - begin.sw_enabled;
   const uint64_t sw_run = end.sw_running - begin.sw_running;
-
-  PerfDelta delta;
-  uint64_t* fields[kNumSlots] = {
-      &delta.cycles,        &delta.instructions, &delta.llc_loads,
-      &delta.llc_misses,    &delta.branches,     &delta.branch_misses,
-      &delta.task_clock_ns, &delta.ctx_switches,
-  };
   for (size_t s = 0; s < kNumSlots; ++s) {
     const uint64_t raw = end.values[s] - begin.values[s];
-    *fields[s] = s < kNumHwSlots ? ScaleDelta(raw, hw_en, hw_run)
-                                 : ScaleDelta(raw, sw_en, sw_run);
+    const uint64_t delta = s < kNumHwSlots ? ScaleDelta(raw, hw_en, hw_run)
+                                           : ScaleDelta(raw, sw_en, sw_run);
+    if (delta != 0) counters_[d][s].Increment(delta);
   }
-
-  const size_t d = static_cast<size_t>(domain);
-  if (d < kNumPerfDomains &&
-      counters_ready_.load(std::memory_order_acquire)) {
-    for (size_t s = 0; s < kNumSlots; ++s) {
-      if (*fields[s] != 0) counters_[d][s].Increment(*fields[s]);
-    }
-    counters_[d][kSlotScopes].Increment();
-  }
-  if (out != nullptr) out->Accumulate(delta);
+  counters_[d][kSlotScopes].Increment();
 }
 
 std::vector<PerfDomainStats> CollectPerfDomainStats(
     const MetricsSnapshot& snapshot) {
   std::vector<PerfDomainStats> out;
   for (size_t d = 0; d < kNumPerfDomains; ++d) {
-    PerfDomainStats stats;
-    stats.domain = static_cast<PerfDomain>(d);
-    stats.scopes = snapshot.CounterValue(MetricName(d, kSlotScopes));
-    if (stats.scopes == 0) continue;  // domain never ran
-    stats.totals.cycles = snapshot.CounterValue(MetricName(d, kSlotCycles));
-    stats.totals.instructions =
-        snapshot.CounterValue(MetricName(d, kSlotInstructions));
-    stats.totals.llc_loads =
-        snapshot.CounterValue(MetricName(d, kSlotLlcLoads));
-    stats.totals.llc_misses =
-        snapshot.CounterValue(MetricName(d, kSlotLlcMisses));
-    stats.totals.branches =
-        snapshot.CounterValue(MetricName(d, kSlotBranches));
-    stats.totals.branch_misses =
-        snapshot.CounterValue(MetricName(d, kSlotBranchMisses));
-    stats.totals.task_clock_ns =
-        snapshot.CounterValue(MetricName(d, kSlotTaskClockNs));
-    stats.totals.ctx_switches =
-        snapshot.CounterValue(MetricName(d, kSlotCtxSwitches));
-    stats.task_clock_s =
-        static_cast<double>(stats.totals.task_clock_ns) / 1e9;
-    stats.ipc = Ratio(stats.totals.instructions, stats.totals.cycles);
-    stats.llc_miss_rate =
-        Ratio(stats.totals.llc_misses, stats.totals.llc_loads);
-    stats.branch_miss_rate =
-        Ratio(stats.totals.branch_misses, stats.totals.branches);
-    stats.cycles_per_edge = Ratio(stats.totals.cycles, stats.scopes);
-    out.push_back(stats);
+    PerfDomainStats st;
+    st.domain = static_cast<PerfDomain>(d);
+    st.scopes = snapshot.CounterValue(MetricName(d, kSlotScopes));
+    if (st.scopes == 0) continue;  // domain never ran
+    uint64_t* slots[kNumSlots] = {
+        &st.cycles,   &st.instructions,  &st.llc_loads,     &st.llc_misses,
+        &st.branches, &st.branch_misses, &st.task_clock_ns, &st.ctx_switches,
+    };
+    for (size_t s = 0; s < kNumSlots; ++s) {
+      *slots[s] = snapshot.CounterValue(MetricName(d, s));
+    }
+    st.task_clock_s = static_cast<double>(st.task_clock_ns) / 1e9;
+    st.ipc = Ratio(st.instructions, st.cycles);
+    st.llc_miss_rate = Ratio(st.llc_misses, st.llc_loads);
+    st.branch_miss_rate = Ratio(st.branch_misses, st.branches);
+    st.cycles_per_edge = Ratio(st.cycles, st.scopes);
+    out.push_back(st);
   }
   return out;
 }
@@ -482,14 +441,14 @@ namespace {
 void WriteDomainJson(JsonWriter* w, const PerfDomainStats& s) {
   w->BeginObject();
   w->Field("scopes", s.scopes);
-  w->Field("cycles", s.totals.cycles);
-  w->Field("instructions", s.totals.instructions);
-  w->Field("llc_loads", s.totals.llc_loads);
-  w->Field("llc_misses", s.totals.llc_misses);
-  w->Field("branches", s.totals.branches);
-  w->Field("branch_misses", s.totals.branch_misses);
+  w->Field("cycles", s.cycles);
+  w->Field("instructions", s.instructions);
+  w->Field("llc_loads", s.llc_loads);
+  w->Field("llc_misses", s.llc_misses);
+  w->Field("branches", s.branches);
+  w->Field("branch_misses", s.branch_misses);
   w->Field("task_clock_s", s.task_clock_s);
-  w->Field("ctx_switches", s.totals.ctx_switches);
+  w->Field("ctx_switches", s.ctx_switches);
   w->Field("ipc", s.ipc);
   w->Field("llc_miss_rate", s.llc_miss_rate);
   w->Field("branch_miss_rate", s.branch_miss_rate);
@@ -544,32 +503,23 @@ std::string PerfReportHtml(const MetricsSnapshot& snapshot) {
       return std::string(buf);
     };
     for (const PerfDomainStats& s : stats) {
-      html += "<tr><td>";
-      html += PerfDomainName(s.domain);
-      html += "</td><td>" + std::to_string(s.scopes);
-      html += "</td><td>" + std::to_string(s.totals.cycles);
-      html += "</td><td>" + std::to_string(s.totals.instructions);
-      html += "</td><td>" + num(s.ipc);
-      html += "</td><td>" + std::to_string(s.totals.llc_loads);
-      html += "</td><td>" + std::to_string(s.totals.llc_misses);
-      html += "</td><td>" + num(s.llc_miss_rate);
-      html += "</td><td>" + std::to_string(s.totals.branches);
-      html += "</td><td>" + num(s.branch_miss_rate);
-      html += "</td><td>" + num(s.cycles_per_edge);
-      html += "</td><td>" + num(s.task_clock_s);
-      html += "</td><td>" + std::to_string(s.totals.ctx_switches);
-      html += "</td></tr>";
+      html += "<tr>";
+      for (const std::string& cell :
+           {std::string(PerfDomainName(s.domain)), std::to_string(s.scopes),
+            std::to_string(s.cycles), std::to_string(s.instructions),
+            num(s.ipc), std::to_string(s.llc_loads),
+            std::to_string(s.llc_misses), num(s.llc_miss_rate),
+            std::to_string(s.branches), num(s.branch_miss_rate),
+            num(s.cycles_per_edge), num(s.task_clock_s),
+            std::to_string(s.ctx_switches)}) {
+        html += "<td>" + cell + "</td>";
+      }
+      html += "</tr>";
     }
     html += "</table>";
   }
   html += "</body></html>";
   return html;
-}
-
-bool WritePerfJson(const MetricsRegistry& registry, const std::string& path,
-                   std::string* error) {
-  return WriteTextFile(path, PerfReportJson(registry.Snapshot()) + "\n",
-                       error);
 }
 
 }  // namespace supa::obs

@@ -1,12 +1,13 @@
-// Hardware performance-counter profiling with per-domain attribution.
+// Pipeline phases and their instrument, with hardware-counter profiling.
 //
-// A PerfScope brackets one unit of work (one TrainEdge phase, one ingest
-// group commit, one serve scoring batch, ...) and charges the hardware
-// cost of that window — cycles, instructions, LLC loads/misses, branches,
-// branch misses, task-clock, context switches — to a PerfDomain. Deltas
+// SUPA_PHASE(kDomain) brackets one unit of work (one TrainEdge phase, one
+// ingest group commit, one serve scoring batch, ...). It records a trace
+// span named PerfDomainName(domain) and charges the hardware cost of that
+// window — cycles, instructions, LLC loads/misses, branches, branch
+// misses, task-clock, context switches — to the domain. Deltas
 // accumulate into the global per-thread sharded MetricsRegistry under
-// `perf.<domain>.<counter>` names, so the existing /metrics, JSON export,
-// and Welch-gated bench plumbing all apply unchanged.
+// `perf.<domain>.<counter>` names, so the trace, /profilez, /metrics and
+// the benches read one name table.
 //
 // Counters come from perf_event_open(2), opened per thread as two groups
 // so members of a group are scheduled onto the PMU together and their
@@ -31,10 +32,10 @@
 // The ladder policy itself is the pure function ResolvePerfTier, pinned
 // by obs_perf_counters_test.
 //
-// Hot-path contract (same pin as tracing): with profiling disabled a
-// SUPA_PERF_SCOPE is one relaxed atomic load; enabled or not, nothing
-// here consumes application RNG streams or touches model state, so
-// training output is bit-identical with profiling on or off.
+// Hot-path contract: with tracing and profiling both off a SUPA_PHASE is
+// two relaxed atomic loads; on or off, nothing here consumes application
+// RNG streams or touches model state, so training output is bit-identical
+// either way.
 //
 // Like everything in obs/, this depends only on the standard library and
 // POSIX/Linux syscalls.
@@ -49,10 +50,11 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace supa::obs {
 
-/// What a PerfScope's cost is attributed to. One scope == one unit of the
+/// What a SUPA_PHASE's cost is attributed to. One scope == one unit of the
 /// domain's work (one edge for the training phases, one batch for serve,
 /// one shard for eval, ...), so `cycles / scopes` is cycles-per-edge for
 /// the training domains.
@@ -108,44 +110,29 @@ PerfSource ResolvePerfTier(bool hardware_ok, bool software_ok);
 /// EOPNOTSUPP, EINVAL on partial PMUs).
 bool PerfErrnoMeansUnavailable(int err);
 
-/// One window's worth of counter deltas, multiplex-scaled. Fields read as
-/// zero for counters the active tier cannot measure.
-struct PerfDelta {
-  uint64_t cycles = 0;
-  uint64_t instructions = 0;
-  uint64_t llc_loads = 0;
-  uint64_t llc_misses = 0;
-  uint64_t branches = 0;
-  uint64_t branch_misses = 0;
-  uint64_t task_clock_ns = 0;
-  uint64_t ctx_switches = 0;
-
-  void Accumulate(const PerfDelta& other);
-};
-
 namespace internal {
 
 /// Raw absolute readings at one instant; deltas and multiplex scaling are
-/// computed between two of these (see PerfScope).
+/// computed between two of these (see PhaseScope). No initializers: a
+/// PhaseScope holds one, and a disabled scope must not pay to zero it.
 struct PerfReading {
-  uint64_t values[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  uint64_t hw_enabled = 0;
-  uint64_t hw_running = 0;
-  uint64_t sw_enabled = 0;
-  uint64_t sw_running = 0;
+  uint64_t values[8];
+  uint64_t hw_enabled;
+  uint64_t hw_running;
+  uint64_t sw_enabled;
+  uint64_t sw_running;
 };
 
 }  // namespace internal
 
+/// The process-wide profiler (Global()); the one instance SUPA_PHASE
+/// charges.
 class PerfProfiler {
  public:
-  PerfProfiler();
-
   PerfProfiler(const PerfProfiler&) = delete;
   PerfProfiler& operator=(const PerfProfiler&) = delete;
 
-  /// Process-wide profiler used by SUPA_PERF_SCOPE. Leaked singleton (see
-  /// MetricsRegistry::Global).
+  /// Leaked singleton (see MetricsRegistry::Global).
   static PerfProfiler& Global();
 
   /// Enabling probes the ladder (once per Enable(true)), registers the
@@ -153,7 +140,8 @@ class PerfProfiler {
   /// path to one relaxed load; per-thread counter fds stay open for a
   /// later re-enable.
   void Enable(bool on);
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  /// Static, so the hot path reads the switch without calling Global().
+  static bool enabled() { return enabled_.load(std::memory_order_relaxed); }
 
   /// Tier chosen by the last Enable(true); kDisabled before that.
   PerfSource source() const {
@@ -167,17 +155,17 @@ class PerfProfiler {
   void SetMaxTier(PerfSource tier);
 
  private:
-  friend class PerfScope;
+  friend class PhaseScope;
+
+  PerfProfiler() = default;
 
   /// Fills `*reading` for the calling thread, opening its counters on
-  /// first use. Returns false when nothing could be read.
-  bool BeginScope(internal::PerfReading* reading);
-  /// Reads again, scales, and charges the delta to `domain` (and to
-  /// `*out` when non-null).
-  void EndScope(PerfDomain domain, const internal::PerfReading& begin,
-                PerfDelta* out);
+  /// first use.
+  void BeginScope(internal::PerfReading* reading);
+  /// Reads again, scales, and charges the delta to `domain`.
+  void EndScope(PerfDomain domain, const internal::PerfReading& begin);
 
-  std::atomic<bool> enabled_{false};
+  static inline std::atomic<bool> enabled_{false};
   std::atomic<PerfSource> source_{PerfSource::kDisabled};
   std::atomic<PerfSource> max_tier_{PerfSource::kHardware};
   /// Bumped when tier detection reruns; threads holding state from an
@@ -190,53 +178,59 @@ class PerfProfiler {
   std::mutex init_mu_;
 };
 
-/// RAII scope charging the enclosed work to `domain`. Safe to nest (e.g.
-/// the optimize scope inside the train_edge scope); each scope reads
-/// absolute counters at entry/exit and takes its own delta. When `out` is
-/// non-null the delta is also accumulated there (per-writer attribution).
-class PerfScope {
+/// RAII scope of one phase: a trace span named PerfDomainName(domain)
+/// and a perf charge to `perf.<domain>.*`, each taken only while its
+/// instrument is on. Safe to nest (the optimize scope inside train_edge);
+/// each scope takes its own deltas. Open it through SUPA_PHASE.
+class PhaseScope {
  public:
-  explicit PerfScope(PerfDomain domain, PerfDelta* out = nullptr)
-      : domain_(domain), out_(out) {
-    PerfProfiler& profiler = PerfProfiler::Global();
-    if (profiler.enabled()) {  // disabled path: this one relaxed load
-      active_ = profiler.BeginScope(&begin_);
+  explicit PhaseScope(PerfDomain domain) : domain_(domain) {
+    if (TraceRecorder::GlobalEnabled()) {
+      trace_start_ns_ = TraceRecorder::NowNs();
+    }
+    if (PerfProfiler::enabled()) {
+      perf_active_ = true;
+      PerfProfiler::Global().BeginScope(&begin_);
     }
   }
-  ~PerfScope() {
-    if (active_) PerfProfiler::Global().EndScope(domain_, begin_, out_);
+  ~PhaseScope() {
+    if (perf_active_) PerfProfiler::Global().EndScope(domain_, begin_);
+    if (trace_start_ns_ != 0) {
+      TraceRecorder::Global().Record(PerfDomainName(domain_), "phase",
+                                     trace_start_ns_, TraceRecorder::NowNs());
+    }
   }
 
-  PerfScope(const PerfScope&) = delete;
-  PerfScope& operator=(const PerfScope&) = delete;
+  PhaseScope(const PhaseScope&) = delete;
+  PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  PerfDomain domain_;
-  PerfDelta* out_;
-  bool active_ = false;
+  const PerfDomain domain_;
+  bool perf_active_ = false;
+  uint64_t trace_start_ns_ = 0;
   internal::PerfReading begin_;
 };
 
-#ifndef SUPA_PERF_DISABLED
-/// Charges the rest of the enclosing scope to `domain` (a PerfDomain
-/// enumerator name, e.g. SUPA_PERF_SCOPE(kSample)).
-#define SUPA_PERF_SCOPE(domain)               \
-  ::supa::obs::PerfScope SUPA_OBS_CONCAT(     \
-      supa_perf_scope_, __LINE__)(::supa::obs::PerfDomain::domain)
-/// Same, additionally accumulating the delta into `*out`.
-#define SUPA_PERF_SCOPE_OUT(domain, out)      \
-  ::supa::obs::PerfScope SUPA_OBS_CONCAT(     \
-      supa_perf_scope_, __LINE__)(::supa::obs::PerfDomain::domain, (out))
-#else
-#define SUPA_PERF_SCOPE(domain) static_cast<void>(0)
-#define SUPA_PERF_SCOPE_OUT(domain, out) static_cast<void>(0)
-#endif
+/// Instruments the rest of the enclosing scope as one unit of `domain` (a
+/// PerfDomain enumerator name, e.g. SUPA_PHASE(kSample)).
+#define SUPA_PHASE(domain)                \
+  ::supa::obs::PhaseScope SUPA_OBS_CONCAT( \
+      supa_phase_, __LINE__)(::supa::obs::PerfDomain::domain)
 
-/// Derived view of one domain's `perf.*` counters in a snapshot.
+/// Derived view of one domain's `perf.*` counters in a snapshot. Counter
+/// totals are multiplex-scaled and read as zero where the active tier
+/// cannot measure them.
 struct PerfDomainStats {
   PerfDomain domain = PerfDomain::kCount;
   uint64_t scopes = 0;
-  PerfDelta totals;
+  uint64_t cycles = 0;
+  uint64_t instructions = 0;
+  uint64_t llc_loads = 0;
+  uint64_t llc_misses = 0;
+  uint64_t branches = 0;
+  uint64_t branch_misses = 0;
+  uint64_t task_clock_ns = 0;
+  uint64_t ctx_switches = 0;
   double task_clock_s = 0.0;
   /// Ratios are 0 when their denominator is 0 (fallback tiers).
   double ipc = 0.0;              // instructions / cycles
@@ -266,16 +260,6 @@ std::string PerfReportJson(const MetricsSnapshot& snapshot);
 /// Same report as a self-contained HTML table (GET /profilez).
 std::string PerfReportHtml(const MetricsSnapshot& snapshot);
 
-/// Snapshots `registry` and writes PerfReportJson to `path`.
-bool WritePerfJson(const MetricsRegistry& registry, const std::string& path,
-                   std::string* error);
-
 }  // namespace supa::obs
-
-// SUPA_OBS_CONCAT lives in trace.h; keep the macros usable without it.
-#ifndef SUPA_OBS_CONCAT
-#define SUPA_OBS_CONCAT_INNER(a, b) a##b
-#define SUPA_OBS_CONCAT(a, b) SUPA_OBS_CONCAT_INNER(a, b)
-#endif
 
 #endif  // SUPA_OBS_PERF_COUNTERS_H_

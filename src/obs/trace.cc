@@ -42,8 +42,9 @@ struct TraceRecorder::Ring {
   uint32_t tid;
 };
 
-TraceRecorder::TraceRecorder()
-    : recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
+TraceRecorder::TraceRecorder(std::atomic<bool>* enabled)
+    : enabled_(enabled),
+      recorder_id_(g_next_recorder_id.fetch_add(1, std::memory_order_relaxed)),
       ring_capacity_(kDefaultRingCapacity),
       // Eagerly registered so the series exists (at zero) in every scrape,
       // not only after the first drop.
@@ -54,7 +55,7 @@ TraceRecorder::~TraceRecorder() = default;
 
 TraceRecorder& TraceRecorder::Global() {
   // Leaked on purpose — see MetricsRegistry::Global().
-  static TraceRecorder* recorder = new TraceRecorder();
+  static TraceRecorder* recorder = new TraceRecorder(&global_enabled_);
   return *recorder;
 }
 

@@ -7,12 +7,9 @@
 // buffer (lock-free, fixed capacity, oldest events overwritten), so long
 // runs keep the most recent window instead of growing without bound.
 //
-// Two switches:
-//   * runtime  — TraceRecorder::Enable(true/false); a disabled recorder
-//     reduces SUPA_TRACE_SPAN to one relaxed atomic load (the hot-path
-//     cost budget of the instrumented training loop).
-//   * compile  — building with -DSUPA_TRACE_DISABLED=1 (CMake option
-//     SUPA_OBS_TRACING=OFF) compiles the macros out entirely.
+// TraceRecorder::Enable(true/false) is the switch: while the global
+// recorder is off, SUPA_TRACE_SPAN (and SUPA_PHASE, obs/perf_counters.h)
+// cost one relaxed load of a constant-initialized flag, with no call.
 //
 // Span names and categories must be string literals (or otherwise outlive
 // the recorder): the ring stores the pointers, not copies.
@@ -42,18 +39,22 @@ struct TraceEvent {
 
 class TraceRecorder {
  public:
-  TraceRecorder();
+  TraceRecorder() : TraceRecorder(&own_enabled_) {}
   ~TraceRecorder();
 
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Process-wide recorder used by SUPA_TRACE_SPAN. Leaked singleton (see
-  /// MetricsRegistry::Global).
+  /// Process-wide recorder used by SUPA_TRACE_SPAN and SUPA_PHASE. Leaked
+  /// singleton (see MetricsRegistry::Global).
   static TraceRecorder& Global();
+  /// Global().enabled() without the call: the global recorder's switch.
+  static bool GlobalEnabled() {
+    return global_enabled_.load(std::memory_order_relaxed);
+  }
 
-  void Enable(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void Enable(bool on) { enabled_->store(on, std::memory_order_relaxed); }
+  bool enabled() const { return enabled_->load(std::memory_order_relaxed); }
 
   /// Per-thread ring capacity in events, rounded up to a power of two.
   /// Applies to rings created after the call; call before recording.
@@ -86,10 +87,15 @@ class TraceRecorder {
  private:
   struct Ring;
 
+  explicit TraceRecorder(std::atomic<bool>* enabled);
   Ring* RingForThisThread();
 
+  /// The global recorder's switch lives outside it, constant-initialized,
+  /// so the disabled hot path needs neither the singleton nor a call.
+  static inline std::atomic<bool> global_enabled_{false};
+  std::atomic<bool> own_enabled_{false};
+  std::atomic<bool>* const enabled_;
   const uint64_t recorder_id_;
-  std::atomic<bool> enabled_{false};
   std::atomic<size_t> ring_capacity_;
   /// Mirrors ring overwrites into the metrics registry
   /// (`obs.trace.dropped`) so scrapes see drops without calling
@@ -106,8 +112,8 @@ class TraceSpan {
   explicit TraceSpan(const char* name, const char* cat = "supa")
       : name_(name),
         cat_(cat),
-        start_ns_(TraceRecorder::Global().enabled() ? TraceRecorder::NowNs()
-                                                    : 0) {}
+        start_ns_(TraceRecorder::GlobalEnabled() ? TraceRecorder::NowNs()
+                                                 : 0) {}
   ~TraceSpan() {
     if (start_ns_ != 0) {
       TraceRecorder::Global().Record(name_, cat_, start_ns_,
@@ -127,17 +133,12 @@ class TraceSpan {
 #define SUPA_OBS_CONCAT_INNER(a, b) a##b
 #define SUPA_OBS_CONCAT(a, b) SUPA_OBS_CONCAT_INNER(a, b)
 
-#ifndef SUPA_TRACE_DISABLED
 /// Opens a span covering the rest of the enclosing scope.
 #define SUPA_TRACE_SPAN(name) \
   ::supa::obs::TraceSpan SUPA_OBS_CONCAT(supa_trace_span_, __LINE__)(name)
 #define SUPA_TRACE_SPAN_CAT(name, cat)                                    \
   ::supa::obs::TraceSpan SUPA_OBS_CONCAT(supa_trace_span_, __LINE__)(name, \
                                                                      cat)
-#else
-#define SUPA_TRACE_SPAN(name) static_cast<void>(0)
-#define SUPA_TRACE_SPAN_CAT(name, cat) static_cast<void>(0)
-#endif
 
 }  // namespace supa::obs
 

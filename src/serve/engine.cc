@@ -210,7 +210,7 @@ void ServeEngine::WorkerLoop(size_t worker_index) {
     batches_counter_.Increment();
     batch_size_hist_.Observe(static_cast<double>(arena->batch.size()));
     {
-      SUPA_PERF_SCOPE(kServeScore);  // one scope == one scoring batch
+      SUPA_PHASE(kServeScore);  // one scope == one scoring batch
       for (void* raw : arena->batch) {
         ScoreRequest(snapshot, static_cast<Slot*>(raw), arena);
       }

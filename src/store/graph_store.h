@@ -255,20 +255,6 @@ class GraphStore {
   /// forcing a snapshot publish.
   void RefreshShardMetrics();
 
-  /// Write-lease version of shard `s` (bumped on every lease release that
-  /// covered it). The delta writer diffs these against the versions it saw
-  /// at the previous checkpoint link to enumerate shards that could have
-  /// changed — clean shards are skipped without scanning their rows.
-  uint64_t ShardVersion(size_t s) const {
-    return shards_[s]->version.load(std::memory_order_acquire);
-  }
-  /// All shard versions, index-aligned with shard ids.
-  std::vector<uint64_t> ShardVersions() const {
-    std::vector<uint64_t> out(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) out[s] = ShardVersion(s);
-    return out;
-  }
-
  private:
   friend class ShardWriteLease;
 

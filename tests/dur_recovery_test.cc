@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -351,6 +352,66 @@ TEST_F(DurRecoveryTest, RejectsManifestStepMismatch) {
   EXPECT_TRUE(after.adam.v == before.adam.v);
   EXPECT_EQ(after.adam.step, before.adam.step);
   EXPECT_EQ(model.graph().num_edges(), 0u);
+}
+
+TEST_F(DurRecoveryTest, AttachRemovesUnlistedCheckpointFiles) {
+  // A cut or compaction killed mid-write leaves a partial checkpoint file
+  // that no MANIFEST names. Re-attaching must delete it and leave every
+  // listed file, and the state recovery rebuilds, as they were.
+  RunDurable(Dir("full"), /*compact_threshold=*/100);
+  auto manifest = LoadManifest(Dir("full"));
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  const std::vector<ManifestLink>& links = manifest.value().links;
+  ASSERT_GE(links.size(), 2u);
+  ASSERT_EQ(links.back().kind, ManifestLink::Kind::kDelta);
+  std::map<std::string, std::string> listed;
+  for (const ManifestLink& link : links) {
+    listed[link.file] = ReadBytes(Dir("full") + "/" + link.file);
+  }
+  listed["MANIFEST"] = ReadBytes(Dir("full") + "/MANIFEST");
+
+  auto recover = [&](SupaModel* model) {
+    auto recovered = Recover(Dir("full"), model);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+    return recovered.ok() ? recovered.value().wal_records_replayed : 0;
+  };
+  SupaModel before(data_, ModelConfig());
+  const uint64_t replayed_before = recover(&before);
+
+  // Truncated copies of the chain's base and newest delta, under ids past
+  // every listed one, as a kill during their write would leave them.
+  const std::string planted[] = {Dir("full") + "/ckpt-00000000000000f0.base",
+                                 Dir("full") + "/ckpt-00000000000000f1.delta"};
+  const std::string sources[] = {listed[links.front().file],
+                                 listed[links.back().file]};
+  for (size_t i = 0; i < 2; ++i) {
+    std::ofstream(planted[i], std::ios::binary)
+        << sources[i].substr(0, sources[i].size() / 2);
+    ASSERT_TRUE(fs::exists(planted[i]));
+  }
+  {
+    SupaModel model(data_, ModelConfig());
+    recover(&model);
+    DurabilityOptions options;
+    options.dir = Dir("full");
+    auto engine = DurabilityEngine::Attach(model, options);
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE(engine.value()->Flush().ok());
+  }
+  for (const std::string& path : planted) EXPECT_FALSE(fs::exists(path));
+  for (const auto& [file, bytes] : listed) {
+    EXPECT_EQ(ReadBytes(Dir("full") + "/" + file), bytes) << file;
+  }
+
+  SupaModel after(data_, ModelConfig());
+  EXPECT_EQ(recover(&after), replayed_before);
+  const SupaModel::Snapshot a = before.TakeSnapshot();
+  const SupaModel::Snapshot b = after.TakeSnapshot();
+  EXPECT_TRUE(a.params == b.params);
+  EXPECT_TRUE(a.adam.m == b.adam.m);
+  EXPECT_TRUE(a.adam.v == b.adam.v);
+  EXPECT_EQ(a.adam.step, b.adam.step);
+  EXPECT_EQ(after.graph().num_edges(), before.graph().num_edges());
 }
 
 TEST_F(DurRecoveryTest, ReportsItsPhases) {

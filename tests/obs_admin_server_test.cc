@@ -348,7 +348,7 @@ TEST(AdminServerTest, ProfilezServesHtmlAndJson) {
   // A recorded scope so the report has at least one domain row.
   PerfProfiler::Global().Enable(true);
   {
-    SUPA_PERF_SCOPE(kServeScore);
+    SUPA_PHASE(kServeScore);
     volatile uint64_t acc = 1;
     for (int i = 0; i < 10000; ++i) acc = acc * 33 + 7;
   }

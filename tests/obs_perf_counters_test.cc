@@ -4,19 +4,23 @@
 
 #include <cerrno>
 #include <cstdint>
+#include <map>
 #include <string>
 
+#include "core/ingest.h"
 #include "core/model.h"
 #include "data/synthetic.h"
 #include "json_check.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
+#include "serve/engine.h"
 
 namespace supa::obs {
 namespace {
 
-/// Scoped profiler state for tests using the global profiler (the
-/// SUPA_PERF_SCOPE macros always hit Global()): restores "disabled,
-/// unclamped" on exit so tests do not leak tier state into each other.
+/// Scoped profiler state for tests using the global profiler (SUPA_PHASE
+/// always charges Global()): restores "disabled, unclamped" on exit so
+/// tests do not leak tier state into each other.
 class GlobalPerfScope {
  public:
   GlobalPerfScope(bool enable, PerfSource max_tier = PerfSource::kHardware) {
@@ -80,28 +84,6 @@ TEST(PerfNamesTest, DomainAndSourceNamesAreStable) {
   EXPECT_STREQ(PerfSourceName(PerfSource::kDisabled), "disabled");
 }
 
-TEST(PerfDeltaTest, AccumulateSumsEveryField) {
-  PerfDelta a;
-  a.cycles = 1;
-  a.instructions = 2;
-  a.llc_loads = 3;
-  a.llc_misses = 4;
-  a.branches = 5;
-  a.branch_misses = 6;
-  a.task_clock_ns = 7;
-  a.ctx_switches = 8;
-  PerfDelta b = a;
-  b.Accumulate(a);
-  EXPECT_EQ(b.cycles, 2u);
-  EXPECT_EQ(b.instructions, 4u);
-  EXPECT_EQ(b.llc_loads, 6u);
-  EXPECT_EQ(b.llc_misses, 8u);
-  EXPECT_EQ(b.branches, 10u);
-  EXPECT_EQ(b.branch_misses, 12u);
-  EXPECT_EQ(b.task_clock_ns, 14u);
-  EXPECT_EQ(b.ctx_switches, 16u);
-}
-
 TEST(PerfProfilerTest, EnableDetectsSomeTier) {
   GlobalPerfScope scope(/*enable=*/true);
   // Whatever the host allows, the ladder must land on a real rung —
@@ -111,13 +93,20 @@ TEST(PerfProfilerTest, EnableDetectsSomeTier) {
 }
 
 TEST(PerfProfilerTest, DisabledScopesChargeNothing) {
+  // With tracing and profiling both off, SUPA_PHASE records no span and
+  // charges no counter.
   GlobalPerfScope scope(/*enable=*/false);
+  TraceRecorder::Global().Enable(false);
+  TraceRecorder::Global().Clear();
   const uint64_t before = CounterNow("perf.train_edge.scopes");
+  const uint64_t clock_before = CounterNow("perf.train_edge.task_clock_ns");
   for (int i = 0; i < 16; ++i) {
-    SUPA_PERF_SCOPE(kTrainEdge);
+    SUPA_PHASE(kTrainEdge);
     SpinWork(1000);
   }
   EXPECT_EQ(CounterNow("perf.train_edge.scopes"), before);
+  EXPECT_EQ(CounterNow("perf.train_edge.task_clock_ns"), clock_before);
+  EXPECT_EQ(TraceRecorder::Global().recorded_events(), 0u);
 }
 
 // One parameterized check per ladder rung: clamp the tier, run scopes,
@@ -137,7 +126,7 @@ void ExpectTierCharges(PerfSource clamp) {
   const uint64_t clock_before = CounterNow("perf.eval_shard.task_clock_ns");
   constexpr int kScopes = 8;
   for (int i = 0; i < kScopes; ++i) {
-    SUPA_PERF_SCOPE(kEvalShard);
+    SUPA_PHASE(kEvalShard);
     SpinWork(300000);
   }
   EXPECT_EQ(CounterNow("perf.eval_shard.scopes"), scopes_before + kScopes);
@@ -165,7 +154,7 @@ TEST(PerfProfilerTest, ChargesOnRusageFallback) {
 TEST(PerfReportTest, JsonParsesAndNamesTheTier) {
   GlobalPerfScope scope(/*enable=*/true);
   {
-    SUPA_PERF_SCOPE(kServeScore);
+    SUPA_PHASE(kServeScore);
     SpinWork(10000);
   }
   const std::string json =
@@ -181,7 +170,7 @@ TEST(PerfReportTest, JsonParsesAndNamesTheTier) {
 TEST(PerfReportTest, PrometheusSeriesIncludeSourceAndDerivedGauges) {
   GlobalPerfScope scope(/*enable=*/true);
   {
-    SUPA_PERF_SCOPE(kSnapshotTake);
+    SUPA_PHASE(kSnapshotTake);
     SpinWork(10000);
   }
   std::string out;
@@ -199,6 +188,78 @@ TEST(PerfReportTest, HtmlIsSelfContained) {
       PerfReportHtml(MetricsRegistry::Global().Snapshot());
   EXPECT_NE(html.find("<title>supa /profilez</title>"), std::string::npos);
   EXPECT_NE(html.find("/profilez?format=json"), std::string::npos);
+}
+
+// The trace, /profilez, /metrics and the benches read one name table: with
+// both instruments on, every domain that ran has exactly one span named
+// PerfDomainName(d) per `perf.<d>.scopes` charge. The run covers the
+// serial trainer with a Φ_best take and rollback, a 2-writer ingest span
+// and one served request.
+TEST(PhaseVocabularyTest, EveryDomainThatRanHasOneSpanPerScope) {
+  Dataset data = MakeTaobao(0.2, 31).value();
+  SupaConfig config;
+  config.dim = 16;
+  config.num_walks = 2;
+  config.walk_len = 3;
+  config.num_neg = 3;
+  config.seed = 5;
+
+  TraceRecorder& trace = TraceRecorder::Global();
+  trace.Clear();
+  trace.Enable(true);
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  {
+    GlobalPerfScope perf(/*enable=*/true);
+    SupaModel model(data, config);
+    for (size_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(model.TrainEdge(data.edges[i]).ok());
+      ASSERT_TRUE(model.ObserveEdge(data.edges[i]).ok());
+    }
+    model.TakeBest();
+    ASSERT_TRUE(model.TrainEdge(data.edges[40]).ok());
+    ASSERT_TRUE(model.RestoreBest().ok());
+
+    IngestOptions ingest;
+    ingest.writers = 2;
+    IngestPipeline pipeline(model, ingest);
+    ASSERT_TRUE(pipeline
+                    .TrainSpan(data.edges, 40, 120, /*observe_edges=*/true,
+                               nullptr, nullptr, nullptr)
+                    .ok());
+
+    serve::ServeEngine engine(&model, &data);
+    engine.Start();
+    serve::RecommendRequest request;
+    request.user = data.edges[0].src;
+    if (data.node_types[request.user] != data.query_type) {
+      request.user = data.edges[0].dst;
+    }
+    request.relation = data.target_relations[0];
+    serve::RecommendResponse response;
+    const Status served = engine.Recommend(request, &response);
+    engine.Stop();
+    ASSERT_TRUE(served.ok()) << served.ToString();
+  }
+  trace.Enable(false);
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+
+  ASSERT_EQ(trace.dropped_events(), 0u);  // the ring kept every span
+  std::map<std::string, uint64_t> spans;
+  for (const TraceEvent& e : trace.ExportEvents()) ++spans[e.name];
+  trace.Clear();
+  std::map<std::string, uint64_t> scopes;
+  for (size_t d = 0; d < kNumPerfDomains; ++d) {
+    const std::string name = PerfDomainName(static_cast<PerfDomain>(d));
+    const std::string counter = "perf." + name + ".scopes";
+    scopes[name] = after.CounterValue(counter) - before.CounterValue(counter);
+    EXPECT_EQ(spans[name], scopes[name]) << name;
+  }
+  for (const char* ran :
+       {"sample", "update", "propagate", "negative", "optimize", "train_edge",
+        "snapshot_take", "snapshot_restore", "ingest_plan", "ingest_execute",
+        "ingest_commit", "serve_score"}) {
+    EXPECT_GT(scopes[ran], 0u) << ran;
+  }
 }
 
 // The acceptance bar shared with tracing: profiling must never perturb

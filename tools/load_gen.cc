@@ -26,6 +26,12 @@
 // Worker w draws from an Rng seeded SplitMix64At(seed, w), so the offered
 // load is reproducible bit-for-bit at any concurrency.
 //
+// Latency quantiles come from per-worker obs::QuantileSketch (DDSketch)
+// merged per repeat: p50/p95/p99 are within 1% relative error, mean and
+// max are exact. The report's per-repeat "samples" arrays follow the
+// BENCH_fig5.json convention, so tools/bench_compare Welch-tests them:
+// the `_us` suffix gates lower-is-better, bare `qps` higher-is-better.
+//
 // Exit status: 0 when every repeat completed and at least `--min-requests`
 // requests succeeded (CI's serving-smoke gate), 1 otherwise.
 
@@ -38,6 +44,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -47,8 +54,9 @@
 #include "data/splits.h"
 #include "data/synthetic.h"
 #include "dur/checkpoint.h"
+#include "obs/json_writer.h"
+#include "obs/sketch.h"
 #include "serve/engine.h"
-#include "serve/latency_recorder.h"
 #include "util/rng.h"
 #include "util/tsv.h"
 #include "util/zipf.h"
@@ -206,15 +214,28 @@ struct LoadPlan {
 };
 
 struct WorkerResult {
-  serve::LatencyRecorder latencies;
+  obs::QuantileSketch latencies_us;
   uint64_t errors = 0;
 };
 
-/// Runs one repeat of the plan against `client`; returns merged latencies
-/// and the true wall duration (the QPS denominator).
-serve::RepeatSummary RunRepeat(Client* client, const LoadPlan& plan,
-                               const std::vector<NodeId>& users,
-                               uint64_t repeat_index, bool record) {
+/// One load repeat, summarized.
+struct RepeatSummary {
+  uint64_t requests = 0;  // completed successfully
+  uint64_t errors = 0;    // rejected or failed
+  double duration_s = 0.0;
+  double qps = 0.0;  // requests / duration_s
+  double p50_us = 0.0;
+  double p95_us = 0.0;
+  double p99_us = 0.0;
+  double mean_us = 0.0;
+  double max_us = 0.0;
+};
+
+/// Runs one repeat of the plan against `client` and summarizes the merged
+/// worker latencies over the true wall duration (the QPS denominator).
+RepeatSummary RunRepeat(Client* client, const LoadPlan& plan,
+                        const std::vector<NodeId>& users,
+                        uint64_t repeat_index, bool record) {
   const FastZipf zipf(users.size(), plan.theta);
   std::vector<WorkerResult> results(plan.concurrency);
   std::vector<std::thread> threads;
@@ -251,7 +272,7 @@ serve::RepeatSummary RunRepeat(Client* client, const LoadPlan& plan,
         if (ok) {
           // Open loop measures from the scheduled arrival, closed loop
           // from issue time — both end at completion.
-          out.latencies.Record(
+          out.latencies_us.Add(
               std::chrono::duration<double, std::micro>(Clock::now() - issued)
                   .count());
         } else {
@@ -264,13 +285,79 @@ serve::RepeatSummary RunRepeat(Client* client, const LoadPlan& plan,
   const double wall_s =
       std::chrono::duration<double>(Clock::now() - start).count();
 
-  serve::LatencyRecorder merged;
-  uint64_t errors = 0;
-  for (WorkerResult& r : results) {
-    merged.Merge(std::move(r.latencies));
-    errors += r.errors;
+  obs::QuantileSketch merged;
+  RepeatSummary out;
+  for (const WorkerResult& r : results) {
+    merged.Merge(r.latencies_us);
+    out.errors += r.errors;
   }
-  return serve::SummarizeRepeat(&merged, wall_s, errors);
+  out.requests = merged.count();
+  out.duration_s = wall_s;
+  out.qps = wall_s > 0.0 ? static_cast<double>(out.requests) / wall_s : 0.0;
+  out.p50_us = merged.Quantile(0.50);
+  out.p95_us = merged.Quantile(0.95);
+  out.p99_us = merged.Quantile(0.99);
+  out.mean_us = merged.Mean();
+  out.max_us = merged.max();
+  return out;
+}
+
+/// The BENCH_serve.json document: `config` writes the run's settings,
+/// then come the totals, the per-repeat "samples" arrays bench_compare
+/// consumes, and each repeat's detail.
+std::string ReportJson(const std::string& mode,
+                       const std::function<void(obs::JsonWriter*)>& config,
+                       const std::vector<RepeatSummary>& repeats) {
+  obs::JsonWriter w;
+  w.BeginObject();
+  w.Field("benchmark", std::string_view("serve_load"));
+  w.Field("mode", std::string_view(mode));
+  w.Field("repeats", static_cast<uint64_t>(repeats.size()));
+  w.Key("config").BeginObject();
+  config(&w);
+  w.EndObject();
+
+  uint64_t total_requests = 0;
+  uint64_t total_errors = 0;
+  for (const RepeatSummary& r : repeats) {
+    total_requests += r.requests;
+    total_errors += r.errors;
+  }
+  w.Key("totals").BeginObject();
+  w.Field("requests", total_requests);
+  w.Field("errors", total_errors);
+  w.EndObject();
+
+  const auto sample_array = [&](std::string_view name,
+                                double RepeatSummary::*member) {
+    w.Key(name).BeginArray();
+    for (const RepeatSummary& r : repeats) w.Double(r.*member);
+    w.EndArray();
+  };
+  w.Key("samples").BeginObject();
+  sample_array("p50_us", &RepeatSummary::p50_us);
+  sample_array("p95_us", &RepeatSummary::p95_us);
+  sample_array("p99_us", &RepeatSummary::p99_us);
+  sample_array("qps", &RepeatSummary::qps);
+  w.EndObject();
+
+  w.Key("repeats_detail").BeginArray();
+  for (const RepeatSummary& r : repeats) {
+    w.BeginObject();
+    w.Field("requests", r.requests);
+    w.Field("errors", r.errors);
+    w.Field("duration_s", r.duration_s);
+    w.Field("qps", r.qps);
+    w.Field("p50_us", r.p50_us);
+    w.Field("p95_us", r.p95_us);
+    w.Field("p99_us", r.p99_us);
+    w.Field("mean_us", r.mean_us);
+    w.Field("max_us", r.max_us);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -405,19 +492,6 @@ int Main(int argc, char** argv) {
     client = std::make_unique<InprocClient>(engine.get());
   }
 
-  serve::ServeReport report("serve_load", mode);
-  report.AddConfig("dataset", data.value().name);
-  report.AddConfig("transport", target.empty() ? "inproc" : "http");
-  report.AddConfig("concurrency", static_cast<double>(plan.concurrency));
-  if (plan.open_loop) report.AddConfig("qps_target", plan.qps);
-  report.AddConfig("duration_s", plan.duration_s);
-  report.AddConfig("theta", plan.theta);
-  report.AddConfig("k", static_cast<double>(plan.k));
-  report.AddConfig("relation",
-                   data.value().schema.EdgeTypeName(plan.relation));
-  report.AddConfig("users", static_cast<double>(users.size()));
-  report.AddConfig("seed", static_cast<double>(plan.seed));
-
   if (warmup_s > 0.0) {
     LoadPlan warm = plan;
     warm.duration_s = warmup_s;
@@ -425,12 +499,13 @@ int Main(int argc, char** argv) {
               /*record=*/false);
   }
 
+  std::vector<RepeatSummary> summaries;
   uint64_t total_requests = 0;
   bool all_served = true;
   for (size_t r = 0; r < repeats; ++r) {
-    const serve::RepeatSummary s =
+    const RepeatSummary s =
         RunRepeat(client.get(), plan, users, r, /*record=*/true);
-    report.AddRepeat(s);
+    summaries.push_back(s);
     total_requests += s.requests;
     if (s.requests == 0) all_served = false;
     std::printf(
@@ -440,17 +515,33 @@ int Main(int argc, char** argv) {
         static_cast<unsigned long long>(s.errors), s.qps, s.p50_us, s.p95_us,
         s.p99_us, s.max_us);
   }
-  if (client->max_staleness() > 0) {
-    report.AddConfig("max_staleness_edges",
-                     static_cast<double>(client->max_staleness()));
-  }
-
   if (engine != nullptr) engine->Stop();
 
   const std::string json_out = args.Get("json-out", "");
   if (!json_out.empty()) {
-    if (Status st = report.WriteFile(json_out); !st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    const auto config = [&](obs::JsonWriter* w) {
+      w->Field("dataset", std::string_view(data.value().name));
+      w->Field("transport", std::string_view(target.empty() ? "inproc"
+                                                            : "http"));
+      w->Field("concurrency", static_cast<double>(plan.concurrency));
+      if (plan.open_loop) w->Field("qps_target", plan.qps);
+      w->Field("duration_s", plan.duration_s);
+      w->Field("theta", plan.theta);
+      w->Field("k", static_cast<double>(plan.k));
+      w->Field("relation", std::string_view(data.value().schema.EdgeTypeName(
+                               plan.relation)));
+      w->Field("users", static_cast<double>(users.size()));
+      w->Field("seed", static_cast<double>(plan.seed));
+      if (client->max_staleness() > 0) {
+        w->Field("max_staleness_edges",
+                 static_cast<double>(client->max_staleness()));
+      }
+    };
+    std::string error;
+    if (!obs::WriteTextFile(json_out, ReportJson(mode, config, summaries),
+                            &error)) {
+      std::fprintf(stderr, "writing %s: %s\n", json_out.c_str(),
+                   error.c_str());
       return 1;
     }
     std::fprintf(stderr, "report -> %s\n", json_out.c_str());

@@ -37,11 +37,8 @@
 #include "eval/protocols.h"
 #include "graph/metapath_miner.h"
 #include "obs/admin_server.h"
-#include "obs/json_writer.h"
+#include "obs/exports.h"
 #include "obs/metrics.h"
-#include "obs/model_monitor.h"
-#include "obs/perf_counters.h"
-#include "obs/trace.h"
 #include "serve/engine.h"
 #include "serve/http.h"
 #include "util/tsv.h"
@@ -614,13 +611,12 @@ int Main(int argc, char** argv) {
     return Usage();
   }
 
-  const std::string metrics_out = args.value().Get("metrics-out", "");
-  const std::string trace_out = args.value().Get("trace-out", "");
-  const std::string perf_out = args.value().Get("perf-out", "");
-  const std::string model_out = args.value().Get("model-out", "");
-  if (!trace_out.empty()) obs::TraceRecorder::Global().Enable(true);
-  if (!perf_out.empty()) obs::PerfProfiler::Global().Enable(true);
-  if (!model_out.empty()) obs::ModelMonitor::Global().Enable(true);
+  obs::ExportPaths exports;
+  exports.metrics = args.value().Get("metrics-out", "");
+  exports.trace = args.value().Get("trace-out", "");
+  exports.perf = args.value().Get("perf-out", "");
+  exports.model = args.value().Get("model-out", "");
+  obs::StartExports(exports);
 
   // --admin-port (or SUPA_ADMIN_PORT) serves the live telemetry endpoints
   // for the lifetime of the command. The bound port goes to stderr so
@@ -654,55 +650,11 @@ int Main(int argc, char** argv) {
 
   // Observability exports are written even when the command failed — a
   // partial run's metrics are exactly what one wants when diagnosing it.
-  if (!trace_out.empty()) {
-    obs::TraceRecorder::Global().Enable(false);
-    std::string error;
-    if (!obs::TraceRecorder::Global().WriteJson(trace_out, &error)) {
-      std::fprintf(stderr, "failed to write trace: %s\n", error.c_str());
-      return rc == 0 ? 1 : rc;
-    }
-    std::fprintf(stderr, "trace (%zu spans) -> %s\n",
-                 obs::TraceRecorder::Global().recorded_events(),
-                 trace_out.c_str());
+  if (!exports.metrics.empty()) {
+    std::fputs(obs::MetricsRegistry::Global().Snapshot().ToTable().c_str(),
+               stdout);
   }
-  if (!perf_out.empty()) {
-    obs::PerfProfiler::Global().Enable(false);
-    std::string error;
-    if (!obs::WritePerfJson(obs::MetricsRegistry::Global(), perf_out,
-                            &error)) {
-      std::fprintf(stderr, "failed to write perf profile: %s\n",
-                   error.c_str());
-      return rc == 0 ? 1 : rc;
-    }
-    std::fprintf(stderr, "perf profile (source=%s) -> %s\n",
-                 obs::PerfSourceName(obs::PerfProfiler::Global().source()),
-                 perf_out.c_str());
-  }
-  if (!model_out.empty()) {
-    obs::ModelMonitor::Global().Enable(false);
-    std::string error;
-    if (!obs::WriteModelJson(model_out, &error)) {
-      std::fprintf(stderr, "failed to write model report: %s\n",
-                   error.c_str());
-      return rc == 0 ? 1 : rc;
-    }
-    const obs::ModelMonitorSnapshot model =
-        obs::ModelMonitor::Global().Snapshot();
-    std::fprintf(stderr,
-                 "model report (%llu train steps, alert level %s) -> %s\n",
-                 static_cast<unsigned long long>(model.train_steps),
-                 obs::AlertLevelName(model.worst_level), model_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    const auto snapshot = obs::MetricsRegistry::Global().Snapshot();
-    std::fputs(snapshot.ToTable().c_str(), stdout);
-    std::string error;
-    if (!obs::WriteTextFile(metrics_out, snapshot.ToJson(), &error)) {
-      std::fprintf(stderr, "failed to write metrics: %s\n", error.c_str());
-      return rc == 0 ? 1 : rc;
-    }
-    std::fprintf(stderr, "metrics -> %s\n", metrics_out.c_str());
-  }
+  if (!obs::FinishExports(exports) && rc == 0) return 1;
   return rc;
 }
 
