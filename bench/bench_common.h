@@ -5,10 +5,7 @@
 //   SUPA_BENCH_SCALE       dataset size multiplier (default 1.0)
 //   SUPA_BENCH_EFFORT      training effort multiplier (default 1.0)
 //   SUPA_BENCH_TEST_EDGES  test cases per evaluation (default 300)
-//   SUPA_BENCH_SEEDS       repetitions for significance tests (default 3)
-//   SUPA_BENCH_REPEATS     timing repeats per perf metric, emitted as the
-//                          "samples" arrays bench_compare consumes
-//                          (default 3)
+//   SUPA_BENCH_SEEDS       repetitions for significance tests (default 2)
 //   SUPA_BENCH_THREADS     eval worker threads (default 0 = all cores;
 //                          results are thread-count invariant)
 //   SUPA_SHARDS            storage-engine shard count (default 1), read by
@@ -122,7 +119,6 @@ struct BenchEnv {
   double effort = EnvDouble("SUPA_BENCH_EFFORT", 1.0);
   size_t test_edges = EnvSize("SUPA_BENCH_TEST_EDGES", 300);
   size_t seeds = EnvSize("SUPA_BENCH_SEEDS", 2);
-  size_t repeats = EnvSize("SUPA_BENCH_REPEATS", 3);
   size_t threads = EnvSize("SUPA_BENCH_THREADS", 0);
 };
 

@@ -121,17 +121,22 @@ Result<std::unique_ptr<DurabilityEngine>> DurabilityEngine::Attach(
                                     next_seq));
   engine->stat_wal_records_.store(next_seq, std::memory_order_relaxed);
 
-  // Register every dur.* series up front so scrapes that land before the
-  // first append / link see them at zero instead of not at all.
+  // Resolving every dur.* handle here also registers the series up front,
+  // so scrapes that land before the first append / link see them at zero
+  // instead of not at all.
   auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("dur.wal_appends");
-  reg.GetCounter("dur.wal_syncs");
-  reg.GetCounter("dur.ckpt_base_links");
-  reg.GetCounter("dur.ckpt_delta_links");
-  reg.GetCounter("dur.compactions");
-  reg.GetGauge("dur.chain_length")
-      .Set(static_cast<double>(engine->manifest_.links.size()));
-  reg.GetGauge("dur.last_checkpoint_seconds");
+  engine->wal_appends_counter_ = reg.GetCounter("dur.wal_appends");
+  engine->wal_syncs_counter_ = reg.GetCounter("dur.wal_syncs");
+  engine->base_links_counter_ = reg.GetCounter("dur.ckpt_base_links");
+  engine->delta_links_counter_ = reg.GetCounter("dur.ckpt_delta_links");
+  engine->compactions_counter_ = reg.GetCounter("dur.compactions");
+  engine->chain_length_gauge_ = reg.GetGauge("dur.chain_length");
+  engine->chain_length_gauge_.Set(
+      static_cast<double>(engine->manifest_.links.size()));
+  engine->last_checkpoint_gauge_ = reg.GetGauge("dur.last_checkpoint_seconds");
+  engine->dirty_rows_hist_ =
+      reg.GetHistogram("dur.ckpt_dirty_rows",
+                       obs::MetricsRegistry::ExponentialBounds(16, 4, 10));
 
   model.set_edge_log(engine.get());
   model.optimizer().set_checkpoint_tracking(true);
@@ -207,8 +212,7 @@ void DurabilityEngine::LogAdd(const TemporalEdge& e) {
     StashError(st);
     return;
   }
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("dur.wal_appends").Increment();
+  wal_appends_counter_.Increment();
   stat_wal_records_.fetch_add(1, std::memory_order_relaxed);
   stat_wal_bytes_.store(wal_->bytes_appended(), std::memory_order_relaxed);
 }
@@ -223,8 +227,7 @@ void DurabilityEngine::LogRemove(NodeId u, NodeId v, EdgeTypeId r,
     StashError(st);
     return;
   }
-  auto& reg = obs::MetricsRegistry::Global();
-  reg.GetCounter("dur.wal_appends").Increment();
+  wal_appends_counter_.Increment();
   stat_wal_records_.fetch_add(1, std::memory_order_relaxed);
   stat_wal_bytes_.store(wal_->bytes_appended(), std::memory_order_relaxed);
 }
@@ -232,7 +235,6 @@ void DurabilityEngine::LogRemove(NodeId u, NodeId v, EdgeTypeId r,
 Status DurabilityEngine::OnCheckpoint(SupaModel& model,
                                       const TrainerCursor& cursor) {
   Timer timer;
-  auto& reg = obs::MetricsRegistry::Global();
 
   // A WAL append that failed asynchronously poisons the run: the log no
   // longer covers the state we are about to link.
@@ -244,7 +246,7 @@ Status DurabilityEngine::OnCheckpoint(SupaModel& model,
   // The records this link depends on must be durable before the link can
   // be published (under kOff the user opted out of that guarantee).
   SUPA_RETURN_NOT_OK(wal_->Sync());
-  reg.GetCounter("dur.wal_syncs").Increment();
+  wal_syncs_counter_.Increment();
 
   PendingLink link;
   link.cursor = cursor;
@@ -266,9 +268,7 @@ Status DurabilityEngine::OnCheckpoint(SupaModel& model,
   } else {
     link.kind = ManifestLink::Kind::kDelta;
     SUPA_ASSIGN_OR_RETURN(DeltaCapture delta, CaptureDirtyRows(model));
-    reg.GetHistogram("dur.ckpt_dirty_rows",
-                     obs::MetricsRegistry::ExponentialBounds(16, 4, 10))
-        .Observe(static_cast<double>(delta.num_rows()));
+    dirty_rows_hist_.Observe(static_cast<double>(delta.num_rows()));
     link.adam_step = delta.adam_step;
     link.delta = std::move(delta);
   }
@@ -281,7 +281,7 @@ Status DurabilityEngine::OnCheckpoint(SupaModel& model,
   cv_.notify_all();
 
   const double seconds = timer.ElapsedSeconds();
-  reg.GetGauge("dur.last_checkpoint_seconds").Set(seconds);
+  last_checkpoint_gauge_.Set(seconds);
   stat_last_ckpt_seconds_.store(seconds, std::memory_order_relaxed);
   return Status::OK();
 }
@@ -314,7 +314,6 @@ void DurabilityEngine::WriterLoop() {
 }
 
 Status DurabilityEngine::WriteLink(PendingLink link) {
-  auto& reg = obs::MetricsRegistry::Global();
   uint64_t id = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -341,16 +340,15 @@ Status DurabilityEngine::WriteLink(PendingLink link) {
   SUPA_RETURN_NOT_OK(SaveManifest(options_.dir, manifest_));
   if (link.kind == ManifestLink::Kind::kBase) {
     deltas_since_base_ = 0;
-    reg.GetCounter("dur.ckpt_base_links").Increment();
+    base_links_counter_.Increment();
     stat_base_links_.fetch_add(1, std::memory_order_relaxed);
   } else {
     ++deltas_since_base_;
-    reg.GetCounter("dur.ckpt_delta_links").Increment();
+    delta_links_counter_.Increment();
     stat_delta_links_.fetch_add(1, std::memory_order_relaxed);
   }
   stat_chain_links_.store(manifest_.links.size(), std::memory_order_relaxed);
-  reg.GetGauge("dur.chain_length").Set(
-      static_cast<double>(manifest_.links.size()));
+  chain_length_gauge_.Set(static_cast<double>(manifest_.links.size()));
 
   if (deltas_since_base_ <= options_.compact_threshold) return Status::OK();
   lock.unlock();
@@ -367,7 +365,6 @@ Status DurabilityEngine::WriteLink(PendingLink link) {
 // lands during the merge enqueues without waiting; Flush still waits,
 // because the link stays in flight until WriteLink returns.
 Status DurabilityEngine::Compact() {
-  auto& reg = obs::MetricsRegistry::Global();
   if (manifest_.links.empty()) return Status::OK();
 
   SUPA_ASSIGN_OR_RETURN(
@@ -405,10 +402,10 @@ Status DurabilityEngine::Compact() {
   for (const std::string& old : old_files) {
     SUPA_RETURN_NOT_OK(RemoveFileIfExists(options_.dir + "/" + old));
   }
-  reg.GetCounter("dur.compactions").Increment();
+  compactions_counter_.Increment();
   stat_compactions_.fetch_add(1, std::memory_order_relaxed);
   stat_chain_links_.store(1, std::memory_order_relaxed);
-  reg.GetGauge("dur.chain_length").Set(1.0);
+  chain_length_gauge_.Set(1.0);
   return Status::OK();
 }
 

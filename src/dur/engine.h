@@ -39,6 +39,7 @@
 #include "dur/delta_writer.h"
 #include "dur/manifest.h"
 #include "dur/wal.h"
+#include "obs/metrics.h"
 #include "obs/statusz.h"
 #include "util/status.h"
 
@@ -129,6 +130,18 @@ class DurabilityEngine : public EdgeLogSink, public CheckpointSink {
   std::atomic<uint64_t> stat_chain_links_{0};
   std::atomic<uint64_t> stat_compactions_{0};
   std::atomic<double> stat_last_ckpt_seconds_{0.0};
+
+  // Registry handles, resolved once in Attach: LogAdd runs once per
+  // committed edge, and a lookup takes the registry mutex that a /metrics
+  // scrape holds while it snapshots.
+  obs::Counter wal_appends_counter_;
+  obs::Counter wal_syncs_counter_;
+  obs::Counter base_links_counter_;
+  obs::Counter delta_links_counter_;
+  obs::Counter compactions_counter_;
+  obs::Gauge chain_length_gauge_;
+  obs::Gauge last_checkpoint_gauge_;
+  obs::Histogram dirty_rows_hist_;
 
   std::thread writer_;
   std::optional<obs::StatusScope> status_scope_;

@@ -1,6 +1,5 @@
 #include "obs/perf_counters.h"
 
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -268,21 +267,6 @@ PerfSource ResolvePerfTier(bool hardware_ok, bool software_ok) {
   if (hardware_ok) return PerfSource::kHardware;
   if (software_ok) return PerfSource::kSoftware;
   return PerfSource::kRusage;  // always available: the ladder never fails
-}
-
-bool PerfErrnoMeansUnavailable(int err) {
-  switch (err) {
-    case EACCES:
-    case EPERM:   // perf_event_paranoid / missing CAP_PERFMON
-    case ENOSYS:  // kernel without perf_event_open
-    case ENOENT:  // event type not supported (no PMU in this VM)
-    case ENODEV:
-    case EOPNOTSUPP:
-    case EINVAL:  // partial PMUs reject specific configs this way
-      return true;
-    default:
-      return false;
-  }
 }
 
 PerfProfiler& PerfProfiler::Global() {

@@ -104,12 +104,6 @@ const char* PerfSourceName(PerfSource source);
 /// the fallback ordering is pinned by tests independent of the host.
 PerfSource ResolvePerfTier(bool hardware_ok, bool software_ok);
 
-/// True when `err` (an errno from perf_event_open) means the event or the
-/// syscall is unavailable in this environment — the expected, silent
-/// reasons to descend the ladder (EACCES, EPERM, ENOENT, ENOSYS, ENODEV,
-/// EOPNOTSUPP, EINVAL on partial PMUs).
-bool PerfErrnoMeansUnavailable(int err);
-
 namespace internal {
 
 /// Raw absolute readings at one instant; deltas and multiplex scaling are

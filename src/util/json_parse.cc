@@ -2,9 +2,7 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace supa {
 
@@ -263,29 +261,6 @@ class JsonParser {
 
 Result<JsonValue> ParseJson(std::string_view text) {
   return JsonParser(text).Parse();
-}
-
-Result<JsonValue> ParseJsonFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string contents;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    contents.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) return Status::IOError("failed reading " + path);
-  auto parsed = ParseJson(contents);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument(path + ": " +
-                                   parsed.status().message());
-  }
-  return parsed;
 }
 
 }  // namespace supa

@@ -1,9 +1,10 @@
-// Minimal recursive-descent JSON parser for the tooling that *consumes*
-// the repo's machine-readable exports (bench_compare reading
-// BENCH_fig5.json-style reports). The producing side stays on
+// Minimal recursive-descent JSON parser. Its one production caller parses
+// the body of POST /recommend (serve/http.cc), bytes that arrive from the
+// network, so every malformed input must end in a Status naming its byte
+// offset (JsonParseFuzzTest). The producing side stays on
 // obs/json_writer.h; this is the matching reader, kept deliberately small:
 // strict RFC 8259 grammar, no comments, no trailing commas, numbers as
-// double, \uXXXX escapes decoded to UTF-8.
+// double, \uXXXX escapes decoded to UTF-8, nesting depth capped at 64.
 
 #ifndef SUPA_UTIL_JSON_PARSE_H_
 #define SUPA_UTIL_JSON_PARSE_H_
@@ -64,9 +65,6 @@ class JsonValue {
 /// Parses exactly one JSON document (trailing whitespace allowed, trailing
 /// content is an error). Errors carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
-
-/// Reads `path` and parses its contents.
-Result<JsonValue> ParseJsonFile(const std::string& path);
 
 }  // namespace supa
 

@@ -1,8 +1,5 @@
-// Summary statistics and Welch's t-test. Originally grew out of the
-// significance stars (p < 0.01) reported in Tables V and VI; now also the
-// decision procedure of the perf-regression sentinel (tools/bench_compare),
-// which is why it lives in util/ rather than eval/ — tooling and the
-// observability layer can use it without linking the evaluation stack.
+// Summary statistics and Welch's t-test, behind the significance stars
+// (p < 0.01) reported in Tables V and VI (bench/link_prediction_grid.h).
 
 #ifndef SUPA_UTIL_STATS_H_
 #define SUPA_UTIL_STATS_H_

@@ -126,6 +126,17 @@ TEST_F(IngestPipelineTest, FastDeterministicAcrossWriterCounts) {
   ExpectIdentical(eight, two, "fast, 8 vs 2 writers");
 }
 
+TEST_F(IngestPipelineTest, FastDeterministicAcrossShardCounts) {
+  // Shards are placement only (DESIGN.md §11.5), for the pipeline too: 4
+  // writers over one shard, whose leases all contend for the same mutex,
+  // must produce the bytes of 4 writers over 8.
+  const PipelineResult one =
+      RunPipeline(data_, 1, 4, path_, ModelConfig(1));
+  const PipelineResult eight =
+      RunPipeline(data_, 8, 4, path_ + ".b", ModelConfig(8));
+  ExpectIdentical(one, eight, "fast, 4 writers, 1 vs 8 shards");
+}
+
 TEST_F(IngestPipelineTest, FastTracksSerialQuality) {
   // The pipeline deliberately diverges from the serial trainer (its group
   // reads embeddings as of the group start) but it is the SAME algorithm

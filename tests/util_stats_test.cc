@@ -121,8 +121,8 @@ TEST(WelchTTestTest, UnequalSizesAndVariancesFixture) {
 }
 
 TEST(WelchTTestTest, TenPercentRegressionAtSmallNoiseIsSignificant) {
-  // The perf-sentinel shape: per-repeat edges/sec samples with ~1% noise
-  // and a 10% drop must gate at p < 0.05 (bench_compare's default alpha).
+  // Per-repeat edges/sec samples with ~1% noise: a 10% drop must be
+  // significant at p < 0.05.
   std::vector<double> baseline = {1000.0, 1010.0, 990.0, 1005.0, 995.0};
   std::vector<double> regressed = {900.0, 909.0, 891.0, 904.5, 895.5};
   auto r = WelchTTest(baseline, regressed);

@@ -2,7 +2,7 @@
 //
 // Drives POST /recommend (HTTP mode) or a ServeEngine linked in-process
 // with Zipf-skewed user popularity, and reports tail latency + throughput
-// as a BENCH_serve.json the perf sentinel (tools/bench_compare) consumes.
+// as a BENCH_serve.json.
 //
 //   # HTTP, closed loop: 8 clients hammering a live supa_cli --serve run
 //   load_gen --target http://127.0.0.1:8080 --mode closed
@@ -28,9 +28,7 @@
 //
 // Latency quantiles come from per-worker obs::QuantileSketch (DDSketch)
 // merged per repeat: p50/p95/p99 are within 1% relative error, mean and
-// max are exact. The report's per-repeat "samples" arrays follow the
-// BENCH_fig5.json convention, so tools/bench_compare Welch-tests them:
-// the `_us` suffix gates lower-is-better, bare `qps` higher-is-better.
+// max are exact. The report lists them per repeat under "repeats_detail".
 //
 // Exit status: 0 when every repeat completed and at least `--min-requests`
 // requests succeeded (CI's serving-smoke gate), 1 otherwise.
@@ -303,8 +301,7 @@ RepeatSummary RunRepeat(Client* client, const LoadPlan& plan,
 }
 
 /// The BENCH_serve.json document: `config` writes the run's settings,
-/// then come the totals, the per-repeat "samples" arrays bench_compare
-/// consumes, and each repeat's detail.
+/// then come the totals and each repeat's detail.
 std::string ReportJson(const std::string& mode,
                        const std::function<void(obs::JsonWriter*)>& config,
                        const std::vector<RepeatSummary>& repeats) {
@@ -326,19 +323,6 @@ std::string ReportJson(const std::string& mode,
   w.Key("totals").BeginObject();
   w.Field("requests", total_requests);
   w.Field("errors", total_errors);
-  w.EndObject();
-
-  const auto sample_array = [&](std::string_view name,
-                                double RepeatSummary::*member) {
-    w.Key(name).BeginArray();
-    for (const RepeatSummary& r : repeats) w.Double(r.*member);
-    w.EndArray();
-  };
-  w.Key("samples").BeginObject();
-  sample_array("p50_us", &RepeatSummary::p50_us);
-  sample_array("p95_us", &RepeatSummary::p95_us);
-  sample_array("p99_us", &RepeatSummary::p99_us);
-  sample_array("qps", &RepeatSummary::qps);
   w.EndObject();
 
   w.Key("repeats_detail").BeginArray();
