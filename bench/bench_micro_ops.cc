@@ -62,24 +62,6 @@ void BM_TrainEdge(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainEdge)->Arg(32)->Arg(64)->Arg(128);
 
-void BM_InfluencedGraphSampling(benchmark::State& state) {
-  const Dataset& data = BenchData();
-  SupaConfig config = BenchConfig();
-  config.num_walks = static_cast<int>(state.range(0));
-  auto model = WarmModel(config, 5000);
-  InfluencedGraphSampler sampler(model->graph(),
-                                 data.schema.num_node_types(), data.metapaths,
-                                 config.num_walks, config.walk_len);
-  Rng rng(1);
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& e = data.edges[5000 + (i++ % 4000)];
-    benchmark::DoNotOptimize(sampler.Sample(e.src, e.dst, rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_InfluencedGraphSampling)->Arg(1)->Arg(4)->Arg(16);
-
 void BM_Score(benchmark::State& state) {
   auto model = WarmModel(BenchConfig(), 5000);
   const Dataset& data = BenchData();
@@ -298,9 +280,9 @@ void BM_GradBufferAccumulate(benchmark::State& state) {
 }
 BENCHMARK(BM_GradBufferAccumulate)->Arg(4)->Arg(16)->Arg(64)->Arg(256);
 
-// ---- Influenced-graph sampling: per-Walk heap vectors vs flat arena ------
+// ---- Influenced-graph sampling into one reused walk arena ----------------
 
-void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
+void BM_InfluencedGraphSampling(benchmark::State& state) {
   const Dataset& data = BenchData();
   SupaConfig config = BenchConfig();
   config.num_walks = static_cast<int>(state.range(0));
@@ -319,7 +301,7 @@ void BM_InfluencedGraphSamplingArena(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_InfluencedGraphSamplingArena)->Arg(1)->Arg(4)->Arg(16);
+BENCHMARK(BM_InfluencedGraphSampling)->Arg(1)->Arg(4)->Arg(16);
 
 // ---- Snapshots: full-buffer copy vs the Φ_best undo log ------------------
 

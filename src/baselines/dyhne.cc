@@ -13,6 +13,7 @@ Status DyhneRecommender::Fit(const Dataset& data, EdgeRange range) {
 
   // Metapath-constrained walks carry the heterogeneity-aware proximity.
   std::vector<std::vector<NodeId>> walks;
+  WalkBuffer buffer;
   for (NodeId v = 0; v < graph->num_nodes(); ++v) {
     if (graph->Degree(v) == 0) continue;
     for (int w = 0; w < config_.walks_per_node; ++w) {
@@ -24,12 +25,15 @@ Status DyhneRecommender::Fit(const Dataset& data, EdgeRange range) {
       }
       if (heads.empty()) continue;
       const auto& mp = metapaths[heads[rng.Index(heads.size())]];
-      Walk walk = walker.SampleMetapathWalk(
-          v, mp, static_cast<size_t>(config_.walk_len), rng);
-      std::vector<NodeId> nodes;
-      nodes.push_back(walk.start);
-      for (const auto& step : walk.steps) nodes.push_back(step.node);
-      if (nodes.size() > 1) walks.push_back(std::move(nodes));
+      buffer.Clear();
+      const size_t hops = walker.SampleMetapathWalkInto(
+          v, mp, static_cast<size_t>(config_.walk_len), rng, &buffer);
+      if (hops == 0) continue;
+      const WalkBuffer::Span& span = buffer.walk(0);
+      const WalkStep* steps = buffer.steps_of(span);
+      std::vector<NodeId> nodes{span.start};
+      for (size_t s = 0; s < span.size(); ++s) nodes.push_back(steps[s].node);
+      walks.push_back(std::move(nodes));
     }
   }
   if (walks.empty()) {

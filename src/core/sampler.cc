@@ -26,27 +26,6 @@ InfluencedGraphSampler::InfluencedGraphSampler(
   }
 }
 
-void InfluencedGraphSampler::SampleFrom(NodeId start, Rng& rng,
-                                        std::vector<Walk>* out) const {
-  const auto& candidates = by_head_type_[store_->NodeType(start)];
-  if (candidates.empty()) return;
-  for (int w = 0; w < num_walks_; ++w) {
-    const size_t mp = candidates[rng.Index(candidates.size())];
-    Walk walk = walker_.SampleMetapathWalk(start, metapaths_[mp],
-                                           static_cast<size_t>(walk_len_),
-                                           rng);
-    if (!walk.steps.empty()) out->push_back(std::move(walk));
-  }
-}
-
-InfluencedGraph InfluencedGraphSampler::Sample(NodeId u, NodeId v,
-                                               Rng& rng) const {
-  InfluencedGraph g;
-  SampleFrom(u, rng, &g.from_u);
-  SampleFrom(v, rng, &g.from_v);
-  return g;
-}
-
 void InfluencedGraphSampler::SampleFromInto(NodeId start, Rng& rng,
                                             WalkBuffer* out) const {
   const auto& candidates = by_head_type_[store_->NodeType(start)];

@@ -3,7 +3,8 @@
 // For a new edge e = (u, v, r, t) it samples k metapath-constrained walks
 // of length l from each interactive node; the union of the sampled paths is
 // the influenced graph G_{s,e} consumed by the Time-aware Propagation
-// Module.
+// Module. The paths are written into a caller-owned WalkBuffer, so
+// sampling is allocation-free once the buffer has grown.
 
 #ifndef SUPA_CORE_SAMPLER_H_
 #define SUPA_CORE_SAMPLER_H_
@@ -14,21 +15,6 @@
 #include "obs/metrics.h"
 
 namespace supa {
-
-/// The influenced graph w.r.t. one new edge: the paths sampled from u
-/// (\vec{p}_u) and from v (\vec{p}_v). Walks with zero hops are omitted.
-struct InfluencedGraph {
-  std::vector<Walk> from_u;
-  std::vector<Walk> from_v;
-
-  /// Total number of propagation hops across all paths.
-  size_t TotalSteps() const {
-    size_t n = 0;
-    for (const auto& w : from_u) n += w.steps.size();
-    for (const auto& w : from_v) n += w.steps.size();
-    return n;
-  }
-};
 
 /// Samples influenced graphs against a fixed metapath schema set. Reads
 /// go through the storage engine (node types + capped neighborhoods);
@@ -42,23 +28,16 @@ class InfluencedGraphSampler {
                          std::vector<MetapathSchema> metapaths,
                          int num_walks, int walk_len);
 
-  /// Samples \vec{p}_u and \vec{p}_v for a new edge (u, v, ., .). For each
-  /// walk a schema whose head matches the start node's type is chosen
-  /// uniformly; nodes with no matching schema yield no paths.
-  InfluencedGraph Sample(NodeId u, NodeId v, Rng& rng) const;
-
-  /// Samples just the paths for one start node.
-  void SampleFrom(NodeId start, Rng& rng, std::vector<Walk>* out) const;
-
-  /// Arena variant of Sample: clears `out`, writes \vec{p}_u then
-  /// \vec{p}_v into it, and sets `*u_count` to the number of u-walks —
-  /// spans [0, *u_count) start at u, the rest at v. Draws the same rng
-  /// sequence as Sample, so the two are interchangeable bit-for-bit.
+  /// Samples the influenced graph of a new edge (u, v, ., .): clears
+  /// `out`, writes \vec{p}_u then \vec{p}_v into it, and sets `*u_count`
+  /// to the number of u-walks — spans [0, *u_count) start at u, the rest
+  /// at v. For each walk a schema whose head matches the start node's type
+  /// is chosen uniformly; nodes with no matching schema yield no paths, and
+  /// walks with zero hops are omitted.
   void SampleInto(NodeId u, NodeId v, Rng& rng, WalkBuffer* out,
                   size_t* u_count) const;
 
-  /// Arena variant of SampleFrom: appends spans to `out` (zero-hop walks
-  /// omitted, as in SampleFrom).
+  /// Appends just the paths for one start node to `out`.
   void SampleFromInto(NodeId start, Rng& rng, WalkBuffer* out) const;
 
   const std::vector<MetapathSchema>& metapaths() const { return metapaths_; }

@@ -20,24 +20,24 @@ bool Walker::SampleAdmissible(NodeId v, EdgeTypeMask mask,
   return seen > 0;
 }
 
-Walk Walker::SampleMetapathWalk(NodeId start, const MetapathSchema& schema,
-                                size_t walk_len, Rng& rng) const {
-  Walk walk;
-  walk.start = start;
-  if (walk_len > 1) walk.steps.reserve(walk_len - 1);
-  WalkMetapath(start, schema, walk_len, rng,
-               [&](const WalkStep& step) { walk.steps.push_back(step); });
-  return walk;
-}
-
 size_t Walker::SampleMetapathWalkInto(NodeId start,
                                       const MetapathSchema& schema,
                                       size_t walk_len, Rng& rng,
                                       WalkBuffer* out) const {
+  if (walk_len <= 1 || store_->NodeType(start) != schema.head()) return 0;
   out->BeginWalk(start);
-  const size_t hops =
-      WalkMetapath(start, schema, walk_len, rng,
-                   [out](const WalkStep& step) { out->PushStep(step); });
+  size_t hops = 0;
+  NodeId cur = start;
+  for (; hops + 1 < walk_len; ++hops) {
+    const MetapathStep& constraint = schema.StepAt(hops);
+    Neighbor nb;
+    if (!SampleAdmissible(cur, constraint.edge_types, constraint.dst_type,
+                          rng, &nb)) {
+      break;
+    }
+    out->PushStep(WalkStep{nb.node, nb.edge_type, nb.time});
+    cur = nb.node;
+  }
   if (hops == 0) {
     out->AbortWalk();
   } else {

@@ -117,14 +117,9 @@ class Walker {
   /// Samples one walk from `start` constrained by `schema` (Eq. 2–3): node
   /// position i must have type o_{P, f(i)} and hop j must use an edge type
   /// in R_{P, f(j)}. Requires schema.IsSymmetric() when walk_len exceeds
-  /// the schema length. Returns an empty-step walk if the start node's type
-  /// does not match the schema head.
-  Walk SampleMetapathWalk(NodeId start, const MetapathSchema& schema,
-                          size_t walk_len, Rng& rng) const;
-
-  /// Arena variant: appends the walk to `out` as a new span and returns the
-  /// number of hops taken. Zero-hop walks append nothing. Draws the same
-  /// rng sequence as SampleMetapathWalk.
+  /// the schema length. Appends the walk to `out` as a new span and returns
+  /// the number of hops taken; a zero-hop walk (the start node's type does
+  /// not match the schema head, or no admissible neighbor) appends nothing.
   size_t SampleMetapathWalkInto(NodeId start, const MetapathSchema& schema,
                                 size_t walk_len, Rng& rng,
                                 WalkBuffer* out) const;
@@ -138,30 +133,6 @@ class Walker {
                           Rng& rng) const;
 
  private:
-  /// Core metapath loop: feeds sampled hops to `sink(const WalkStep&)` and
-  /// returns the hop count. Shared by the Walk- and arena-returning entry
-  /// points so both draw identical rng sequences.
-  template <typename Sink>
-  size_t WalkMetapath(NodeId start, const MetapathSchema& schema,
-                      size_t walk_len, Rng& rng, Sink&& sink) const {
-    if (walk_len <= 1) return 0;
-    if (store_->NodeType(start) != schema.head()) return 0;
-    size_t hops = 0;
-    NodeId cur = start;
-    for (size_t hop = 0; hop + 1 < walk_len; ++hop) {
-      const MetapathStep& constraint = schema.StepAt(hop);
-      Neighbor nb;
-      if (!SampleAdmissible(cur, constraint.edge_types, constraint.dst_type,
-                            rng, &nb)) {
-        break;
-      }
-      sink(WalkStep{nb.node, nb.edge_type, nb.time});
-      cur = nb.node;
-      ++hops;
-    }
-    return hops;
-  }
-
   /// Uniformly samples an admissible neighbor of `v` (edge type within
   /// `mask`, destination node type `dst_type`). Returns false if none.
   bool SampleAdmissible(NodeId v, EdgeTypeMask mask, NodeTypeId dst_type,

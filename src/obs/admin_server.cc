@@ -8,8 +8,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 
@@ -17,6 +18,7 @@
 #include <pthread.h>
 #endif
 
+#include "obs/json_parse.h"
 #include "obs/json_writer.h"
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
@@ -55,30 +57,6 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-std::string EscapeHtml(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        out += "&amp;";
-        break;
-      case '<':
-        out += "&lt;";
-        break;
-      case '>':
-        out += "&gt;";
-        break;
-      case '"':
-        out += "&quot;";
-        break;
-      default:
-        out.push_back(c);
-    }
-  }
-  return out;
-}
-
 struct BuildInfo {
   const char* compiler = __VERSION__;
   const char* build_type =
@@ -89,13 +67,7 @@ struct BuildInfo {
 #endif
 };
 
-std::string FormatDouble(double v, int digits = 3) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
-}
-
-/// Requested representation of an HTML-default endpoint.
+/// Requested representation of a JSON page.
 enum class PageFormat { kHtml, kJson, kBad };
 
 /// Parses the `format=` query parameter. Absent (or `format=html`) means
@@ -118,11 +90,6 @@ PageFormat ParseFormat(const std::string& query) {
   return PageFormat::kHtml;
 }
 
-HttpResponse BadFormatResponse() {
-  return HttpResponse{400, "text/plain; charset=utf-8",
-                      "unknown format; use format=json or format=html\n"};
-}
-
 /// Case-insensitive Content-Length lookup in a raw request head. Returns
 /// -1 when absent or malformed.
 long ContentLengthOf(const std::string& head) {
@@ -140,6 +107,210 @@ long ContentLengthOf(const std::string& head) {
   const long n = std::strtol(p, &end, 10);
   if (end == p || n < 0) return -1;
   return n;
+}
+
+/// GET /statusz: build info, uptime, the perf tier, the model alerts, every
+/// StatusRegistry section, and histogram quantiles.
+std::string StatuszJson(double uptime_seconds) {
+  const BuildInfo build;
+  const std::vector<StatusSection> sections =
+      StatusRegistry::Global().Collect();
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const PerfProfiler& profiler = PerfProfiler::Global();
+  const ModelMonitorSnapshot model = ModelMonitor::Global().Snapshot();
+
+  JsonWriter w;
+  w.BeginObject();
+  w.Field("server", std::string_view(kServerName));
+  w.Field("uptime_seconds", uptime_seconds);
+  w.Key("build").BeginObject();
+  w.Field("compiler", std::string_view(build.compiler));
+  w.Field("build_type", std::string_view(build.build_type));
+  w.EndObject();
+  w.Field("trace_dropped_events", TraceRecorder::Global().dropped_events());
+  w.Key("perf").BeginObject();
+  w.Field("source", std::string_view(PerfSourceName(profiler.source())));
+  w.Field("enabled", profiler.enabled());
+  w.EndObject();
+  w.Key("model").BeginObject();
+  w.Field("enabled", model.enabled);
+  w.Field("alert_level", std::string_view(AlertLevelName(model.worst_level)));
+  w.Key("alerts").BeginArray();
+  for (const ModelAlert& alert : model.alerts) {
+    w.BeginObject();
+    w.Field("name", std::string_view(alert.name));
+    w.Field("level", std::string_view(AlertLevelName(alert.level)));
+    w.Field("detail", std::string_view(alert.detail));
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("drifted_series").BeginArray();
+  for (const ModelDriftState& d : model.drift) {
+    if (d.drifted) w.String(d.name);
+  }
+  w.EndArray();
+  w.EndObject();
+  w.Key("sections").BeginArray();
+  for (const StatusSection& section : sections) {
+    w.BeginObject();
+    w.Field("name", section.name);
+    w.Key("items").BeginObject();
+    for (const StatusItem& item : section.items) {
+      w.Field(item.key, item.value);
+    }
+    w.EndObject();
+    w.EndObject();
+  }
+  w.EndArray();
+  w.Key("histograms").BeginArray();
+  for (const auto& e : snapshot.entries) {
+    if (e.kind != MetricKind::kHistogram) continue;
+    w.BeginObject();
+    w.Field("name", e.name);
+    w.Field("count", e.count);
+    w.Field("mean",
+            e.count == 0 ? 0.0 : e.sum / static_cast<double>(e.count));
+    w.Field("p50", e.Quantile(0.50));
+    w.Field("p95", e.Quantile(0.95));
+    w.Field("p99", e.Quantile(0.99));
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.str();
+}
+
+/// One page served as JSON with ?format=json and as HTML rendered from
+/// that JSON by default. `build` returns the JSON document.
+struct JsonPage {
+  const char* path;
+  const char* title;
+  std::string (*build)(double uptime_seconds);
+};
+
+constexpr JsonPage kJsonPages[] = {
+    {"/statusz", "Status", StatuszJson},
+    {"/profilez", "Hardware profile",
+     [](double) {
+       return PerfReportJson(MetricsRegistry::Global().Snapshot());
+     }},
+    {"/modelz", "Model observability",
+     [](double) { return ModelReportJson(ModelMonitor::Global().Snapshot()); }},
+};
+
+/// Decodes the UTF-8 sequence at the front of `s` (its first byte is at
+/// least 0x80) and sets `*len` to the bytes it spans. A malformed, overlong
+/// or surrogate sequence decodes to U+FFFD and spans one byte.
+uint32_t DecodeUtf8(std::string_view s, size_t* len) {
+  static constexpr uint32_t kMinCodePoint[] = {0, 0, 0x80, 0x800, 0x10000};
+  const unsigned char lead = static_cast<unsigned char>(s[0]);
+  // The lead byte's leading ones give the sequence length: 2 to 4.
+  const size_t n = static_cast<size_t>(std::countl_one(lead));
+  *len = 1;
+  if (n < 2 || n > 4 || n > s.size()) return 0xFFFD;
+  uint32_t cp = lead & (0x7Fu >> n);
+  for (size_t k = 1; k < n; ++k) {
+    const unsigned char c = static_cast<unsigned char>(s[k]);
+    if ((c & 0xC0) != 0x80) return 0xFFFD;
+    cp = (cp << 6) | (c & 0x3Fu);
+  }
+  if (cp < kMinCodePoint[n] || cp > 0x10FFFF ||
+      (cp >= 0xD800 && cp <= 0xDFFF)) {
+    return 0xFFFD;
+  }
+  *len = n;
+  return cp;
+}
+
+/// Appends `s` as HTML text. The five markup characters become entities,
+/// and every control or non-ASCII code point becomes a numeric character
+/// reference, so the page is ASCII whatever bytes the JSON strings hold.
+void AppendHtmlText(std::string_view s, std::string* out) {
+  for (size_t i = 0; i < s.size();) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    size_t len = 1;
+    switch (c) {
+      case '&': *out += "&amp;"; break;
+      case '<': *out += "&lt;"; break;
+      case '>': *out += "&gt;"; break;
+      case '"': *out += "&quot;"; break;
+      case '\'': *out += "&#39;"; break;
+      default:
+        if (c >= 0x20 && c < 0x7F) {
+          out->push_back(static_cast<char>(c));
+        } else {
+          const uint32_t cp = c < 0x80 ? c : DecodeUtf8(s.substr(i), &len);
+          *out += "&#" + std::to_string(cp) + ";";
+        }
+    }
+    i += len;
+  }
+}
+
+/// Objects render as key/value tables, arrays as lists, numbers in their
+/// shortest round-trip form.
+void AppendHtmlValue(const JsonValue& value, std::string* out) {
+  switch (value.type()) {
+    case JsonValue::Type::kObject:
+      *out += "<table>";
+      for (const auto& [key, member] : value.object()) {
+        *out += "<tr><th>";
+        AppendHtmlText(key, out);
+        *out += "</th><td>";
+        AppendHtmlValue(member, out);
+        *out += "</td></tr>";
+      }
+      *out += "</table>";
+      break;
+    case JsonValue::Type::kArray:
+      *out += "<ul>";
+      for (const JsonValue& element : value.array()) {
+        *out += "<li>";
+        AppendHtmlValue(element, out);
+        *out += "</li>";
+      }
+      *out += "</ul>";
+      break;
+    case JsonValue::Type::kString:
+      AppendHtmlText(value.string_value(), out);
+      break;
+    case JsonValue::Type::kNumber: {
+      char buf[32];
+      const auto result =
+          std::to_chars(buf, buf + sizeof(buf), value.number_value());
+      out->append(buf, result.ptr);
+      break;
+    }
+    case JsonValue::Type::kBool:
+      *out += value.bool_value() ? "true" : "false";
+      break;
+    case JsonValue::Type::kNull:
+      *out += "null";
+      break;
+  }
+}
+
+/// The HTML view of one JSON page: a title, links to the index, every
+/// page and this page's JSON, then the document.
+std::string JsonToHtml(std::string_view title, const JsonValue& doc) {
+  std::string html = "<!doctype html><html><head><title>";
+  AppendHtmlText(title, &html);
+  html +=
+      "</title><style>body{font-family:monospace;margin:2em}"
+      "table{border-collapse:collapse}"
+      "th,td{border:1px solid #999;padding:2px 6px;text-align:left;"
+      "vertical-align:top}th{background:#eee}ul{margin:0;padding-left:1em}"
+      "</style></head><body><h1>";
+  AppendHtmlText(title, &html);
+  html += "</h1><p><a href=\"/\">/</a>";
+  for (const JsonPage& page : kJsonPages) {
+    html += std::string(" &middot; <a href=\"") + page.path + "\">" +
+            page.path + "</a>";
+  }
+  html += " &middot; <a href=\"?format=json\">json</a></p>";
+  AppendHtmlValue(doc, &html);
+  html += "</body></html>\n";
+  return html;
 }
 
 }  // namespace
@@ -279,6 +450,9 @@ bool AdminServer::HandleConnection(int fd) {
 
   HttpResponse response;
   bool body_too_large = false;
+  // A HEAD response carries the GET response's headers and no content
+  // (RFC 9110 §9.3.2).
+  bool head_only = false;
   if (head_end == std::string::npos) {
     response = HttpResponse{431, "text/plain; charset=utf-8",
                             "request head too large\n"};
@@ -300,6 +474,7 @@ bool AdminServer::HandleConnection(int fd) {
       const size_t qmark = target.find('?');
       request.path = target.substr(0, qmark);
       if (qmark != std::string::npos) request.query = target.substr(qmark + 1);
+      head_only = request.method == "HEAD";
 
       // Read the declared body (what wasn't already buffered past the
       // head), bounded by max_body_bytes.
@@ -339,7 +514,7 @@ bool AdminServer::HandleConnection(int fd) {
   out += "Content-Type: " + response.content_type + "\r\n";
   out += "Content-Length: " + std::to_string(response.body.size()) + "\r\n";
   out += "Connection: close\r\n\r\n";
-  out += response.body;
+  if (!head_only) out += response.body;
 
   size_t written = 0;
   while (written < out.size()) {
@@ -386,27 +561,36 @@ HttpResponse AdminServer::Route(const HttpRequest& request) {
   }
   if (request.method != "GET" && request.method != "HEAD") {
     return HttpResponse{405, "text/plain; charset=utf-8",
-                        "only GET is supported\n"};
+                        "only GET and HEAD are supported\n"};
   }
   if (request.path == "/") return HandleIndex();
   if (request.path == "/metrics") return HandleMetrics();
   if (request.path == "/healthz") return HandleHealthz();
-  if (request.path == "/statusz" || request.path == "/profilez" ||
-      request.path == "/modelz") {
+  if (request.path == "/tracez") return HandleTracez();
+  for (const JsonPage& page : kJsonPages) {
+    if (request.path != page.path) continue;
     const PageFormat format = ParseFormat(request.query);
     if (format == PageFormat::kBad) {
       MetricsRegistry::Global().GetCounter("admin.bad_requests").Increment();
-      return BadFormatResponse();
+      return HttpResponse{400, "text/plain; charset=utf-8",
+                          "unknown format; use format=json or format=html\n"};
     }
-    const bool as_json = format == PageFormat::kJson;
-    if (request.path == "/statusz") return HandleStatusz(as_json);
-    if (request.path == "/profilez") return HandleProfilez(as_json);
-    return HandleModelz(as_json);
+    const std::string json = page.build(UptimeSeconds());
+    if (format == PageFormat::kJson) {
+      return HttpResponse{200, "application/json; charset=utf-8",
+                          json + "\n"};
+    }
+    JsonValue doc;
+    std::string error;
+    if (!ParseJson(json, &doc, &error)) {
+      return HttpResponse{500, "text/plain; charset=utf-8",
+                          "page builder wrote invalid JSON: " + error + "\n"};
+    }
+    return HttpResponse{200, "text/html; charset=utf-8",
+                        JsonToHtml(page.title, doc)};
   }
-  if (request.path == "/tracez") return HandleTracez();
   return HttpResponse{404, "text/plain; charset=utf-8",
-                      "not found; try /metrics /healthz /statusz /tracez "
-                      "/profilez /modelz\n"};
+                      "not found; see / for the endpoints\n"};
 }
 
 HttpResponse AdminServer::HandleIndex() const {
@@ -414,16 +598,18 @@ HttpResponse AdminServer::HandleIndex() const {
   r.content_type = "text/html; charset=utf-8";
   r.body =
       "<!doctype html><title>supa admin</title><h1>supa admin</h1><ul>"
-      "<li><a href=\"/metrics\">/metrics</a> — Prometheus exposition</li>"
-      "<li><a href=\"/healthz\">/healthz</a> — liveness + readiness</li>"
-      "<li><a href=\"/statusz\">/statusz</a> — build, uptime, progress "
-      "(<a href=\"/statusz?format=json\">json</a>)</li>"
-      "<li><a href=\"/tracez\">/tracez</a> — Chrome trace dump</li>"
-      "<li><a href=\"/profilez\">/profilez</a> — hardware profile "
-      "(<a href=\"/profilez?format=json\">json</a>)</li>"
-      "<li><a href=\"/modelz\">/modelz</a> — model observability "
-      "(<a href=\"/modelz?format=json\">json</a>)</li>"
-      "</ul>\n";
+      "<li><a href=\"/metrics\">/metrics</a> &mdash; Prometheus "
+      "exposition</li>"
+      "<li><a href=\"/healthz\">/healthz</a> &mdash; liveness + "
+      "readiness</li>"
+      "<li><a href=\"/tracez\">/tracez</a> &mdash; Chrome trace dump</li>";
+  for (const JsonPage& page : kJsonPages) {
+    const std::string path = page.path;
+    r.body += "<li><a href=\"" + path + "\">" + path + "</a> &mdash; " +
+              page.title + " (<a href=\"" + path +
+              "?format=json\">json</a>)</li>";
+  }
+  r.body += "</ul>\n";
   return r;
 }
 
@@ -448,26 +634,6 @@ HttpResponse AdminServer::HandleMetrics() const {
   // even while the monitor is disabled so scrapers always see the schema.
   AppendModelPrometheusSeries(ModelMonitor::Global().Snapshot(), &r.body);
   return r;
-}
-
-HttpResponse AdminServer::HandleModelz(bool as_json) const {
-  const ModelMonitorSnapshot snapshot = ModelMonitor::Global().Snapshot();
-  if (as_json) {
-    return HttpResponse{200, "application/json; charset=utf-8",
-                        ModelReportJson(snapshot) + "\n"};
-  }
-  return HttpResponse{200, "text/html; charset=utf-8",
-                      ModelReportHtml(snapshot)};
-}
-
-HttpResponse AdminServer::HandleProfilez(bool as_json) const {
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  if (as_json) {
-    return HttpResponse{200, "application/json; charset=utf-8",
-                        PerfReportJson(snapshot) + "\n"};
-  }
-  return HttpResponse{200, "text/html; charset=utf-8",
-                      PerfReportHtml(snapshot)};
 }
 
 HttpResponse AdminServer::HandleHealthz() const {
@@ -501,137 +667,6 @@ HttpResponse AdminServer::HandleHealthz() const {
   }
   if (model_veto) body += "model alert: " + model_reason + "\n";
   return HttpResponse{503, "text/plain; charset=utf-8", std::move(body)};
-}
-
-HttpResponse AdminServer::HandleStatusz(bool as_json) const {
-  const BuildInfo build;
-  const double uptime = UptimeSeconds();
-  const std::vector<StatusSection> sections =
-      StatusRegistry::Global().Collect();
-  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  const uint64_t trace_dropped = TraceRecorder::Global().dropped_events();
-  const PerfProfiler& profiler = PerfProfiler::Global();
-  const ModelMonitorSnapshot model = ModelMonitor::Global().Snapshot();
-
-  if (as_json) {
-    JsonWriter w;
-    w.BeginObject();
-    w.Field("server", std::string_view(kServerName));
-    w.Field("uptime_seconds", uptime);
-    w.Key("build").BeginObject();
-    w.Field("compiler", std::string_view(build.compiler));
-    w.Field("build_type", std::string_view(build.build_type));
-    w.EndObject();
-    w.Field("trace_dropped_events", trace_dropped);
-    w.Key("perf").BeginObject();
-    w.Field("source", std::string_view(PerfSourceName(profiler.source())));
-    w.Field("enabled", profiler.enabled());
-    w.EndObject();
-    w.Key("model").BeginObject();
-    w.Field("enabled", model.enabled);
-    w.Field("alert_level",
-            std::string_view(AlertLevelName(model.worst_level)));
-    w.Key("alerts").BeginArray();
-    for (const ModelAlert& alert : model.alerts) {
-      w.BeginObject();
-      w.Field("name", std::string_view(alert.name));
-      w.Field("level", std::string_view(AlertLevelName(alert.level)));
-      w.Field("detail", std::string_view(alert.detail));
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("drifted_series").BeginArray();
-    for (const ModelDriftState& d : model.drift) {
-      if (d.drifted) w.String(d.name);
-    }
-    w.EndArray();
-    w.EndObject();
-    w.Key("sections").BeginArray();
-    for (const StatusSection& section : sections) {
-      w.BeginObject();
-      w.Field("name", section.name);
-      w.Key("items").BeginObject();
-      for (const StatusItem& item : section.items) {
-        w.Field(item.key, item.value);
-      }
-      w.EndObject();
-      w.EndObject();
-    }
-    w.EndArray();
-    w.Key("histograms").BeginArray();
-    for (const auto& e : snapshot.entries) {
-      if (e.kind != MetricKind::kHistogram) continue;
-      w.BeginObject();
-      w.Field("name", e.name);
-      w.Field("count", e.count);
-      w.Field("mean", e.count == 0
-                          ? 0.0
-                          : e.sum / static_cast<double>(e.count));
-      w.Field("p50", e.Quantile(0.50));
-      w.Field("p95", e.Quantile(0.95));
-      w.Field("p99", e.Quantile(0.99));
-      w.EndObject();
-    }
-    w.EndArray();
-    w.EndObject();
-    return HttpResponse{200, "application/json; charset=utf-8", w.str()};
-  }
-
-  std::string body =
-      "<!doctype html><title>supa statusz</title><h1>statusz</h1>";
-  body += "<p>uptime " + FormatDouble(uptime, 1) + " s · " +
-          EscapeHtml(build.build_type) + " build · compiler " +
-          EscapeHtml(build.compiler) + "</p>";
-  if (trace_dropped > 0) {
-    body += "<p style=\"color:#b00\"><b>warning:</b> trace ring dropped " +
-            std::to_string(trace_dropped) +
-            " events (oldest overwritten) — raise the ring capacity or "
-            "export more often</p>";
-  }
-  if (model.worst_level != AlertLevel::kOk) {
-    const char* color =
-        model.worst_level == AlertLevel::kCritical ? "#c00" : "#a60";
-    body += "<p style=\"color:" + std::string(color) +
-            "\"><b>model alert (" +
-            EscapeHtml(AlertLevelName(model.worst_level)) + "):</b>";
-    for (const ModelAlert& alert : model.alerts) {
-      body += " " + EscapeHtml(alert.name) + " — " +
-              EscapeHtml(alert.detail) + ";";
-    }
-    body += " see <a href=\"/modelz\">/modelz</a></p>";
-  }
-  body += "<p>hardware profile: source " +
-          EscapeHtml(PerfSourceName(profiler.source())) + ", profiling " +
-          (profiler.enabled() ? std::string("enabled") :
-                                std::string("disabled")) +
-          " — see <a href=\"/profilez\">/profilez</a></p>";
-  for (const StatusSection& section : sections) {
-    body += "<h2>" + EscapeHtml(section.name) + "</h2><table border=1>";
-    for (const StatusItem& item : section.items) {
-      body += "<tr><td>" + EscapeHtml(item.key) + "</td><td>" +
-              EscapeHtml(item.value) + "</td></tr>";
-    }
-    body += "</table>";
-  }
-  body +=
-      "<h2>histogram quantiles</h2><table border=1>"
-      "<tr><th>name</th><th>count</th><th>mean</th><th>p50</th>"
-      "<th>p95</th><th>p99</th></tr>";
-  for (const auto& e : snapshot.entries) {
-    if (e.kind != MetricKind::kHistogram) continue;
-    const double mean =
-        e.count == 0 ? 0.0 : e.sum / static_cast<double>(e.count);
-    body += "<tr><td>" + EscapeHtml(e.name) + "</td><td>" +
-            std::to_string(e.count) + "</td><td>" + FormatDouble(mean) +
-            "</td><td>" + FormatDouble(e.Quantile(0.50)) + "</td><td>" +
-            FormatDouble(e.Quantile(0.95)) + "</td><td>" +
-            FormatDouble(e.Quantile(0.99)) + "</td></tr>";
-  }
-  body += "</table>\n";
-  HttpResponse r;
-  r.content_type = "text/html; charset=utf-8";
-  r.body = std::move(body);
-  return r;
 }
 
 HttpResponse AdminServer::HandleTracez() const {

@@ -2,24 +2,30 @@
 // over POSIX sockets. One blocking accept loop on a named thread
 // ("supa-admin") serves, sequentially per connection:
 //
-//   GET /           tiny index page linking the endpoints
+//   GET /           index page linking every endpoint below
 //   GET /metrics    Prometheus text exposition v0.0.4 of the global
 //                   metrics registry (see obs/prometheus.h)
 //   GET /healthz    liveness + registered readiness probes (200 "ok" when
 //                   every probe passes, 503 naming the failures)
-//   GET /statusz    build info, uptime, StatusRegistry sections, and
-//                   histogram quantiles — HTML by default,
-//                   JSON with ?format=json
 //   GET /tracez     on-demand flight-recorder dump of the trace rings as
 //                   Chrome trace JSON, without stopping the run
+//   GET /statusz    build info, uptime, StatusRegistry sections, model
+//                   alerts, and histogram quantiles
+//   GET /profilez   hardware profile per phase (PerfReportJson)
 //   GET /modelz     model observability: training-signal/stream/score
-//                   sketch quantiles, drift detectors, and alerts — HTML
-//                   by default, JSON with ?format=json
+//                   sketch quantiles, drift detectors, and alerts
+//                   (ModelReportJson)
 //
-// Every HTML endpoint honors ?format=json; an unknown format= value is a
-// 400, never a silent HTML fallback. A critical model alert (NaN/Inf
-// gradients, exploding norms — see obs/model_monitor.h) vetoes /healthz
-// with a reason while the monitor is enabled.
+// /statusz, /profilez and /modelz are JSON pages: one table in
+// admin_server.cc gives each its path, title and JSON builder.
+// ?format=json returns the builder's document; the default HTML view is
+// rendered from that document by one renderer (objects as key/value
+// tables, arrays as lists, every key and string HTML-escaped). An unknown
+// format= value is a 400, never a silent HTML fallback. A critical model
+// alert (NaN/Inf gradients, exploding norms — see obs/model_monitor.h)
+// vetoes /healthz with a reason while the monitor is enabled. A HEAD
+// request gets the headers a GET would, Content-Length included, and no
+// body.
 //
 // Beyond the built-ins, AddRoute registers application handlers for an
 // exact (method, path) pair — this is how the serving layer exposes
@@ -140,10 +146,7 @@ class AdminServer {
   HttpResponse HandleIndex() const;
   HttpResponse HandleMetrics() const;
   HttpResponse HandleHealthz() const;
-  HttpResponse HandleStatusz(bool as_json) const;
   HttpResponse HandleTracez() const;
-  HttpResponse HandleProfilez(bool as_json) const;
-  HttpResponse HandleModelz(bool as_json) const;
 
   double UptimeSeconds() const;
 

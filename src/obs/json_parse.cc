@@ -1,33 +1,17 @@
-#include "util/json_parse.h"
+#include "obs/json_parse.h"
 
 #include <cctype>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
+#include <utility>
 
-namespace supa {
+namespace supa::obs {
 
 const JsonValue* JsonValue::Find(std::string_view key) const {
   if (type_ != Type::kObject) return nullptr;
   auto it = object_.find(std::string(key));
   return it == object_.end() ? nullptr : &it->second;
-}
-
-const JsonValue* JsonValue::FindPath(std::string_view dotted_path) const {
-  const JsonValue* node = this;
-  while (!dotted_path.empty()) {
-    const size_t dot = dotted_path.find('.');
-    const std::string_view hop = dotted_path.substr(0, dot);
-    node = node->Find(hop);
-    if (node == nullptr) return nullptr;
-    if (dot == std::string_view::npos) break;
-    dotted_path.remove_prefix(dot + 1);
-  }
-  return node;
-}
-
-double JsonValue::NumberOr(std::string_view key, double fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->number_value() : fallback;
 }
 
 // Not in an anonymous namespace: JsonValue names this exact class as its
@@ -36,20 +20,22 @@ class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
 
-  Result<JsonValue> Parse() {
-    JsonValue root;
-    SUPA_RETURN_NOT_OK(Value(&root, 0));
+  bool Parse(JsonValue* root) {
+    if (!Value(root, 0)) return false;
     SkipWs();
-    if (pos_ != text_.size()) return Error("trailing content");
-    return root;
+    return pos_ == text_.size() || Error("trailing content");
   }
+
+  const std::string& error() const { return error_; }
 
  private:
   static constexpr int kMaxDepth = 64;
 
-  Status Error(const char* what) const {
-    return Status::InvalidArgument(std::string("JSON: ") + what +
-                                   " at offset " + std::to_string(pos_));
+  /// Records `what` at the current offset; always returns false.
+  bool Error(const char* what) {
+    error_ = std::string("JSON: ") + what + " at offset " +
+             std::to_string(pos_);
+    return false;
   }
 
   void SkipWs() {
@@ -68,10 +54,10 @@ class JsonParser {
     return false;
   }
 
-  Status Literal(std::string_view word) {
+  bool Literal(std::string_view word) {
     if (text_.substr(pos_, word.size()) != word) return Error("bad literal");
     pos_ += word.size();
-    return Status::OK();
+    return true;
   }
 
   /// Appends `cp` to `out` as UTF-8.
@@ -93,7 +79,7 @@ class JsonParser {
     }
   }
 
-  Result<uint32_t> HexEscape() {
+  bool HexEscape(uint32_t* out) {
     uint32_t cp = 0;
     for (int i = 0; i < 4; ++i) {
       if (pos_ >= text_.size()) return Error("truncated \\u escape");
@@ -109,17 +95,18 @@ class JsonParser {
         return Error("bad \\u escape");
       }
     }
-    return cp;
+    *out = cp;
+    return true;
   }
 
-  Status String(std::string* out) {
+  bool String(std::string* out) {
     if (!Consume('"')) return Error("expected '\"'");
     out->clear();
     while (pos_ < text_.size()) {
       const unsigned char c = static_cast<unsigned char>(text_[pos_]);
       if (c == '"') {
         ++pos_;
-        return Status::OK();
+        return true;
       }
       if (c < 0x20) return Error("raw control character in string");
       if (c != '\\') {
@@ -140,20 +127,17 @@ class JsonParser {
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
         case 'u': {
-          auto cp = HexEscape();
-          SUPA_RETURN_NOT_OK(cp.status());
-          uint32_t code = cp.value();
+          uint32_t code = 0;
+          if (!HexEscape(&code)) return false;
           // Surrogate pair: \uD800-\uDBFF must chain a low surrogate.
           if (code >= 0xD800 && code <= 0xDBFF) {
             if (!Consume('\\') || !Consume('u')) {
               return Error("unpaired surrogate");
             }
-            auto lo = HexEscape();
-            SUPA_RETURN_NOT_OK(lo.status());
-            if (lo.value() < 0xDC00 || lo.value() > 0xDFFF) {
-              return Error("bad low surrogate");
-            }
-            code = 0x10000 + ((code - 0xD800) << 10) + (lo.value() - 0xDC00);
+            uint32_t lo = 0;
+            if (!HexEscape(&lo)) return false;
+            if (lo < 0xDC00 || lo > 0xDFFF) return Error("bad low surrogate");
+            code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
           } else if (code >= 0xDC00 && code <= 0xDFFF) {
             return Error("unpaired surrogate");
           }
@@ -167,7 +151,7 @@ class JsonParser {
     return Error("unterminated string");
   }
 
-  Status Number(double* out) {
+  bool Number(double* out) {
     const size_t start = pos_;
     Consume('-');
     auto digits = [&]() -> bool {
@@ -192,10 +176,10 @@ class JsonParser {
     char* end = nullptr;
     *out = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return Error("bad number");
-    return Status::OK();
+    return true;
   }
 
-  Status Value(JsonValue* out, int depth) {
+  bool Value(JsonValue* out, int depth) {
     if (depth > kMaxDepth) return Error("nesting too deep");
     SkipWs();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
@@ -204,19 +188,19 @@ class JsonParser {
         ++pos_;
         out->type_ = JsonValue::Type::kObject;
         SkipWs();
-        if (Consume('}')) return Status::OK();
+        if (Consume('}')) return true;
         for (;;) {
           SkipWs();
           std::string key;
-          SUPA_RETURN_NOT_OK(String(&key));
+          if (!String(&key)) return false;
           SkipWs();
           if (!Consume(':')) return Error("expected ':'");
           JsonValue member;
-          SUPA_RETURN_NOT_OK(Value(&member, depth + 1));
+          if (!Value(&member, depth + 1)) return false;
           out->object_[std::move(key)] = std::move(member);
           SkipWs();
           if (Consume(',')) continue;
-          if (Consume('}')) return Status::OK();
+          if (Consume('}')) return true;
           return Error("expected ',' or '}'");
         }
       }
@@ -224,14 +208,14 @@ class JsonParser {
         ++pos_;
         out->type_ = JsonValue::Type::kArray;
         SkipWs();
-        if (Consume(']')) return Status::OK();
+        if (Consume(']')) return true;
         for (;;) {
           JsonValue element;
-          SUPA_RETURN_NOT_OK(Value(&element, depth + 1));
+          if (!Value(&element, depth + 1)) return false;
           out->array_.push_back(std::move(element));
           SkipWs();
           if (Consume(',')) continue;
-          if (Consume(']')) return Status::OK();
+          if (Consume(']')) return true;
           return Error("expected ',' or ']'");
         }
       }
@@ -257,10 +241,18 @@ class JsonParser {
 
   std::string_view text_;
   size_t pos_ = 0;
+  std::string error_;
 };
 
-Result<JsonValue> ParseJson(std::string_view text) {
-  return JsonParser(text).Parse();
+bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
+  JsonParser parser(text);
+  JsonValue root;
+  if (!parser.Parse(&root)) {
+    if (error != nullptr) *error = parser.error();
+    return false;
+  }
+  *out = std::move(root);
+  return true;
 }
 
-}  // namespace supa
+}  // namespace supa::obs

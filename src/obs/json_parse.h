@@ -1,23 +1,24 @@
-// Minimal recursive-descent JSON parser. Its one production caller parses
-// the body of POST /recommend (serve/http.cc), bytes that arrive from the
-// network, so every malformed input must end in a Status naming its byte
-// offset (JsonParseFuzzTest). The producing side stays on
-// obs/json_writer.h; this is the matching reader, kept deliberately small:
-// strict RFC 8259 grammar, no comments, no trailing commas, numbers as
-// double, \uXXXX escapes decoded to UTF-8, nesting depth capped at 64.
+// Minimal recursive-descent JSON parser, the reader matching
+// obs/json_writer.h. It parses the body of POST /recommend (serve/http.cc),
+// bytes that arrive from the network, so every malformed input must end in
+// an error naming its byte offset (JsonParseFuzzTest); the admin server
+// also reads each page's JSON through it to render the page's HTML view.
+// Kept deliberately small: strict RFC 8259 grammar, no comments, no
+// trailing commas, numbers as double, \uXXXX escapes decoded to UTF-8,
+// nesting depth capped at 64.
+//
+// Like everything in obs/, this depends only on the standard library;
+// errors are reported as strings, not util/Status (obs sits below util).
 
-#ifndef SUPA_UTIL_JSON_PARSE_H_
-#define SUPA_UTIL_JSON_PARSE_H_
+#ifndef SUPA_OBS_JSON_PARSE_H_
+#define SUPA_OBS_JSON_PARSE_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "util/status.h"
-
-namespace supa {
+namespace supa::obs {
 
 /// One parsed JSON value. Objects preserve no insertion order (std::map,
 /// so iteration is name-sorted — deterministic for table output).
@@ -44,13 +45,6 @@ class JsonValue {
   /// Object member by key, or nullptr when absent / not an object.
   const JsonValue* Find(std::string_view key) const;
 
-  /// Dotted-path lookup ("supa_inslearn.phases.train_s"), descending
-  /// through nested objects. Returns nullptr when any hop is missing.
-  const JsonValue* FindPath(std::string_view dotted_path) const;
-
-  /// The member's number when present and numeric, else `fallback`.
-  double NumberOr(std::string_view key, double fallback) const;
-
  private:
   friend class JsonParser;
 
@@ -63,9 +57,11 @@ class JsonValue {
 };
 
 /// Parses exactly one JSON document (trailing whitespace allowed, trailing
-/// content is an error). Errors carry a byte offset.
-Result<JsonValue> ParseJson(std::string_view text);
+/// content is an error) into `*out`. On malformed input returns false,
+/// leaves `*out` untouched and sets `*error` (when non-null) to
+/// "JSON: <what> at offset <byte>".
+bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
 
-}  // namespace supa
+}  // namespace supa::obs
 
-#endif  // SUPA_UTIL_JSON_PARSE_H_
+#endif  // SUPA_OBS_JSON_PARSE_H_

@@ -351,78 +351,6 @@ std::string ModelReportJson(const ModelMonitorSnapshot& snapshot) {
   return w.str();
 }
 
-std::string ModelReportHtml(const ModelMonitorSnapshot& snapshot) {
-  std::string html;
-  html += "<!doctype html><html><head><title>supa /modelz</title><style>"
-          "body{font-family:monospace;margin:2em}"
-          "table{border-collapse:collapse;margin-bottom:1em}"
-          "td,th{border:1px solid #999;padding:4px 8px;text-align:right}"
-          "th{background:#eee}td:first-child{text-align:left}"
-          ".warn{color:#a60}.critical{color:#c00}"
-          "</style></head><body><h1>Model observability</h1><p>monitoring ";
-  html += snapshot.enabled ? "enabled" : "disabled";
-  html += " &middot; alert level <b class=\"";
-  html += AlertLevelName(snapshot.worst_level);
-  html += "\">";
-  html += AlertLevelName(snapshot.worst_level);
-  html += "</b> &middot; <a href=\"/modelz?format=json\">json</a></p>";
-  char buf[64];
-  auto num = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.4g", v);
-    return std::string(buf);
-  };
-  html += "<p>train_steps " + std::to_string(snapshot.train_steps) +
-          " &middot; observed_edges " +
-          std::to_string(snapshot.observed_edges) + " &middot; serve_scores " +
-          std::to_string(snapshot.serve_scores) +
-          " &middot; distinct users &asymp; " + num(snapshot.distinct_users) +
-          " &middot; distinct items &asymp; " + num(snapshot.distinct_items) +
-          " &middot; new-node rate " + num(snapshot.new_node_rate) + "</p>";
-  if (!snapshot.alerts.empty()) {
-    html += "<h2>Alerts</h2><table><tr><th>name</th><th>level</th>"
-            "<th>count</th><th>detail</th></tr>";
-    for (const ModelAlert& a : snapshot.alerts) {
-      html += "<tr><td>" + a.name + "</td><td class=\"";
-      html += AlertLevelName(a.level);
-      html += "\">";
-      html += AlertLevelName(a.level);
-      html += "</td><td>" + std::to_string(a.count) + "</td><td>" +
-              a.detail + "</td></tr>";
-    }
-    html += "</table>";
-  }
-  html += "<h2>Signal distributions</h2><table><tr><th>signal</th>"
-          "<th>count</th><th>mean</th><th>p50</th><th>p90</th><th>p99</th>"
-          "<th>min</th><th>max</th></tr>";
-  for (const NamedSketch& ns : SketchList(snapshot)) {
-    const QuantileSketch& s = *ns.sketch;
-    html += "<tr><td>";
-    html += ns.name;
-    html += "</td><td>" + std::to_string(s.count());
-    html += "</td><td>" + num(s.Mean());
-    html += "</td><td>" + num(s.Quantile(0.5));
-    html += "</td><td>" + num(s.Quantile(0.9));
-    html += "</td><td>" + num(s.Quantile(0.99));
-    html += "</td><td>" + num(s.min());
-    html += "</td><td>" + num(s.max());
-    html += "</td></tr>";
-  }
-  html += "</table><h2>Drift detectors</h2><table><tr><th>series</th>"
-          "<th>drifted</th><th>windows</th><th>last z</th>"
-          "<th>baseline mean</th><th>last window mean</th></tr>";
-  for (const ModelDriftState& d : snapshot.drift) {
-    html += "<tr><td>" + d.name + "</td><td>";
-    html += d.drifted ? "<b class=\"warn\">yes</b>" : "no";
-    html += "</td><td>" + std::to_string(d.windows);
-    html += "</td><td>" + num(d.last_z);
-    html += "</td><td>" + num(d.baseline_mean);
-    html += "</td><td>" + num(d.last_window_mean);
-    html += "</td></tr>";
-  }
-  html += "</table></body></html>";
-  return html;
-}
-
 void AppendModelPrometheusSeries(const ModelMonitorSnapshot& snapshot,
                                  std::string* out) {
   AppendPrometheusSeries("model_monitor_enabled", "gauge",

@@ -269,12 +269,9 @@ class ModelMonitor {
   std::vector<ModelAlert> alerts_;
 };
 
-/// JSON document for one snapshot (served by /modelz?format=json and
-/// --model-out).
+/// JSON document for one snapshot (served by /modelz, whose HTML view the
+/// admin server renders from it, and written by --model-out).
 std::string ModelReportJson(const ModelMonitorSnapshot& snapshot);
-
-/// Self-contained HTML page for GET /modelz.
-std::string ModelReportHtml(const ModelMonitorSnapshot& snapshot);
 
 /// Appends `model_*` Prometheus series (sketch quantiles as gauges,
 /// totals as counters) for GET /metrics.

@@ -1,6 +1,5 @@
 #include "obs/perf_counters.h"
 
-#include <cstdio>
 #include <cstring>
 #include <ctime>
 
@@ -455,55 +454,6 @@ std::string PerfReportJson(const MetricsSnapshot& snapshot) {
   }
   w.EndObject().EndObject();
   return w.str();
-}
-
-std::string PerfReportHtml(const MetricsSnapshot& snapshot) {
-  const PerfProfiler& profiler = PerfProfiler::Global();
-  const std::vector<PerfDomainStats> stats =
-      CollectPerfDomainStats(snapshot);
-  std::string html;
-  html += "<!doctype html><html><head><title>supa /profilez</title><style>"
-          "body{font-family:monospace;margin:2em}"
-          "table{border-collapse:collapse}"
-          "td,th{border:1px solid #999;padding:4px 8px;text-align:right}"
-          "th{background:#eee}td:first-child{text-align:left}"
-          "</style></head><body><h1>Hardware profile</h1><p>source: <b>";
-  html += PerfSourceName(profiler.source());
-  html += "</b> &middot; profiling ";
-  html += profiler.enabled() ? "enabled" : "disabled";
-  html += " &middot; <a href=\"/profilez?format=json\">json</a></p>";
-  if (stats.empty()) {
-    html += "<p>No perf scopes recorded yet. Enable profiling "
-            "(supa_cli --perf-out, or SUPA_PERF_OUT) and run work.</p>";
-  } else {
-    html += "<table><tr><th>domain</th><th>scopes</th><th>cycles</th>"
-            "<th>instructions</th><th>ipc</th><th>llc_loads</th>"
-            "<th>llc_misses</th><th>llc_miss_rate</th><th>branches</th>"
-            "<th>branch_miss_rate</th><th>cycles/edge</th>"
-            "<th>task_clock_s</th><th>ctx_switches</th></tr>";
-    char buf[64];
-    auto num = [&buf](double v) {
-      std::snprintf(buf, sizeof(buf), "%.4g", v);
-      return std::string(buf);
-    };
-    for (const PerfDomainStats& s : stats) {
-      html += "<tr>";
-      for (const std::string& cell :
-           {std::string(PerfDomainName(s.domain)), std::to_string(s.scopes),
-            std::to_string(s.cycles), std::to_string(s.instructions),
-            num(s.ipc), std::to_string(s.llc_loads),
-            std::to_string(s.llc_misses), num(s.llc_miss_rate),
-            std::to_string(s.branches), num(s.branch_miss_rate),
-            num(s.cycles_per_edge), num(s.task_clock_s),
-            std::to_string(s.ctx_switches)}) {
-        html += "<td>" + cell + "</td>";
-      }
-      html += "</tr>";
-    }
-    html += "</table>";
-  }
-  html += "</body></html>";
-  return html;
 }
 
 }  // namespace supa::obs

@@ -247,12 +247,10 @@ void AppendPerfPrometheusSeries(const MetricsSnapshot& snapshot,
                                 std::string* out);
 
 /// Full profile report as a JSON document: {"source": ..., "enabled": ...,
-/// "domains": {"sample": {...}, ...}}. Served by /profilez?format=json and
-/// written by `supa_cli --perf-out`.
+/// "domains": {"sample": {...}, ...}}. Served by /profilez (the admin
+/// server renders its HTML view from it) and written by
+/// `supa_cli --perf-out`.
 std::string PerfReportJson(const MetricsSnapshot& snapshot);
-
-/// Same report as a self-contained HTML table (GET /profilez).
-std::string PerfReportHtml(const MetricsSnapshot& snapshot);
 
 }  // namespace supa::obs
 

@@ -7,8 +7,8 @@
 #include <string>
 #include <string_view>
 
+#include "obs/json_parse.h"
 #include "obs/json_writer.h"
-#include "util/json_parse.h"
 
 namespace supa::serve {
 namespace {
@@ -26,7 +26,7 @@ bool ParseWhole(std::string_view text, uint64_t max, uint64_t* out) {
 
 /// A JSON number as an integer in [0, max]: finite, whole and in range,
 /// so the cast to the id type never narrows or overflows.
-bool WholeNumber(const JsonValue& value, uint64_t max, uint64_t* out) {
+bool WholeNumber(const obs::JsonValue& value, uint64_t max, uint64_t* out) {
   if (!value.is_number()) return false;
   const double x = value.number_value();
   // 2^64 is exact in double, and every whole double below it fits.
@@ -173,15 +173,17 @@ obs::HttpResponse Serve(ServeEngine* engine, const RecommendRequest& req) {
 
 obs::HttpResponse HandlePost(ServeEngine* engine, const Dataset* data,
                              const obs::HttpRequest& http) {
-  Result<JsonValue> parsed = ParseJson(http.body);
-  if (!parsed.ok()) {
-    return JsonError(400, "bad request body: " + parsed.status().message());
+  obs::JsonValue doc;
+  std::string parse_error;
+  if (!obs::ParseJson(http.body, &doc, &parse_error)) {
+    const Status status =
+        Status::InvalidArgument("bad request body: " + parse_error);
+    return JsonError(HttpStatusFor(status), status.message());
   }
-  const JsonValue& doc = parsed.value();
   if (!doc.is_object()) {
     return JsonError(400, "request body must be a JSON object");
   }
-  const JsonValue* user = doc.Find("user");
+  const obs::JsonValue* user = doc.Find("user");
   if (user == nullptr || !user->is_number()) {
     return JsonError(400, "missing numeric field: user");
   }
@@ -191,7 +193,7 @@ obs::HttpResponse HandlePost(ServeEngine* engine, const Dataset* data,
     return JsonError(400, "user must be a whole number in range");
   }
   req.user = static_cast<NodeId>(id);
-  if (const JsonValue* relation = doc.Find("relation")) {
+  if (const obs::JsonValue* relation = doc.Find("relation")) {
     if (relation->is_number()) {
       if (!WholeNumber(*relation, data->schema.num_edge_types() - 1, &id)) {
         return JsonError(400, "relation id out of range");
@@ -207,7 +209,7 @@ obs::HttpResponse HandlePost(ServeEngine* engine, const Dataset* data,
       return JsonError(400, "relation must be a number or a name");
     }
   }
-  if (const JsonValue* k = doc.Find("k")) {
+  if (const obs::JsonValue* k = doc.Find("k")) {
     if (!WholeNumber(*k, kMaxK, &id)) {
       return JsonError(400, "k must be a non-negative whole number");
     }

@@ -28,11 +28,13 @@ TEST(InfluencedGraphSamplerTest, SamplesUpToKWalksPerSide) {
   InfluencedGraphSampler sampler = f.Sampler(/*num_walks=*/4, /*walk_len=*/3);
   Rng rng(1);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
-  InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
-  EXPECT_LE(g.from_u.size(), 4u);
-  EXPECT_LE(g.from_v.size(), 4u);
+  WalkBuffer arena;
+  size_t u_count = 0;
+  sampler.SampleInto(e.src, e.dst, rng, &arena, &u_count);
+  EXPECT_LE(u_count, 4u);
+  EXPECT_LE(arena.num_walks() - u_count, 4u);
   // On a warmed-up graph, the interactive nodes usually have neighbors.
-  EXPECT_GT(g.from_u.size() + g.from_v.size(), 0u);
+  EXPECT_GT(arena.num_walks(), 0u);
 }
 
 TEST(InfluencedGraphSamplerTest, WalksStartAtInteractiveNodes) {
@@ -40,9 +42,12 @@ TEST(InfluencedGraphSamplerTest, WalksStartAtInteractiveNodes) {
   InfluencedGraphSampler sampler = f.Sampler(3, 4);
   Rng rng(2);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
-  InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
-  for (const auto& w : g.from_u) EXPECT_EQ(w.start, e.src);
-  for (const auto& w : g.from_v) EXPECT_EQ(w.start, e.dst);
+  WalkBuffer arena;
+  size_t u_count = 0;
+  sampler.SampleInto(e.src, e.dst, rng, &arena, &u_count);
+  for (size_t w = 0; w < arena.num_walks(); ++w) {
+    EXPECT_EQ(arena.walk(w).start, w < u_count ? e.src : e.dst);
+  }
 }
 
 TEST(InfluencedGraphSamplerTest, WalkLengthBounded) {
@@ -50,13 +55,16 @@ TEST(InfluencedGraphSamplerTest, WalkLengthBounded) {
   const int walk_len = 5;
   InfluencedGraphSampler sampler = f.Sampler(4, walk_len);
   Rng rng(3);
+  WalkBuffer arena;
+  size_t u_count = 0;
   for (size_t i = f.data.edges.size() / 2;
        i < f.data.edges.size() / 2 + 50 && i < f.data.edges.size(); ++i) {
     const auto& e = f.data.edges[i];
-    InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
-    for (const auto& w : g.from_u) {
-      EXPECT_LE(w.length(), static_cast<size_t>(walk_len));
-      EXPECT_GE(w.steps.size(), 1u);
+    sampler.SampleInto(e.src, e.dst, rng, &arena, &u_count);
+    for (size_t w = 0; w < arena.num_walks(); ++w) {
+      // |p| counts the start node; zero-hop walks are omitted.
+      EXPECT_LE(arena.walk(w).size() + 1, static_cast<size_t>(walk_len));
+      EXPECT_GE(arena.walk(w).size(), 1u);
     }
   }
 }
@@ -68,13 +76,17 @@ TEST(InfluencedGraphSamplerTest, StepsFollowMetapathTypes) {
   const NodeTypeId user = f.data.schema.NodeType("User").value();
   const NodeTypeId item = f.data.schema.NodeType("Item").value();
   const auto& e = f.data.edges[f.data.edges.size() / 2];
-  InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
+  WalkBuffer arena;
+  size_t u_count = 0;
+  sampler.SampleInto(e.src, e.dst, rng, &arena, &u_count);
   // Taobao metapaths alternate User/Item, so consecutive walk nodes
   // alternate types.
-  for (const auto& w : g.from_u) {
-    NodeTypeId prev = f.graph->NodeType(w.start);
-    for (const auto& s : w.steps) {
-      const NodeTypeId cur = f.graph->NodeType(s.node);
+  for (size_t w = 0; w < arena.num_walks(); ++w) {
+    const WalkBuffer::Span& span = arena.walk(w);
+    const WalkStep* steps = arena.steps_of(span);
+    NodeTypeId prev = f.graph->NodeType(span.start);
+    for (size_t s = 0; s < span.size(); ++s) {
+      const NodeTypeId cur = f.graph->NodeType(steps[s].node);
       EXPECT_NE(cur, prev);
       EXPECT_TRUE(cur == user || cur == item);
       prev = cur;
@@ -88,10 +100,12 @@ TEST(InfluencedGraphSamplerTest, IsolatedNodeYieldsNoPaths) {
   InfluencedGraphSampler sampler(*graph, data.schema.num_node_types(),
                                  data.metapaths, 4, 3);
   Rng rng(5);
-  InfluencedGraph g = sampler.Sample(0, 1, rng);
-  EXPECT_TRUE(g.from_u.empty());
-  EXPECT_TRUE(g.from_v.empty());
-  EXPECT_EQ(g.TotalSteps(), 0u);
+  WalkBuffer arena;
+  size_t u_count = 7;
+  sampler.SampleInto(0, 1, rng, &arena, &u_count);
+  EXPECT_EQ(u_count, 0u);
+  EXPECT_EQ(arena.num_walks(), 0u);
+  EXPECT_EQ(arena.num_steps(), 0u);
 }
 
 TEST(InfluencedGraphSamplerTest, NodeTypeWithoutSchemaGetsNoPaths) {
@@ -106,43 +120,48 @@ TEST(InfluencedGraphSamplerTest, NodeTypeWithoutSchemaGetsNoPaths) {
   Rng rng(6);
   const NodeId author = data.num_nodes() - 1;  // authors are the last block
   ASSERT_EQ(data.node_types[author], data.schema.NodeType("Author").value());
-  std::vector<Walk> walks;
-  sampler.SampleFrom(author, rng, &walks);
-  EXPECT_TRUE(walks.empty());
+  WalkBuffer arena;
+  sampler.SampleFromInto(author, rng, &arena);
+  EXPECT_EQ(arena.num_walks(), 0u);
 }
 
-// The arena API must be a drop-in for the Walk-returning one: identical
-// walks, identical u/v split, and — critically — an identical rng draw
-// sequence, so switching the hot path to the arena cannot perturb
-// training.
-TEST(InfluencedGraphSamplerTest, ArenaSamplingMatchesWalkSampling) {
+// The trainer reuses one arena across edges, so a reused arena must hold
+// exactly what a fresh one would: identical walks, identical u/v split,
+// and an identical rng draw sequence, whatever it held before.
+TEST(InfluencedGraphSamplerTest, ReusedArenaMatchesFreshArena) {
   Fixture f;
   InfluencedGraphSampler sampler = f.Sampler(4, 4);
-  WalkBuffer arena;
+  WalkBuffer reused;
+  size_t reused_u_count = 0;
+  // Leave a larger influenced graph behind first.
+  Rng warm(99);
+  InfluencedGraphSampler wide = f.Sampler(16, 6);
+  const auto& first = f.data.edges[f.data.edges.size() / 2];
+  wide.SampleInto(first.src, first.dst, warm, &reused, &reused_u_count);
+  ASSERT_GT(reused.num_walks(), 0u);
   for (size_t k = 0; k < 8; ++k) {
-    Rng rng_a(100 + k);
-    Rng rng_b(100 + k);
+    Rng rng_fresh(100 + k);
+    Rng rng_reused(100 + k);
     const auto& e = f.data.edges[f.data.edges.size() / 2 + k];
-    InfluencedGraph g = sampler.Sample(e.src, e.dst, rng_a);
+    WalkBuffer fresh;
+    size_t fresh_u_count = 0;
+    sampler.SampleInto(e.src, e.dst, rng_fresh, &fresh, &fresh_u_count);
+    sampler.SampleInto(e.src, e.dst, rng_reused, &reused, &reused_u_count);
 
-    size_t u_count = 0;
-    // Reused across iterations on purpose — the arena must self-clear.
-    sampler.SampleInto(e.src, e.dst, rng_b, &arena, &u_count);
-
-    ASSERT_EQ(arena.num_walks(), g.from_u.size() + g.from_v.size());
-    ASSERT_EQ(u_count, g.from_u.size());
-    for (size_t w = 0; w < arena.num_walks(); ++w) {
-      const WalkBuffer::Span& span = arena.walk(w);
-      const Walk& want = w < u_count ? g.from_u[w] : g.from_v[w - u_count];
-      EXPECT_EQ(span.start, want.start);
-      ASSERT_EQ(span.size(), want.steps.size());
-      const WalkStep* steps = arena.steps_of(span);
-      for (size_t s = 0; s < span.size(); ++s) {
-        EXPECT_EQ(steps[s], want.steps[s]);
+    ASSERT_EQ(reused.num_walks(), fresh.num_walks());
+    ASSERT_EQ(reused.num_steps(), fresh.num_steps());
+    ASSERT_EQ(reused_u_count, fresh_u_count);
+    for (size_t w = 0; w < fresh.num_walks(); ++w) {
+      const WalkBuffer::Span& want = fresh.walk(w);
+      const WalkBuffer::Span& got = reused.walk(w);
+      EXPECT_EQ(got.start, want.start);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t s = 0; s < want.size(); ++s) {
+        EXPECT_EQ(reused.steps_of(got)[s], fresh.steps_of(want)[s]);
       }
     }
     // Same number of draws consumed → generators stay in lockstep.
-    EXPECT_EQ(rng_a.Next(), rng_b.Next());
+    EXPECT_EQ(rng_fresh.Next(), rng_reused.Next());
   }
 }
 
@@ -151,11 +170,19 @@ TEST(InfluencedGraphSamplerTest, TotalStepsCountsAllHops) {
   InfluencedGraphSampler sampler = f.Sampler(4, 3);
   Rng rng(7);
   const auto& e = f.data.edges[f.data.edges.size() / 2];
-  InfluencedGraph g = sampler.Sample(e.src, e.dst, rng);
+  obs::Counter steps_counter =
+      obs::MetricsRegistry::Global().GetCounter("sampler.walk_steps");
+  const uint64_t counted_before = steps_counter.Value();
+  WalkBuffer arena;
+  size_t u_count = 0;
+  sampler.SampleInto(e.src, e.dst, rng, &arena, &u_count);
   size_t manual = 0;
-  for (const auto& w : g.from_u) manual += w.steps.size();
-  for (const auto& w : g.from_v) manual += w.steps.size();
-  EXPECT_EQ(g.TotalSteps(), manual);
+  for (size_t w = 0; w < arena.num_walks(); ++w) {
+    manual += arena.walk(w).size();
+  }
+  EXPECT_GT(manual, 0u);
+  EXPECT_EQ(arena.num_steps(), manual);
+  EXPECT_EQ(steps_counter.Value() - counted_before, manual);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace supa {
 namespace {
@@ -33,6 +34,22 @@ struct Fixture {
   }
 };
 
+/// Samples one metapath walk into a fresh arena and returns its hops. The
+/// arena holds one span, starting at `start`, exactly when a hop was taken.
+std::vector<WalkStep> SampleSteps(const Walker& walker, NodeId start,
+                                  const MetapathSchema& schema,
+                                  size_t walk_len, Rng& rng) {
+  WalkBuffer arena;
+  const size_t hops =
+      walker.SampleMetapathWalkInto(start, schema, walk_len, rng, &arena);
+  EXPECT_EQ(arena.num_walks(), hops == 0 ? 0u : 1u);
+  EXPECT_EQ(arena.num_steps(), hops);
+  if (hops == 0) return {};
+  const WalkBuffer::Span& span = arena.walk(0);
+  EXPECT_EQ(span.start, start);
+  return {arena.steps_of(span), arena.steps_of(span) + span.size()};
+}
+
 TEST(WalkerMetapathTest, RespectsTypeConstraints) {
   Fixture f;
   auto mp = MetapathSchema::Parse("User -{click}-> Item -{click}-> User",
@@ -41,13 +58,13 @@ TEST(WalkerMetapathTest, RespectsTypeConstraints) {
   Walker walker(*f.graph);
   Rng rng(1);
   for (int trial = 0; trial < 200; ++trial) {
-    Walk w = walker.SampleMetapathWalk(0, mp.value(), 5, rng);
-    EXPECT_EQ(w.start, 0u);
-    for (size_t i = 0; i < w.steps.size(); ++i) {
+    const std::vector<WalkStep> steps =
+        SampleSteps(walker, 0, mp.value(), 5, rng);
+    for (size_t i = 0; i < steps.size(); ++i) {
       // Position alternates Item, User, Item, User.
       const NodeTypeId expected = (i % 2 == 0) ? f.item : f.user;
-      EXPECT_EQ(f.graph->NodeType(w.steps[i].node), expected);
-      EXPECT_EQ(w.steps[i].via_type, f.click);  // only clicks allowed
+      EXPECT_EQ(f.graph->NodeType(steps[i].node), expected);
+      EXPECT_EQ(steps[i].via_type, f.click);  // only clicks allowed
     }
   }
 }
@@ -59,8 +76,7 @@ TEST(WalkerMetapathTest, WrongHeadTypeYieldsEmptyWalk) {
   ASSERT_TRUE(mp.ok());
   Walker walker(*f.graph);
   Rng rng(2);
-  Walk w = walker.SampleMetapathWalk(3 /*item*/, mp.value(), 5, rng);
-  EXPECT_TRUE(w.steps.empty());
+  EXPECT_TRUE(SampleSteps(walker, 3 /*item*/, mp.value(), 5, rng).empty());
 }
 
 TEST(WalkerMetapathTest, StopsWhenNoAdmissibleNeighbor) {
@@ -71,8 +87,7 @@ TEST(WalkerMetapathTest, StopsWhenNoAdmissibleNeighbor) {
   ASSERT_TRUE(mp.ok());
   Walker walker(*f.graph);
   Rng rng(3);
-  Walk w = walker.SampleMetapathWalk(6, mp.value(), 5, rng);
-  EXPECT_TRUE(w.steps.empty());
+  EXPECT_TRUE(SampleSteps(walker, 6, mp.value(), 5, rng).empty());
 }
 
 TEST(WalkerMetapathTest, MultiEdgeTypeMask) {
@@ -84,8 +99,9 @@ TEST(WalkerMetapathTest, MultiEdgeTypeMask) {
   Rng rng(4);
   std::set<EdgeTypeId> seen;
   for (int trial = 0; trial < 300; ++trial) {
-    Walk w = walker.SampleMetapathWalk(0, mp.value(), 3, rng);
-    for (const auto& s : w.steps) seen.insert(s.via_type);
+    for (const WalkStep& step : SampleSteps(walker, 0, mp.value(), 3, rng)) {
+      seen.insert(step.via_type);
+    }
   }
   // User 0 has both a click (item 3) and a buy (item 4): both types appear.
   EXPECT_TRUE(seen.contains(f.click));
@@ -99,8 +115,8 @@ TEST(WalkerMetapathTest, WalkLenOneHasNoSteps) {
   ASSERT_TRUE(mp.ok());
   Walker walker(*f.graph);
   Rng rng(5);
-  EXPECT_TRUE(walker.SampleMetapathWalk(0, mp.value(), 1, rng).steps.empty());
-  EXPECT_TRUE(walker.SampleMetapathWalk(0, mp.value(), 0, rng).steps.empty());
+  EXPECT_TRUE(SampleSteps(walker, 0, mp.value(), 1, rng).empty());
+  EXPECT_TRUE(SampleSteps(walker, 0, mp.value(), 0, rng).empty());
 }
 
 TEST(WalkerMetapathTest, HonorsNeighborCap) {
@@ -114,9 +130,10 @@ TEST(WalkerMetapathTest, HonorsNeighborCap) {
   Walker walker(*f.graph);
   Rng rng(6);
   for (int trial = 0; trial < 100; ++trial) {
-    Walk w = walker.SampleMetapathWalk(1, mp.value(), 2, rng);
-    ASSERT_EQ(w.steps.size(), 1u);
-    EXPECT_EQ(w.steps[0].node, 4u);
+    const std::vector<WalkStep> steps =
+        SampleSteps(walker, 1, mp.value(), 2, rng);
+    ASSERT_EQ(steps.size(), 1u);
+    EXPECT_EQ(steps[0].node, 4u);
   }
 }
 

@@ -20,13 +20,12 @@
 #include "core/inslearn.h"
 #include "core/model.h"
 #include "data/synthetic.h"
-#include "json_check.h"
+#include "obs/json_parse.h"
 #include "obs/metrics.h"
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
 #include "obs/prometheus.h"
 #include "obs/statusz.h"
-#include "util/json_parse.h"
 
 namespace supa::obs {
 namespace {
@@ -322,14 +321,14 @@ TEST(AdminServerTest, StatuszServesHtmlAndJson) {
   ASSERT_TRUE(json.ok);
   EXPECT_EQ(json.status, 200);
   EXPECT_NE(json.head.find("application/json"), std::string::npos);
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json.body, &error)) << error;
-  auto parsed = ParseJson(json.body);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().Find("server")->string_value(), "supa-admin");
-  EXPECT_GE(parsed.value().NumberOr("uptime_seconds", -1.0), 0.0);
-  ASSERT_NE(parsed.value().FindPath("build.build_type"), nullptr);
-  const JsonValue* sections = parsed.value().Find("sections");
+  ASSERT_TRUE(ParseJson(json.body, &doc, &error)) << error;
+  EXPECT_EQ(doc.Find("server")->string_value(), "supa-admin");
+  ASSERT_TRUE(doc.Find("uptime_seconds")->is_number());
+  EXPECT_GE(doc.Find("uptime_seconds")->number_value(), 0.0);
+  ASSERT_NE(doc.Find("build")->Find("build_type"), nullptr);
+  const JsonValue* sections = doc.Find("sections");
   ASSERT_NE(sections, nullptr);
   bool found = false;
   for (const JsonValue& section : sections->array()) {
@@ -337,11 +336,76 @@ TEST(AdminServerTest, StatuszServesHtmlAndJson) {
       continue;
     }
     found = true;
-    EXPECT_EQ(section.FindPath("items.edges_trained")->string_value(),
-              "12345");
+    EXPECT_EQ(
+        section.Find("items")->Find("edges_trained")->string_value(),
+        "12345");
   }
   EXPECT_TRUE(found);
-  ASSERT_NE(parsed.value().Find("histograms"), nullptr);
+  ASSERT_NE(doc.Find("histograms"), nullptr);
+}
+
+// The HTML view is rendered from the JSON document, so a string reaches
+// the page only through the renderer's escaping: markup characters become
+// entities, and control and non-ASCII characters numeric references (a
+// byte that is not UTF-8 becomes U+FFFD).
+TEST(AdminServerTest, StatuszHtmlEscapesEveryString) {
+  const std::string hostile =
+      "<script>alert(1)</script> & \" ' \n \xC3\xA9 \xF0\x9F\x98\x80 \xFF";
+  StatusScope scope(hostile, [&] {
+    return std::vector<StatusItem>{{"key " + hostile, "value " + hostile}};
+  });
+
+  RunningServer server;
+  ASSERT_TRUE(server.started());
+  HttpResult html = HttpGet(server.port(), "/statusz");
+  ASSERT_TRUE(html.ok);
+  EXPECT_EQ(html.status, 200);
+  const std::string escaped =
+      "&lt;script&gt;alert(1)&lt;/script&gt; &amp; &quot; &#39; &#10; "
+      "&#233; &#128512; &#65533;";
+  EXPECT_NE(html.body.find("<td>" + escaped + "</td>"), std::string::npos)
+      << html.body;
+  EXPECT_NE(html.body.find("<th>key " + escaped + "</th>"),
+            std::string::npos);
+  EXPECT_NE(html.body.find("<td>value " + escaped + "</td>"),
+            std::string::npos);
+  EXPECT_EQ(html.body.find("<script"), std::string::npos);
+  EXPECT_EQ(html.body.find("\xC3\xA9"), std::string::npos);
+  // The page is ASCII, and its only raw newline ends it.
+  EXPECT_EQ(html.body.find('\n'), html.body.size() - 1);
+  for (char c : html.body) {
+    EXPECT_LT(static_cast<unsigned char>(c), 0x80);
+  }
+}
+
+// RFC 9110 §9.3.2: a HEAD response carries GET's headers and no content.
+TEST(AdminServerTest, HeadSendsHeadersOnly) {
+  RunningServer server;
+  ASSERT_TRUE(server.started());
+  for (const char* target : {"/", "/healthz", "/statusz",
+                             "/modelz?format=json", "/nope"}) {
+    HttpResult get = HttpGet(server.port(), target);
+    HttpResult head = HttpGet(server.port(), target, "HEAD");
+    ASSERT_TRUE(get.ok) << target;
+    ASSERT_TRUE(head.ok) << target;
+    EXPECT_EQ(head.status, get.status) << target;
+    EXPECT_TRUE(head.body.empty()) << target << ": " << head.body;
+    EXPECT_FALSE(get.body.empty()) << target;
+    const std::regex content_type("Content-Type: [^\r]*");
+    std::smatch get_type;
+    std::smatch head_type;
+    ASSERT_TRUE(std::regex_search(get.head, get_type, content_type));
+    ASSERT_TRUE(std::regex_search(head.head, head_type, content_type));
+    EXPECT_EQ(head_type.str(), get_type.str()) << target;
+  }
+  // The index is the same bytes on every request, so its HEAD announces
+  // exactly the length GET sends.
+  HttpResult get = HttpGet(server.port(), "/");
+  HttpResult head = HttpGet(server.port(), "/", "HEAD");
+  const std::string length =
+      "Content-Length: " + std::to_string(get.body.size());
+  EXPECT_NE(get.head.find(length), std::string::npos) << get.head;
+  EXPECT_NE(head.head.find(length), std::string::npos) << head.head;
 }
 
 TEST(AdminServerTest, ProfilezServesHtmlAndJson) {
@@ -360,24 +424,27 @@ TEST(AdminServerTest, ProfilezServesHtmlAndJson) {
   ASSERT_TRUE(html.ok);
   EXPECT_EQ(html.status, 200);
   EXPECT_NE(html.head.find("text/html"), std::string::npos);
-  EXPECT_NE(html.body.find("Hardware profile"), std::string::npos);
-  EXPECT_NE(html.body.find("serve_score"), std::string::npos);
+  EXPECT_NE(html.body.find("<title>Hardware profile</title>"),
+            std::string::npos);
+  EXPECT_NE(html.body.find("<a href=\"?format=json\">"), std::string::npos);
+  EXPECT_NE(html.body.find("<th>serve_score</th>"), std::string::npos);
 
   HttpResult json = HttpGet(server.port(), "/profilez?format=json");
   ASSERT_TRUE(json.ok);
   EXPECT_EQ(json.status, 200);
   EXPECT_NE(json.head.find("application/json"), std::string::npos);
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json.body, &error)) << error;
-  auto parsed = ParseJson(json.body);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_TRUE(ParseJson(json.body, &doc, &error)) << error;
   // Any rung of the degradation ladder is fine; "disabled" would mean the
   // Enable above never took effect.
-  const std::string source = parsed.value().Find("source")->string_value();
+  const std::string source = doc.Find("source")->string_value();
   EXPECT_TRUE(source == "hardware" || source == "software" ||
               source == "rusage")
       << source;
-  ASSERT_NE(parsed.value().FindPath("domains.serve_score.scopes"), nullptr);
+  const JsonValue* serve_score = doc.Find("domains")->Find("serve_score");
+  ASSERT_NE(serve_score, nullptr);
+  ASSERT_NE(serve_score->Find("scopes"), nullptr);
 
   // /metrics carries the derived perf gauges and the tier info series.
   HttpResult metrics = HttpGet(server.port(), "/metrics");
@@ -388,10 +455,28 @@ TEST(AdminServerTest, ProfilezServesHtmlAndJson) {
   // /statusz surfaces the tier and the trace-drop counter.
   HttpResult statusz = HttpGet(server.port(), "/statusz?format=json");
   ASSERT_TRUE(statusz.ok);
-  auto status_json = ParseJson(statusz.body);
-  ASSERT_TRUE(status_json.ok()) << status_json.status().ToString();
-  ASSERT_NE(status_json.value().FindPath("perf.source"), nullptr);
-  ASSERT_NE(status_json.value().Find("trace_dropped_events"), nullptr);
+  JsonValue status_doc;
+  ASSERT_TRUE(ParseJson(statusz.body, &status_doc, &error)) << error;
+  ASSERT_NE(status_doc.Find("perf")->Find("source"), nullptr);
+  ASSERT_NE(status_doc.Find("trace_dropped_events"), nullptr);
+}
+
+// The perf report's HTML view is one page that loads nothing else: its
+// style is inline, it names itself, and it links to its own JSON form.
+TEST(PerfReportTest, HtmlIsSelfContained) {
+  RunningServer server;
+  ASSERT_TRUE(server.started());
+  HttpResult html = HttpGet(server.port(), "/profilez");
+  ASSERT_TRUE(html.ok);
+  EXPECT_EQ(html.status, 200);
+  EXPECT_NE(html.body.find("<title>Hardware profile</title>"),
+            std::string::npos);
+  EXPECT_NE(html.body.find("<a href=\"/profilez\">"), std::string::npos);
+  EXPECT_NE(html.body.find("<a href=\"?format=json\">"), std::string::npos);
+  EXPECT_NE(html.body.find("<style>"), std::string::npos);
+  for (const char* external : {"src=", "<link", "http://", "https://"}) {
+    EXPECT_EQ(html.body.find(external), std::string::npos) << external;
+  }
 }
 
 TEST(AdminServerTest, TracezReturnsValidChromeTraceJson) {
@@ -400,9 +485,10 @@ TEST(AdminServerTest, TracezReturnsValidChromeTraceJson) {
   HttpResult trace = HttpGet(server.port(), "/tracez");
   ASSERT_TRUE(trace.ok);
   EXPECT_EQ(trace.status, 200);
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(trace.body, &error)) << error;
-  EXPECT_NE(trace.body.find("traceEvents"), std::string::npos);
+  ASSERT_TRUE(ParseJson(trace.body, &doc, &error)) << error;
+  EXPECT_NE(doc.Find("traceEvents"), nullptr);
 }
 
 TEST(AdminServerTest, RejectsUnknownPathsAndMethods) {
@@ -568,20 +654,19 @@ TEST(AdminServerTest, ModelzServesHtmlAndJson) {
   ASSERT_TRUE(json.ok);
   EXPECT_EQ(json.status, 200);
   EXPECT_NE(json.head.find("application/json"), std::string::npos);
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json.body, &error)) << error;
-  auto parsed = ParseJson(json.body);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed.value().Find("enabled")->bool_value());
-  EXPECT_EQ(parsed.value().NumberOr("train_steps", -1.0), 32.0);
-  const JsonValue* loss = parsed.value().FindPath("sketches.train_loss");
+  ASSERT_TRUE(ParseJson(json.body, &doc, &error)) << error;
+  EXPECT_TRUE(doc.Find("enabled")->bool_value());
+  EXPECT_EQ(doc.Find("train_steps")->number_value(), 32.0);
+  const JsonValue* loss = doc.Find("sketches")->Find("train_loss");
   ASSERT_NE(loss, nullptr);
-  EXPECT_EQ(loss->NumberOr("count", -1.0), 32.0);
+  EXPECT_EQ(loss->Find("count")->number_value(), 32.0);
   // Every sketched quantile of a constant loss stream is the loss itself
   // (within the sketch's relative-error bound).
-  EXPECT_NEAR(loss->NumberOr("p50", -1.0), 0.9, 0.9 * 0.01);
-  ASSERT_NE(parsed.value().Find("drift"), nullptr);
-  ASSERT_NE(parsed.value().FindPath("stream.distinct_users"), nullptr);
+  EXPECT_NEAR(loss->Find("p50")->number_value(), 0.9, 0.9 * 0.01);
+  ASSERT_NE(doc.Find("drift"), nullptr);
+  ASSERT_NE(doc.Find("stream")->Find("distinct_users"), nullptr);
 
   // The model_* series ride along on /metrics even when nothing has been
   // recorded — CI scrapes depend on their presence unconditionally.
@@ -665,12 +750,13 @@ TEST(AdminServerTest, ModelAlertsSurfaceOnStatusz) {
   ASSERT_TRUE(server.started());
   HttpResult json = HttpGet(server.port(), "/statusz?format=json");
   ASSERT_TRUE(json.ok);
-  auto parsed = ParseJson(json.body);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().FindPath("model.alert_level")->string_value(),
-            "warn");
-  const JsonValue* drifted =
-      parsed.value().FindPath("model.drifted_series");
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(ParseJson(json.body, &doc, &error)) << error;
+  const JsonValue* model = doc.Find("model");
+  ASSERT_NE(model, nullptr);
+  EXPECT_EQ(model->Find("alert_level")->string_value(), "warn");
+  const JsonValue* drifted = model->Find("drifted_series");
   ASSERT_NE(drifted, nullptr);
   bool found = false;
   for (const JsonValue& name : drifted->array()) {
@@ -680,8 +766,10 @@ TEST(AdminServerTest, ModelAlertsSurfaceOnStatusz) {
 
   HttpResult html = HttpGet(server.port(), "/statusz");
   ASSERT_TRUE(html.ok);
-  EXPECT_NE(html.body.find("model alert (warn)"), std::string::npos);
-  EXPECT_NE(html.body.find("/modelz"), std::string::npos);
+  EXPECT_NE(html.body.find("<th>alert_level</th><td>warn</td>"),
+            std::string::npos);
+  EXPECT_NE(html.body.find("<li>train_loss</li>"), std::string::npos);
+  EXPECT_NE(html.body.find("<a href=\"/modelz\">"), std::string::npos);
 
   // Drift is a warning, not a health veto.
   HttpResult health = HttpGet(server.port(), "/healthz");

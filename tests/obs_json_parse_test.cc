@@ -1,4 +1,4 @@
-#include "util/json_parse.h"
+#include "obs/json_parse.h"
 
 #include <gtest/gtest.h>
 
@@ -6,27 +6,41 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json_writer.h"
 #include "util/rng.h"
 
-namespace supa {
+namespace supa::obs {
 namespace {
 
+/// Parses `text`, failing the test with the reader's error when it does
+/// not parse.
+JsonValue MustParse(std::string_view text) {
+  JsonValue v;
+  std::string error;
+  EXPECT_TRUE(ParseJson(text, &v, &error)) << error;
+  return v;
+}
+
+bool Parses(std::string_view text) {
+  JsonValue v;
+  return ParseJson(text, &v, nullptr);
+}
+
 TEST(JsonParseTest, Scalars) {
-  EXPECT_TRUE(ParseJson("null").value().is_null());
-  EXPECT_TRUE(ParseJson("true").value().bool_value());
-  EXPECT_FALSE(ParseJson("false").value().bool_value());
-  EXPECT_DOUBLE_EQ(ParseJson("42").value().number_value(), 42.0);
-  EXPECT_DOUBLE_EQ(ParseJson("-1.5e3").value().number_value(), -1500.0);
-  EXPECT_EQ(ParseJson("\"hi\"").value().string_value(), "hi");
+  EXPECT_TRUE(MustParse("null").is_null());
+  EXPECT_TRUE(MustParse("true").bool_value());
+  EXPECT_FALSE(MustParse("false").bool_value());
+  EXPECT_DOUBLE_EQ(MustParse("42").number_value(), 42.0);
+  EXPECT_DOUBLE_EQ(MustParse("-1.5e3").number_value(), -1500.0);
+  EXPECT_EQ(MustParse("\"hi\"").string_value(), "hi");
 }
 
 TEST(JsonParseTest, NestedContainers) {
-  auto v = ParseJson(R"({"a": [1, 2, {"b": "c"}], "d": {"e": null}})");
-  ASSERT_TRUE(v.ok());
-  const JsonValue& root = v.value();
+  const JsonValue root =
+      MustParse(R"({"a": [1, 2, {"b": "c"}], "d": {"e": null}})");
   ASSERT_TRUE(root.is_object());
   const JsonValue* a = root.Find("a");
   ASSERT_NE(a, nullptr);
@@ -34,47 +48,42 @@ TEST(JsonParseTest, NestedContainers) {
   ASSERT_EQ(a->array().size(), 3u);
   EXPECT_DOUBLE_EQ(a->array()[1].number_value(), 2.0);
   EXPECT_EQ(a->array()[2].Find("b")->string_value(), "c");
-  EXPECT_TRUE(root.FindPath("d.e")->is_null());
-  EXPECT_EQ(root.FindPath("d.missing"), nullptr);
-  EXPECT_EQ(root.FindPath("a.b"), nullptr);  // array is not an object
+  EXPECT_TRUE(root.Find("d")->Find("e")->is_null());
+  EXPECT_EQ(root.Find("d")->Find("missing"), nullptr);
+  EXPECT_EQ(a->Find("b"), nullptr);  // an array is not an object
 }
 
 TEST(JsonParseTest, StringEscapes) {
-  auto v = ParseJson(R"("a\"b\\c\ndAé")");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().string_value(), "a\"b\\c\ndA\xC3\xA9");
+  EXPECT_EQ(MustParse(R"("a\"b\\c\ndAé")").string_value(),
+            "a\"b\\c\ndA\xC3\xA9");
 }
 
 TEST(JsonParseTest, SurrogatePairs) {
   // U+1F600 as 😀 -> 4-byte UTF-8.
-  auto v = ParseJson(R"("😀")");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(v.value().string_value(), "\xF0\x9F\x98\x80");
-  EXPECT_FALSE(ParseJson(R"("\uD83D")").ok());  // unpaired high surrogate
-  EXPECT_FALSE(ParseJson(R"("\uDE00")").ok());  // unpaired low surrogate
+  EXPECT_EQ(MustParse(R"("😀")").string_value(), "\xF0\x9F\x98\x80");
+  EXPECT_FALSE(Parses(R"("\uD83D")"));  // unpaired high surrogate
+  EXPECT_FALSE(Parses(R"("\uDE00")"));  // unpaired low surrogate
 }
 
 TEST(JsonParseTest, RejectsMalformedInput) {
   for (const char* bad :
        {"", "{", "[1,]", "{\"a\":}", "{\"a\" 1}", "tru", "1.2.3", "\"x",
         "[1] trailing", "{'a': 1}", "nan", "+1"}) {
-    EXPECT_FALSE(ParseJson(bad).ok()) << bad;
+    EXPECT_FALSE(Parses(bad)) << bad;
   }
-}
-
-TEST(JsonParseTest, NumberOrFallback) {
-  auto v = ParseJson(R"({"x": 3.5, "s": "str"})");
-  ASSERT_TRUE(v.ok());
-  EXPECT_DOUBLE_EQ(v.value().NumberOr("x", -1.0), 3.5);
-  EXPECT_DOUBLE_EQ(v.value().NumberOr("s", -1.0), -1.0);
-  EXPECT_DOUBLE_EQ(v.value().NumberOr("missing", -1.0), -1.0);
+  // A failed parse names its offset and leaves the output as it was.
+  JsonValue kept = MustParse("\"kept\"");
+  std::string error;
+  EXPECT_FALSE(ParseJson("[1, }", &kept, &error));
+  EXPECT_EQ(error, "JSON: expected digit at offset 4");
+  EXPECT_EQ(kept.string_value(), "kept");
 }
 
 TEST(JsonParseTest, RoundTripsJsonWriterOutput) {
   // The parser must accept everything our writer emits, so any export
   // can be read back (the admin-server tests read /statusz, /profilez and
   // /modelz this way).
-  obs::JsonWriter w;
+  JsonWriter w;
   w.BeginObject();
   w.Field("title", std::string_view("fig5 \"quoted\" \\ \n"));
   w.Key("samples").BeginObject();
@@ -84,19 +93,18 @@ TEST(JsonParseTest, RoundTripsJsonWriterOutput) {
   w.EndObject();
   w.Field("nan_becomes_null", std::numeric_limits<double>::quiet_NaN());
   w.EndObject();
-  auto v = ParseJson(w.str());
-  ASSERT_TRUE(v.ok()) << v.status().ToString();
-  EXPECT_EQ(v.value().Find("title")->string_value(), "fig5 \"quoted\" \\ \n");
-  const JsonValue* samples = v.value().FindPath("samples.edges_per_sec");
+  const JsonValue v = MustParse(w.str());
+  EXPECT_EQ(v.Find("title")->string_value(), "fig5 \"quoted\" \\ \n");
+  const JsonValue* samples = v.Find("samples")->Find("edges_per_sec");
   ASSERT_NE(samples, nullptr);
   ASSERT_EQ(samples->array().size(), 3u);
   EXPECT_DOUBLE_EQ(samples->array()[0].number_value(), 1712.25);
-  EXPECT_TRUE(v.value().Find("nan_becomes_null")->is_null());
+  EXPECT_TRUE(v.Find("nan_becomes_null")->is_null());
 }
 
 // ParseJson reads POST /recommend bodies, bytes from the network, so it is
 // fuzzed: fixed-seed mutations of a seed corpus must each parse, or fail
-// with a Status naming a byte offset inside the input. The sanitize CI job
+// with an error naming a byte offset inside the input. The sanitize CI job
 // runs this under ASan/UBSan, where an out-of-bounds read or a stack
 // overflow on deep nesting would also fail it.
 enum Mutation { kBitFlip, kTruncate, kSplice, kRepeat, kBracketRun,
@@ -164,7 +172,7 @@ TEST(JsonParseFuzzTest, MutatedDocumentsFailCleanly) {
       R"({ "user" : 17 , "relation" : "\u0042uy" , "k" : 1e2 })",
       R"({"user":0.7,"k":-1,"relation":null,"extra":[true,false,{}]})",
   };
-  obs::JsonWriter w;
+  JsonWriter w;
   w.BeginObject();
   w.Field("title", std::string_view("nested \"doc\" \\ \n\t\x01 é"));
   w.Key("levels").BeginArray();
@@ -180,7 +188,7 @@ TEST(JsonParseFuzzTest, MutatedDocumentsFailCleanly) {
   w.EndObject();
   seeds.push_back(w.str());
   for (const std::string& seed : seeds) {
-    ASSERT_TRUE(ParseJson(seed).ok()) << seed;
+    ASSERT_TRUE(Parses(seed)) << seed;
   }
 
   constexpr int kTrials = 4000;
@@ -198,13 +206,13 @@ TEST(JsonParseFuzzTest, MutatedDocumentsFailCleanly) {
                    other, rng);
     }
     ASSERT_LE(doc.size(), kMaxBody);
-    const Result<JsonValue> result = ParseJson(doc);
-    if (result.ok()) {
+    JsonValue result;
+    std::string message;
+    if (ParseJson(doc, &result, &message)) {
       ++parsed;
       continue;
     }
     ++rejected;
-    const std::string& message = result.status().message();
     const size_t at = message.rfind(" at offset ");
     ASSERT_NE(at, std::string::npos) << "trial " << t << ": " << message;
     const std::string offset = message.substr(at + 11);
@@ -222,4 +230,4 @@ TEST(JsonParseFuzzTest, MutatedDocumentsFailCleanly) {
 }
 
 }  // namespace
-}  // namespace supa
+}  // namespace supa::obs

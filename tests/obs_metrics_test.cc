@@ -8,7 +8,7 @@
 #include <thread>
 #include <vector>
 
-#include "json_check.h"
+#include "obs/json_parse.h"
 #include "util/thread_pool.h"
 
 namespace supa::obs {
@@ -194,8 +194,9 @@ TEST(SnapshotTest, ToJsonIsValidJson) {
   reg.GetGauge("a.gauge \"quoted\"").Set(1.25);  // name needing escaping
   reg.GetHistogram("a.hist", {1.0, 8.0}).Observe(2.0);
   const std::string json = reg.Snapshot().ToJson();
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json, &error)) << error << "\n" << json;
+  EXPECT_TRUE(ParseJson(json, &doc, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("a.counter"), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
 }

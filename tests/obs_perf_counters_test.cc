@@ -9,7 +9,7 @@
 #include "core/ingest.h"
 #include "core/model.h"
 #include "data/synthetic.h"
-#include "json_check.h"
+#include "obs/json_parse.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
@@ -146,8 +146,9 @@ TEST(PerfReportTest, JsonParsesAndNamesTheTier) {
   }
   const std::string json =
       PerfReportJson(MetricsRegistry::Global().Snapshot());
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json, &error)) << error << "\n" << json;
+  EXPECT_TRUE(ParseJson(json, &doc, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("\"source\""), std::string::npos);
   EXPECT_NE(json.find("\"domains\""), std::string::npos);
   EXPECT_NE(json.find("\"serve_score\""), std::string::npos);
@@ -167,14 +168,6 @@ TEST(PerfReportTest, PrometheusSeriesIncludeSourceAndDerivedGauges) {
   EXPECT_NE(out.find("perf_snapshot_take_llc_miss_rate"), std::string::npos);
   EXPECT_NE(out.find("perf_snapshot_take_cycles_per_edge"),
             std::string::npos);
-}
-
-TEST(PerfReportTest, HtmlIsSelfContained) {
-  GlobalPerfScope scope(/*enable=*/true);
-  const std::string html =
-      PerfReportHtml(MetricsRegistry::Global().Snapshot());
-  EXPECT_NE(html.find("<title>supa /profilez</title>"), std::string::npos);
-  EXPECT_NE(html.find("/profilez?format=json"), std::string::npos);
 }
 
 // The trace, /profilez, /metrics and the benches read one name table: with

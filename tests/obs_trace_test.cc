@@ -10,7 +10,7 @@
 
 #include "core/model.h"
 #include "data/synthetic.h"
-#include "json_check.h"
+#include "obs/json_parse.h"
 
 namespace supa::obs {
 namespace {
@@ -130,8 +130,9 @@ TEST(TraceJsonTest, ToJsonIsValidChromeTrace) {
   rec.Record("plain", "test", 2000, 4000);
   rec.Enable(false);
   const std::string json = rec.ToJson();
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json, &error)) << error << "\n" << json;
+  EXPECT_TRUE(ParseJson(json, &doc, &error)) << error << "\n" << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
@@ -140,8 +141,9 @@ TEST(TraceJsonTest, ToJsonIsValidChromeTrace) {
 TEST(TraceJsonTest, EmptyRecorderStillEmitsValidJson) {
   TraceRecorder rec;
   const std::string json = rec.ToJson();
+  JsonValue doc;
   std::string error;
-  EXPECT_TRUE(test::JsonParses(json, &error)) << error << "\n" << json;
+  EXPECT_TRUE(ParseJson(json, &doc, &error)) << error << "\n" << json;
 }
 
 // The acceptance bar for the whole observability layer: instrumentation

@@ -18,8 +18,8 @@
 #include "core/model.h"
 #include "data/synthetic.h"
 #include "obs/admin_server.h"
+#include "obs/json_parse.h"
 #include "serve/engine.h"
-#include "util/json_parse.h"
 
 namespace supa::serve {
 namespace {
@@ -127,24 +127,24 @@ TEST_F(ServeHttpTest, PostRecommendReturnsRankedItems) {
                           ",\"relation\":0,\"k\":5}");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 200);
-  auto doc = ParseJson(r.body);
-  ASSERT_TRUE(doc.ok()) << r.body;
-  const JsonValue* items = doc.value().Find("items");
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::ParseJson(r.body, &doc, nullptr)) << r.body;
+  const obs::JsonValue* items = doc.Find("items");
   ASSERT_NE(items, nullptr);
   ASSERT_TRUE(items->is_array());
   EXPECT_LE(items->array().size(), 5u);
   EXPECT_GT(items->array().size(), 0u);
   double prev = 1e300;
-  for (const JsonValue& item : items->array()) {
+  for (const obs::JsonValue& item : items->array()) {
     ASSERT_TRUE(item.Find("item") != nullptr);
     ASSERT_TRUE(item.Find("score") != nullptr);
     const double score = item.Find("score")->number_value();
     EXPECT_LE(score, prev);  // descending
     prev = score;
   }
-  EXPECT_NE(doc.value().Find("snapshot_epoch"), nullptr);
-  EXPECT_NE(doc.value().Find("staleness_edges"), nullptr);
-  EXPECT_NE(doc.value().Find("latency_us"), nullptr);
+  EXPECT_NE(doc.Find("snapshot_epoch"), nullptr);
+  EXPECT_NE(doc.Find("staleness_edges"), nullptr);
+  EXPECT_NE(doc.Find("latency_us"), nullptr);
 }
 
 TEST_F(ServeHttpTest, GetQueryFormMatchesPost) {
@@ -157,12 +157,12 @@ TEST_F(ServeHttpTest, GetQueryFormMatchesPost) {
   ASSERT_TRUE(get.ok);
   EXPECT_EQ(post.status, 200);
   EXPECT_EQ(get.status, 200);
-  auto post_doc = ParseJson(post.body);
-  auto get_doc = ParseJson(get.body);
-  ASSERT_TRUE(post_doc.ok());
-  ASSERT_TRUE(get_doc.ok());
-  const auto& post_items = post_doc.value().Find("items")->array();
-  const auto& get_items = get_doc.value().Find("items")->array();
+  obs::JsonValue post_doc;
+  obs::JsonValue get_doc;
+  ASSERT_TRUE(obs::ParseJson(post.body, &post_doc, nullptr));
+  ASSERT_TRUE(obs::ParseJson(get.body, &get_doc, nullptr));
+  const auto& post_items = post_doc.Find("items")->array();
+  const auto& get_items = get_doc.Find("items")->array();
   ASSERT_EQ(post_items.size(), get_items.size());
   for (size_t i = 0; i < post_items.size(); ++i) {
     EXPECT_EQ(post_items[i].Find("item")->number_value(),
@@ -181,14 +181,14 @@ TEST_F(ServeHttpTest, RelationByNameResolves) {
                           "{\"user\":" + std::to_string(AnyUser()) +
                               ",\"relation\":0,\"k\":2}");
   // Bodies differ in latency_us; the ranked items must match exactly.
-  auto name_doc = ParseJson(r.body);
-  auto id_doc = ParseJson(by_id.body);
-  ASSERT_TRUE(name_doc.ok());
-  ASSERT_TRUE(id_doc.ok());
-  EXPECT_EQ(name_doc.value().Find("relation")->number_value(),
-            id_doc.value().Find("relation")->number_value());
-  const auto& name_items = name_doc.value().Find("items")->array();
-  const auto& id_items = id_doc.value().Find("items")->array();
+  obs::JsonValue name_doc;
+  obs::JsonValue id_doc;
+  ASSERT_TRUE(obs::ParseJson(r.body, &name_doc, nullptr));
+  ASSERT_TRUE(obs::ParseJson(by_id.body, &id_doc, nullptr));
+  EXPECT_EQ(name_doc.Find("relation")->number_value(),
+            id_doc.Find("relation")->number_value());
+  const auto& name_items = name_doc.Find("items")->array();
+  const auto& id_items = id_doc.Find("items")->array();
   ASSERT_EQ(name_items.size(), id_items.size());
   for (size_t i = 0; i < name_items.size(); ++i) {
     EXPECT_EQ(name_items[i].Find("item")->number_value(),
@@ -199,8 +199,11 @@ TEST_F(ServeHttpTest, RelationByNameResolves) {
 }
 
 TEST_F(ServeHttpTest, BadRequestsGet400) {
-  // Malformed JSON.
-  EXPECT_EQ(Post(server_->port(), "/recommend", "{oops").status, 400);
+  // Malformed JSON: the reader's error, with its byte offset.
+  const auto malformed = Post(server_->port(), "/recommend", "{oops");
+  EXPECT_EQ(malformed.status, 400);
+  EXPECT_NE(malformed.body.find("at offset 1"), std::string::npos)
+      << malformed.body;
   // Missing user.
   EXPECT_EQ(Post(server_->port(), "/recommend", "{\"k\":3}").status, 400);
   // Out-of-range user.
@@ -228,9 +231,10 @@ TEST_F(ServeHttpTest, BadRequestsGet400) {
         "/recommend?user=" + user + "&relation=65536"}) {
     const auto r = Get(server_->port(), target);
     EXPECT_EQ(r.status, 400) << target;
-    auto doc = ParseJson(r.body);
-    ASSERT_TRUE(doc.ok()) << target << ": " << r.body;
-    EXPECT_NE(doc.value().Find("error"), nullptr) << target;
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::ParseJson(r.body, &doc, nullptr))
+        << target << ": " << r.body;
+    EXPECT_NE(doc.Find("error"), nullptr) << target;
   }
   for (const std::string& body :
        {std::string("{\"user\":0.7}"), std::string("{\"user\":-1}"),
@@ -241,9 +245,10 @@ TEST_F(ServeHttpTest, BadRequestsGet400) {
         "{\"user\":" + user + ",\"k\":2.5}"}) {
     const auto r = Post(server_->port(), "/recommend", body);
     EXPECT_EQ(r.status, 400) << body;
-    auto doc = ParseJson(r.body);
-    ASSERT_TRUE(doc.ok()) << body << ": " << r.body;
-    EXPECT_NE(doc.value().Find("error"), nullptr) << body;
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::ParseJson(r.body, &doc, nullptr))
+        << body << ": " << r.body;
+    EXPECT_NE(doc.Find("error"), nullptr) << body;
   }
 }
 
@@ -253,9 +258,9 @@ TEST_F(ServeHttpTest, HugeKIsClippedToTheCandidates) {
                                           "&k=1099511627776");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.status, 200) << r.body;
-  auto doc = ParseJson(r.body);
-  ASSERT_TRUE(doc.ok()) << r.body;
-  const JsonValue* items = doc.value().Find("items");
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::ParseJson(r.body, &doc, nullptr)) << r.body;
+  const obs::JsonValue* items = doc.Find("items");
   ASSERT_NE(items, nullptr);
   EXPECT_GT(items->array().size(), 0u);
   EXPECT_LE(items->array().size(), engine_->candidates().size());
@@ -279,9 +284,9 @@ TEST_F(ServeHttpTest, ItemCacheIsOnMetricsAndStatusz) {
 TEST_F(ServeHttpTest, ErrorBodyIsJsonWithErrorField) {
   const auto r = Post(server_->port(), "/recommend", "{\"k\":3}");
   ASSERT_TRUE(r.ok);
-  auto doc = ParseJson(r.body);
-  ASSERT_TRUE(doc.ok()) << r.body;
-  EXPECT_NE(doc.value().Find("error"), nullptr);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::ParseJson(r.body, &doc, nullptr)) << r.body;
+  EXPECT_NE(doc.Find("error"), nullptr);
 }
 
 TEST_F(ServeHttpTest, UnknownPathStill404AndBuiltinsStillServed) {
