@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "core/inslearn.h"
 #include "core/model.h"
@@ -18,6 +19,7 @@
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
+#include "store/embedding_bank.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
 #include "util/simd.h"
@@ -236,7 +238,7 @@ void AdamRowBench(benchmark::State& state) {
   const auto g = KernelVec(n, 11);
   auto params = KernelVec(n, 12);
   std::vector<float> m(n, 0.0f), v(n, 0.0f);
-  const simd::AdamCoeffs c{0.9, 0.999, 1e-8, 3e-3, 1e-4, 0.1, 0.001};
+  const simd::AdamCoeffs c = simd::FoldAdam(0.9, 0.999, 1e-8, 3e-3, 1e-4, 1);
   for (auto _ : state) {
     if (kPortable) {
       simd::portable::AdamRow(c, g.data(), params.data(), m.data(), v.data(),
@@ -256,6 +258,21 @@ BENCHMARK(BM_SimdAdamRow)->Arg(64)->Arg(1);
 
 void BM_PortableAdamRow(benchmark::State& state) { AdamRowBench<true>(state); }
 BENCHMARK(BM_PortableAdamRow)->Arg(64)->Arg(1);
+
+// The initial fill of wide_durable's bank: 80k nodes, 2 relations, d 64
+// (20.5 M Gaussians, one keyed stream per row).
+void BM_EmbeddingBankInit(benchmark::State& state) {
+  auto layout = std::make_shared<const store::EmbeddingLayout>(
+      std::make_shared<const store::NodeShardMap>(80000, 1), 2, 2, 64);
+  for (auto _ : state) {
+    store::EmbeddingBank bank(layout, 0.1, /*seed=*/42);
+    benchmark::DoNotOptimize(bank.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(layout->alpha_begin()));
+}
+BENCHMARK(BM_EmbeddingBankInit)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ---- GradBuffer: flat open-addressing table under training-like load -----
 

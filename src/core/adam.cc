@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 
 #include "util/simd.h"
@@ -106,13 +105,11 @@ void SparseAdam::SetRowLayout(uint32_t row_len, size_t tail_begin) {
 }
 
 void SparseAdam::UpdateRow(size_t offset, const float* g, size_t len,
-                           double bc1, double bc2, float* params,
+                           const simd::AdamCoeffs& c, float* params,
                            StepStats* stats) {
   float* p = params + offset;
   if (stats != nullptr) row_before_.assign(p, p + len);
-  simd::AdamRow(simd::AdamCoeffs{beta1_, beta2_, eps_, lr_, weight_decay_,
-                                 bc1, bc2},
-                g, p, m_.data() + offset, v_.data() + offset, len);
+  simd::AdamRow(c, g, p, m_.data() + offset, v_.data() + offset, len);
   if (stats == nullptr) return;
   // Reads only, from each float before and after the write: the update
   // above is byte-for-byte the unmonitored computation.
@@ -129,11 +126,13 @@ void SparseAdam::UpdateRow(size_t offset, const float* g, size_t len,
 void SparseAdam::Step(const GradBuffer& grads, float* params,
                       StepStats* stats) {
   ++step_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(step_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(step_));
+  // The bias corrections fold into the step size and ε once per step, in
+  // double; the row kernel then runs in float.
+  const simd::AdamCoeffs c =
+      simd::FoldAdam(beta1_, beta2_, eps_, lr_, weight_decay_, step_);
   grads.ForEach([&](size_t offset, const float* g, size_t len) {
     MarkRow(offset, static_cast<uint32_t>(len), params);
-    UpdateRow(offset, g, len, bc1, bc2, params, stats);
+    UpdateRow(offset, g, len, c, params, stats);
   });
 }
 

@@ -25,6 +25,10 @@
 
 namespace supa {
 
+namespace simd {
+struct AdamCoeffs;
+}  // namespace simd
+
 /// Insertion-ordered flat hash index mapping a parameter offset to a dense
 /// row id. Open addressing with linear probing over a power-of-two table;
 /// clearing only touches the slots that were actually used.
@@ -103,7 +107,9 @@ class GradBuffer {
 
 /// AdamW with decoupled weight decay and a global step counter for bias
 /// correction (lazy moments: rows not touched in a step keep stale moments,
-/// the standard sparse-Adam approximation).
+/// the standard sparse-Adam approximation). Each step folds the bias
+/// corrections into its step size and ε in double, then updates every
+/// touched row in float through simd::AdamRow (DESIGN.md §8.1).
 ///
 /// Every parameter write goes through one barrier, MarkRow(), which runs
 /// *before* the write. Each consumer keeps a generation and a dense
@@ -235,12 +241,12 @@ class SparseAdam {
   void set_lr(double lr) { lr_ = lr; }
 
  private:
-  /// One row's moment + parameter update at bias corrections (bc1, bc2),
-  /// through simd::AdamRow. `stats` (nullable) accumulates observability
-  /// norms from the row's values before and after, without touching the
-  /// update math.
-  void UpdateRow(size_t offset, const float* g, size_t len, double bc1,
-                 double bc2, float* params, StepStats* stats);
+  /// One row's moment + parameter update with the step's folded
+  /// coefficients, through simd::AdamRow. `stats` (nullable) accumulates
+  /// observability norms from the row's values before and after, without
+  /// touching the update math.
+  void UpdateRow(size_t offset, const float* g, size_t len,
+                 const simd::AdamCoeffs& c, float* params, StepStats* stats);
 
   /// One consumer of the barrier: a generation number and a stamp per
   /// row. A row's first Mark in a generation appends it to `rows`.

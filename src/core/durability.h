@@ -32,9 +32,10 @@ struct TrainerCursor {
   uint64_t next_edge_index = 0;
   /// Batches completed so far (drives periodic-cut cadence on resume).
   uint64_t batches_done = 0;
-  /// The model RNG (SupaModel::rng_state). Training draws are keyed by
-  /// the optimizer step, so after the embedding init this never changes;
-  /// the field keeps the MANIFEST cursor layout.
+  /// The model RNG (SupaModel::rng_state). The initial rows are keyed by
+  /// logical row and training draws by optimizer step, so the model RNG
+  /// draws nothing and this is Rng(seed)'s state; the field keeps the
+  /// MANIFEST cursor layout.
   Rng::State model_rng = {};
   /// The trainer's validation-scoring stream mid-flight.
   Rng::State valid_rng = {};

@@ -68,9 +68,12 @@ SupaModel::SupaModel(const Dataset& data, SupaConfig config)
   store_options.publish_metrics = true;
   graph_store_ = std::make_unique<store::GraphStore>(
       data.schema.num_edge_types(), data.node_types, store_options);
+  // Initial row ℓ draws from Rng(SplitMix64At(key, ℓ)), under a key of
+  // its own from the model seed (DESIGN.md §11.5); rng_ draws nothing.
   graph_store_->AttachEmbeddings(data.schema.num_edge_types(),
                                  data.schema.num_node_types(), config_.dim,
-                                 config_.init_scale, rng_);
+                                 config_.init_scale,
+                                 SplitMix64At(config_.seed, 0));
   bank_ = &graph_store_->embeddings();
   layout_ = &bank_->layout();
   sampler_ = std::make_unique<InfluencedGraphSampler>(

@@ -197,9 +197,9 @@ class SupaModel {
   void set_edge_log(EdgeLogSink* sink) { edge_log_ = sink; }
   EdgeLogSink* edge_log() const { return edge_log_; }
 
-  /// The model RNG's state. It only draws the initial embeddings (training
-  /// draws are keyed by step), so the state is fixed after construction;
-  /// durable cursors still record it in their MANIFEST field.
+  /// The model RNG's state. It draws nothing (the initial rows and the
+  /// training draws have keyed streams of their own), so the state is
+  /// Rng(seed)'s; durable cursors still record it in their MANIFEST field.
   Rng::State rng_state() const { return rng_.state(); }
   void set_rng_state(const Rng::State& st) { rng_.set_state(st); }
 
@@ -314,7 +314,7 @@ class SupaModel {
   const store::EmbeddingLayout* layout_ = nullptr;
   std::unique_ptr<InfluencedGraphSampler> sampler_;
   std::unique_ptr<SparseAdam> adam_;
-  Rng rng_;  // draws the initial embeddings only
+  Rng rng_;  // draws nothing; kept for TrainerCursor::model_rng
 
   std::vector<double> degrees_;
   AliasTable neg_table_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "util/rng.h"
+
 namespace supa::store {
 
 EmbeddingLayout::EmbeddingLayout(std::shared_ptr<const NodeShardMap> map,
@@ -71,25 +73,18 @@ size_t EmbeddingLayout::LogicalToPhysical(size_t offset) const {
 }
 
 EmbeddingBank::EmbeddingBank(std::shared_ptr<const EmbeddingLayout> layout,
-                             double init_scale, Rng& rng)
-    : layout_(std::move(layout)), L_(layout_.get()) {
-  params_.resize(L_->size());
+                             double init_scale, uint64_t seed)
+    : layout_(std::move(layout)),
+      L_(layout_.get()),
+      // Zero-filled: α_o = 0 => drift coefficient σ(α) starts at 0.5.
+      params_(L_->size(), 0.0f) {
   const size_t d = static_cast<size_t>(L_->dim());
-  const size_t n = L_->num_nodes();
-  const size_t r_count = L_->num_relations();
-  auto fill = [&](float* row) {
+  for (size_t row = 0; row < L_->alpha_begin() / d; ++row) {
+    Rng rng(SplitMix64At(seed, row));
+    float* out = params_.data() + L_->LogicalToPhysical(row * d);
     for (size_t k = 0; k < d; ++k) {
-      row[k] = static_cast<float>(rng.Gaussian(0.0, init_scale));
+      out[k] = static_cast<float>(rng.Gaussian(0.0, init_scale));
     }
-  };
-  for (NodeId v = 0; v < n; ++v) fill(LongMem(v));
-  for (NodeId v = 0; v < n; ++v) fill(ShortMem(v));
-  for (NodeId v = 0; v < n; ++v) {
-    for (EdgeTypeId r = 0; r < r_count; ++r) fill(Context(v, r));
-  }
-  // α_o = 0 => drift coefficient σ(α) starts at 0.5.
-  for (size_t i = L_->alpha_begin(); i < params_.size(); ++i) {
-    params_[i] = 0.0f;
   }
 }
 

@@ -18,12 +18,12 @@
 #define SUPA_STORE_EMBEDDING_BANK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "graph/types.h"
 #include "store/shard_map.h"
-#include "util/rng.h"
 
 namespace supa::store {
 
@@ -123,12 +123,13 @@ class EmbeddingLayout {
 class EmbeddingBank {
  public:
   /// Allocates and randomly initializes all parameters with
-  /// N(0, init_scale²); α starts at 0. Rows are filled in *logical* order
-  /// (all h^L by node id, all h^S, then c^r node-major) so the RNG stream
-  /// is consumed identically at every shard count — bit-for-bit the same
-  /// initial model as the monolith.
+  /// N(0, init_scale²); α starts at 0. Logical row ℓ (the row at logical
+  /// offset ℓ·d: all h^L by node id, all h^S, then c^r node-major) draws
+  /// its d values from its own stream, Rng(SplitMix64At(seed, ℓ)), so the
+  /// initial bytes depend on neither the shard count nor the order in
+  /// which rows are filled.
   EmbeddingBank(std::shared_ptr<const EmbeddingLayout> layout,
-                double init_scale, Rng& rng);
+                double init_scale, uint64_t seed);
 
   EmbeddingBank(const EmbeddingBank&) = delete;
   EmbeddingBank& operator=(const EmbeddingBank&) = delete;

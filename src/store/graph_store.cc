@@ -136,12 +136,12 @@ GraphStore::GraphStore(size_t num_edge_types,
 GraphStore::~GraphStore() = default;
 
 void GraphStore::AttachEmbeddings(size_t num_relations, size_t num_node_types,
-                                  int dim, double init_scale, Rng& rng) {
+                                  int dim, double init_scale, uint64_t seed) {
   // Undeclared: every shard's next publish copies the new bank whole.
   ShardWriteLease lease = LeaseAll();
   auto layout = std::make_shared<const EmbeddingLayout>(
       map_, num_relations, num_node_types, dim);
-  bank_ = std::make_unique<EmbeddingBank>(std::move(layout), init_scale, rng);
+  bank_ = std::make_unique<EmbeddingBank>(std::move(layout), init_scale, seed);
 }
 
 void GraphStore::AppendHalfEdge(ShardWriteLease& lease, NodeId from,

@@ -45,7 +45,6 @@
 #include "store/shard_map.h"
 #include "store/snapshot.h"
 #include "store/store_options.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace supa::store {
@@ -130,10 +129,11 @@ class GraphStore {
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
-  /// Allocates the embedding bank over this store's shard map. Rows are
-  /// initialized in logical order from `rng` (see EmbeddingBank).
+  /// Allocates the embedding bank over this store's shard map. Each row is
+  /// initialized from its own stream keyed by `seed` and its logical row
+  /// (see EmbeddingBank).
   void AttachEmbeddings(size_t num_relations, size_t num_node_types, int dim,
-                        double init_scale, Rng& rng);
+                        double init_scale, uint64_t seed);
   bool has_embeddings() const { return bank_ != nullptr; }
   EmbeddingBank& embeddings() { return *bank_; }
   const EmbeddingBank& embeddings() const { return *bank_; }

@@ -29,11 +29,14 @@
 //   * Elementwise kernels (Axpy, Scale, Add, AddInto, HalfSum,
 //     CombineHalf, AdamRow) have no cross-lane dependency at all; both
 //     paths apply the same per-element rounding sequence.
-//   * Where that sequence rounds an inexact product before adding it
-//     (AdamRow: β1·m + (1−β1)·g, u + wd·p, p − lr·u), the AVX2 path must
-//     not fuse. GCC contracts mul+add into vfmadd inside any FMA-enabled
-//     target, so AdamRow is compiled with target("avx2") alone: with no
-//     FMA instruction available there is nothing to contract into.
+//   * AdamRow computes in float, where a product is inexact in general,
+//     and rounds each product before the add that consumes it
+//     (β1·m + (1−β1)·g, β2·v + (1−β2)·g·g, α·u + λ·p). The AVX2 path
+//     must not fuse them. GCC contracts mul+add into vfmadd inside any
+//     FMA-enabled target, so AdamRow is compiled with target("avx2")
+//     alone: with no FMA instruction available there is nothing to
+//     contract into. Its one divide and one sqrt are IEEE operations,
+//     correctly rounded in every lane.
 //
 // The environment variable SUPA_SIMD=portable forces the portable path
 // (useful for cross-checking and benchmarking).
@@ -47,6 +50,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -78,16 +82,37 @@ inline bool HasAvx2() {
 /// Human-readable backend name for logs and bench reports.
 inline const char* BackendName() { return HasAvx2() ? "avx2" : "portable"; }
 
-/// Hyperparameters and bias corrections of one AdamW step.
+/// One AdamW step t with Adam's bias corrections folded into the step
+/// size and ε (Kingma & Ba, ICLR 2015, §2). Each field is computed in
+/// double and rounded once to float:
+///   alpha = lr · √(1 − β2^t) / (1 − β1^t)
+///   eps   = ε · √(1 − β2^t)
+///   lr_wd = lr · weight_decay
 struct AdamCoeffs {
-  double beta1;
-  double beta2;
-  double eps;
-  double lr;
-  double weight_decay;
-  double bc1;  // 1 − β1^t at the step t being applied
-  double bc2;  // 1 − β2^t
+  float beta1;
+  float one_minus_beta1;
+  float beta2;
+  float one_minus_beta2;
+  float alpha;
+  float eps;
+  float lr_wd;
 };
+
+/// The coefficients of step t ≥ 1 of AdamW with hyperparameters
+/// (β1, β2, ε, lr, weight decay).
+inline AdamCoeffs FoldAdam(double beta1, double beta2, double eps, double lr,
+                           double weight_decay, uint64_t t) {
+  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  const double sqrt_bc2 =
+      std::sqrt(1.0 - std::pow(beta2, static_cast<double>(t)));
+  return AdamCoeffs{static_cast<float>(beta1),
+                    static_cast<float>(1.0 - beta1),
+                    static_cast<float>(beta2),
+                    static_cast<float>(1.0 - beta2),
+                    static_cast<float>(lr * sqrt_bc2 / bc1),
+                    static_cast<float>(eps * sqrt_bc2),
+                    static_cast<float>(lr * weight_decay)};
+}
 
 // ---------------------------------------------------------------------------
 // Portable reference implementations. These define the semantics; the AVX2
@@ -236,22 +261,19 @@ inline double HDotRefresh(const double* hu, const float* bl, const float* bs,
   return HDot(hu, hv, n);
 }
 
-/// One AdamW row update with decoupled weight decay, in double with every
-/// operation rounded on its own (no fma): the moments m and v round to
-/// float before the bias-corrected update reads them back, and the
-/// parameter rounds to float last.
+/// One AdamW row update with decoupled weight decay, in float with every
+/// operation rounded on its own (no fma): one sqrt and one divide per
+/// element, the bias corrections already folded into c.alpha and c.eps.
 inline void AdamRow(const AdamCoeffs& c, const float* g, float* params,
                     float* m, float* v, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    const double gi = g[i];
-    m[i] = static_cast<float>(c.beta1 * m[i] + (1.0 - c.beta1) * gi);
-    v[i] = static_cast<float>(c.beta2 * v[i] + (1.0 - c.beta2) * gi * gi);
-    const double mhat = m[i] / c.bc1;
-    const double vhat = v[i] / c.bc2;
-    double update = mhat / (std::sqrt(vhat) + c.eps);
-    // Decoupled weight decay (AdamW).
-    update += c.weight_decay * params[i];
-    params[i] = static_cast<float>(params[i] - c.lr * update);
+    const float gi = g[i];
+    const float mi = c.beta1 * m[i] + c.one_minus_beta1 * gi;
+    const float vi = c.beta2 * v[i] + (c.one_minus_beta2 * gi) * gi;
+    m[i] = mi;
+    v[i] = vi;
+    const float u = mi / (std::sqrt(vi) + c.eps);
+    params[i] = params[i] - (c.alpha * u + c.lr_wd * params[i]);
   }
 }
 
@@ -476,35 +498,32 @@ __attribute__((target("avx2"))) inline void AdamRow(const AdamCoeffs& c,
                                                     const float* g,
                                                     float* params, float* m,
                                                     float* v, size_t n) {
-  const __m256d b1 = _mm256_set1_pd(c.beta1);
-  const __m256d one_minus_b1 = _mm256_set1_pd(1.0 - c.beta1);
-  const __m256d b2 = _mm256_set1_pd(c.beta2);
-  const __m256d one_minus_b2 = _mm256_set1_pd(1.0 - c.beta2);
-  const __m256d bc1 = _mm256_set1_pd(c.bc1);
-  const __m256d bc2 = _mm256_set1_pd(c.bc2);
-  const __m256d eps = _mm256_set1_pd(c.eps);
-  const __m256d wd = _mm256_set1_pd(c.weight_decay);
-  const __m256d lr = _mm256_set1_pd(c.lr);
-  const size_t n4 = n & ~static_cast<size_t>(3);
+  const __m256 b1 = _mm256_set1_ps(c.beta1);
+  const __m256 one_minus_b1 = _mm256_set1_ps(c.one_minus_beta1);
+  const __m256 b2 = _mm256_set1_ps(c.beta2);
+  const __m256 one_minus_b2 = _mm256_set1_ps(c.one_minus_beta2);
+  const __m256 alpha = _mm256_set1_ps(c.alpha);
+  const __m256 eps = _mm256_set1_ps(c.eps);
+  const __m256 lr_wd = _mm256_set1_ps(c.lr_wd);
+  const size_t n8 = n & ~static_cast<size_t>(7);
   size_t i = 0;
-  for (; i < n4; i += 4) {
-    const __m256d gi = _mm256_cvtps_pd(_mm_loadu_ps(g + i));
-    const __m128 mf = _mm256_cvtpd_ps(_mm256_add_pd(
-        _mm256_mul_pd(b1, _mm256_cvtps_pd(_mm_loadu_ps(m + i))),
-        _mm256_mul_pd(one_minus_b1, gi)));
-    const __m128 vf = _mm256_cvtpd_ps(_mm256_add_pd(
-        _mm256_mul_pd(b2, _mm256_cvtps_pd(_mm_loadu_ps(v + i))),
-        _mm256_mul_pd(_mm256_mul_pd(one_minus_b2, gi), gi)));
-    _mm_storeu_ps(m + i, mf);
-    _mm_storeu_ps(v + i, vf);
-    const __m256d mhat = _mm256_div_pd(_mm256_cvtps_pd(mf), bc1);
-    const __m256d vhat = _mm256_div_pd(_mm256_cvtps_pd(vf), bc2);
-    const __m256d p = _mm256_cvtps_pd(_mm_loadu_ps(params + i));
-    const __m256d update = _mm256_add_pd(
-        _mm256_div_pd(mhat, _mm256_add_pd(_mm256_sqrt_pd(vhat), eps)),
-        _mm256_mul_pd(wd, p));
-    _mm_storeu_ps(params + i,
-                  _mm256_cvtpd_ps(_mm256_sub_pd(p, _mm256_mul_pd(lr, update))));
+  for (; i < n8; i += 8) {
+    const __m256 gi = _mm256_loadu_ps(g + i);
+    const __m256 mi =
+        _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                      _mm256_mul_ps(one_minus_b1, gi));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_minus_b2, gi), gi));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 u =
+        _mm256_div_ps(mi, _mm256_add_ps(_mm256_sqrt_ps(vi), eps));
+    const __m256 p = _mm256_loadu_ps(params + i);
+    _mm256_storeu_ps(
+        params + i,
+        _mm256_sub_ps(p, _mm256_add_ps(_mm256_mul_ps(alpha, u),
+                                       _mm256_mul_ps(lr_wd, p))));
   }
   portable::AdamRow(c, g + i, params + i, m + i, v + i, n - i);
 }

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iostream>
 #include <vector>
 
 #include "util/rng.h"
@@ -253,9 +255,9 @@ TEST(SparseAdamTest, StepMarksTouchedRowsDirty) {
   EXPECT_EQ(adam.checkpoint_dirty_rows().size(), 0u);
 }
 
-// The scalar AdamW step as SparseAdam wrote it before the update moved into
-// simd::AdamRow, kept here verbatim as the byte-level reference: SparseAdam
-// must reproduce its floats and its monitor sums exactly on every backend.
+// The folded float AdamW step written as one scalar loop, kept here as the
+// byte-level reference: SparseAdam must reproduce its floats and its
+// monitor sums exactly on every backend.
 struct ScalarAdam {
   ScalarAdam(size_t num_params, double lr, double weight_decay)
       : lr(lr), weight_decay(weight_decay), m(num_params), v(num_params) {}
@@ -266,6 +268,49 @@ struct ScalarAdam {
 
   void Step(const GradBuffer& grads, float* params,
             SparseAdam::StepStats* stats) {
+    ++step;
+    const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(step));
+    const double sqrt_bc2 =
+        std::sqrt(1.0 - std::pow(beta2, static_cast<double>(step)));
+    const float b1 = static_cast<float>(beta1);
+    const float one_minus_b1 = static_cast<float>(1.0 - beta1);
+    const float b2 = static_cast<float>(beta2);
+    const float one_minus_b2 = static_cast<float>(1.0 - beta2);
+    const float alpha = static_cast<float>(lr * sqrt_bc2 / bc1);
+    const float eps_hat = static_cast<float>(eps * sqrt_bc2);
+    const float lr_wd = static_cast<float>(lr * weight_decay);
+    grads.ForEach([&](size_t offset, const float* g, size_t len) {
+      for (size_t i = 0; i < len; ++i) {
+        const size_t p = offset + i;
+        const float gi = g[i];
+        m[p] = b1 * m[p] + one_minus_b1 * gi;
+        v[p] = b2 * v[p] + (one_minus_b2 * gi) * gi;
+        const float u = m[p] / (std::sqrt(v[p]) + eps_hat);
+        const double before = params[p];
+        params[p] = params[p] - (alpha * u + lr_wd * params[p]);
+        if (stats != nullptr) {
+          const double after = params[p];
+          const double change = after - before;
+          stats->sum_update_sq += change * change;
+          stats->sum_param_sq_before += before * before;
+          stats->sum_param_sq_after += after * after;
+        }
+      }
+    });
+  }
+};
+
+// The unfolded AdamW step in double that SparseAdam ran before the float
+// kernel: a numeric reference only, for how far the folded step drifts.
+struct DoubleAdam {
+  DoubleAdam(size_t num_params, double lr, double weight_decay)
+      : lr(lr), weight_decay(weight_decay), m(num_params), v(num_params) {}
+
+  double lr, weight_decay, beta1 = 0.9, beta2 = 0.999, eps = 1e-8;
+  uint64_t step = 0;
+  std::vector<float> m, v;
+
+  void Step(const GradBuffer& grads, float* params) {
     ++step;
     const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(step));
     const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(step));
@@ -279,15 +324,7 @@ struct ScalarAdam {
         const double vhat = v[p] / bc2;
         double update = mhat / (std::sqrt(vhat) + eps);
         update += weight_decay * params[p];
-        const double before = params[p];
         params[p] = static_cast<float>(params[p] - lr * update);
-        if (stats != nullptr) {
-          const double after = params[p];
-          const double change = after - before;
-          stats->sum_update_sq += change * change;
-          stats->sum_param_sq_before += before * before;
-          stats->sum_param_sq_after += after * after;
-        }
       }
     });
   }
@@ -337,6 +374,47 @@ TEST(SparseAdamTest, StepMatchesScalarReferenceExactly) {
     EXPECT_EQ(got.sum_param_sq_before, want.sum_param_sq_before);
     EXPECT_EQ(got.sum_param_sq_after, want.sum_param_sq_after);
   }
+}
+
+TEST(SparseAdamTest, FoldedStepTracksDoubleAdam) {
+  // 600 sparse steps over 64 rows of 64 floats and 8 α scalars, each row
+  // touched at random, so the rows see uneven step gaps. The folded float
+  // step rounds differently from the double one but must follow it.
+  constexpr size_t kDim = 64, kRows = 64, kScalars = 8;
+  constexpr size_t kParams = kRows * kDim + kScalars;
+  constexpr double kLr = 3e-3, kWd = 1e-4;
+  Rng rng(29);
+  std::vector<float> folded_params(kParams);
+  for (float& x : folded_params) x = static_cast<float>(rng.Gaussian(0.0, 0.1));
+  std::vector<float> double_params = folded_params;
+  SparseAdam folded(kParams, kLr, kWd);
+  DoubleAdam reference(kParams, kLr, kWd);
+
+  GradBuffer g;
+  std::vector<float> grad(kDim);
+  for (int step = 0; step < 600; ++step) {
+    g.Clear();
+    for (int k = 0; k < 6; ++k) {
+      for (float& x : grad) x = static_cast<float>(rng.Uniform(-0.5, 0.5));
+      g.Accumulate(rng.Index(kRows) * kDim, kDim, rng.Uniform(-2.0, 2.0),
+                   grad.data());
+      g.AccumulateScalar(kRows * kDim + rng.Index(kScalars),
+                         rng.Uniform(-1.0, 1.0));
+    }
+    folded.Step(g, folded_params.data());
+    reference.Step(g, double_params.data());
+  }
+  // Relative to each parameter, floored at 1% of the initial σ so that a
+  // parameter passing through zero does not divide by almost nothing.
+  double worst = 0.0;
+  for (size_t i = 0; i < kParams; ++i) {
+    const double scale = std::max(std::abs(double_params[i]), 1e-3f);
+    worst = std::max(
+        worst, std::abs(folded_params[i] - double_params[i]) / scale);
+  }
+  std::cout << "largest relative difference after 600 steps: " << worst
+            << "\n";
+  EXPECT_LT(worst, 1e-4);
 }
 
 TEST(SparseAdamTest, DescendsOnQuadratic) {

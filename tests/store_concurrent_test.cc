@@ -115,8 +115,8 @@ TEST(StoreConcurrentTest, LeasedEmbeddingWritesNeverTearUnderScrape) {
   constexpr size_t kNodes = 24;
   constexpr int kDim = 8;
   GraphStore store(2, std::vector<NodeTypeId>(kNodes, 0), Quiet(4));
-  Rng rng(23);
-  store.AttachEmbeddings(2, 1, kDim, 0.0, rng);  // scale 0: all rows uniform
+  // Scale 0: all rows uniform.
+  store.AttachEmbeddings(2, 1, kDim, 0.0, /*seed=*/23);
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -159,8 +159,7 @@ TEST(StoreConcurrentTest, DeclaredWritesPublishConsistentlyUnderScrape) {
   constexpr int kDim = 8;
   constexpr int kIters = 3000;
   GraphStore store(2, std::vector<NodeTypeId>(kNodes, 0), Quiet(8));
-  Rng init(29);
-  store.AttachEmbeddings(2, 1, kDim, 0.0, init);  // scale 0: all rows 0
+  store.AttachEmbeddings(2, 1, kDim, 0.0, /*seed=*/29);  // scale 0: rows 0
   const EmbeddingLayout& layout = store.embeddings().layout();
   const NodeShardMap& map = store.shard_map();
   // A shard is copied atomically under its own mutex (shards one after

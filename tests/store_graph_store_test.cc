@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -35,11 +38,11 @@ GraphStore MakeGraph() { return GraphStore(2, {0, 0, 1, 1, 1}); }
 
 /// A bank at the default placement (SUPA_SHARDS, else one shard).
 EmbeddingBank MakeBank(size_t nodes, size_t relations, size_t node_types,
-                       int dim, double init_scale, Rng& rng) {
+                       int dim, double init_scale, uint64_t seed) {
   auto map = std::make_shared<const NodeShardMap>(nodes, ResolveNumShards(0));
   return EmbeddingBank(std::make_shared<const EmbeddingLayout>(
                            std::move(map), relations, node_types, dim),
-                       init_scale, rng);
+                       init_scale, seed);
 }
 
 /// Finds a node pair placed on two different shards (exists whenever the
@@ -143,8 +146,7 @@ TEST(EmbeddingLayoutTest, OffsetsAreDisjointAndCoverTheBuffer) {
 TEST(EmbeddingBankTest, GatherScatterLogicalRoundTrip) {
   auto map = std::make_shared<const NodeShardMap>(31, 5);
   auto layout = std::make_shared<const EmbeddingLayout>(map, 2, 2, 4);
-  Rng rng(11);
-  EmbeddingBank bank(layout, 0.1, rng);
+  EmbeddingBank bank(layout, 0.1, /*seed=*/11);
 
   std::vector<float> logical(bank.size());
   bank.GatherLogical(bank.data(), logical.data());
@@ -169,10 +171,8 @@ TEST(EmbeddingBankTest, InitAndGatherMatchTheMonolithLayout) {
   auto map5 = std::make_shared<const NodeShardMap>(31, 5);
   auto layout1 = std::make_shared<const EmbeddingLayout>(map1, 2, 2, 4);
   auto layout5 = std::make_shared<const EmbeddingLayout>(map5, 2, 2, 4);
-  Rng rng1(7);
-  Rng rng5(7);
-  EmbeddingBank bank1(layout1, 0.1, rng1);
-  EmbeddingBank bank5(layout5, 0.1, rng5);
+  EmbeddingBank bank1(layout1, 0.1, /*seed=*/7);
+  EmbeddingBank bank5(layout5, 0.1, /*seed=*/7);
   ASSERT_EQ(bank1.size(), bank5.size());
 
   std::vector<float> logical1(bank1.size());
@@ -184,13 +184,61 @@ TEST(EmbeddingBankTest, InitAndGatherMatchTheMonolithLayout) {
   EXPECT_EQ(logical1, logical5);
 }
 
+TEST(EmbeddingBankTest, InitialRowsAreKeyedByLogicalRow) {
+  // Logical row l holds the first d Gaussians of Rng(SplitMix64At(seed,
+  // l)), drawn here one row at a time. No row's bytes may depend on the
+  // shard count or on the rows filled before it.
+  constexpr size_t kNodes = 1000, kRelations = 2, kTypes = 3;
+  constexpr int kDim = 16;
+  constexpr double kScale = 0.1;
+  constexpr uint64_t kSeed = 0x5eed;
+  const size_t rows = kNodes * (2 + kRelations);
+  std::vector<float> want(rows * kDim);
+  for (size_t row = 0; row < rows; ++row) {
+    Rng rng(SplitMix64At(kSeed, row));
+    for (int k = 0; k < kDim; ++k) {
+      want[row * kDim + k] = static_cast<float>(rng.Gaussian(0.0, kScale));
+    }
+  }
+  auto make = [&](size_t shards) {
+    return std::make_unique<EmbeddingBank>(
+        std::make_shared<const EmbeddingLayout>(
+            std::make_shared<const NodeShardMap>(kNodes, shards), kRelations,
+            kTypes, kDim),
+        kScale, kSeed);
+  };
+  std::vector<std::pair<std::string, std::unique_ptr<EmbeddingBank>>> banks;
+  banks.emplace_back("1 shard", make(1));
+  banks.emplace_back("8 shards", make(8));
+  for (const auto& [name, bank] : banks) {
+    std::vector<float> logical(bank->size());
+    bank->GatherLogical(bank->data(), logical.data());
+    ASSERT_EQ(logical.size(), want.size() + kTypes);
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), logical.begin()))
+        << name;
+    for (NodeTypeId o = 0; o < kTypes; ++o) {
+      EXPECT_EQ(*bank->Alpha(o), 0.0f) << name;
+    }
+  }
+  // The draws are N(0, kScale²): 64,000 values put the sample mean within
+  // 4σ/√n ≈ 0.0016 of 0 and the variance within a few percent.
+  double sum = 0.0, sq = 0.0;
+  for (float x : want) {
+    sum += x;
+    sq += static_cast<double>(x) * x;
+  }
+  const double mean = sum / static_cast<double>(want.size());
+  const double var = sq / static_cast<double>(want.size()) - mean * mean;
+  EXPECT_NEAR(mean, 0.0, 0.002);
+  EXPECT_NEAR(var, kScale * kScale, 0.03 * kScale * kScale);
+}
+
 TEST(EmbeddingBankTest, LayoutIsDisjointAndComplete) {
-  Rng rng(1);
   const size_t n = 7;
   const size_t r = 3;
   const size_t t = 2;
   const int d = 8;
-  EmbeddingBank bank = MakeBank(n, r, t, d, 0.1, rng);
+  EmbeddingBank bank = MakeBank(n, r, t, d, 0.1, /*seed=*/1);
   const EmbeddingLayout& layout = bank.layout();
   EXPECT_EQ(bank.size(), n * d * 2 + n * r * d + t);
 
@@ -211,8 +259,7 @@ TEST(EmbeddingBankTest, LayoutIsDisjointAndComplete) {
 }
 
 TEST(EmbeddingBankTest, PointersMatchOffsets) {
-  Rng rng(2);
-  EmbeddingBank bank = MakeBank(5, 2, 1, 4, 0.1, rng);
+  EmbeddingBank bank = MakeBank(5, 2, 1, 4, 0.1, /*seed=*/2);
   const EmbeddingLayout& layout = bank.layout();
   EXPECT_EQ(bank.LongMem(3), bank.data() + layout.LongMemOffset(3));
   EXPECT_EQ(bank.ShortMem(3), bank.data() + layout.ShortMemOffset(3));
@@ -221,8 +268,7 @@ TEST(EmbeddingBankTest, PointersMatchOffsets) {
 }
 
 TEST(EmbeddingBankTest, RandomInitNonDegenerate) {
-  Rng rng(3);
-  EmbeddingBank bank = MakeBank(100, 2, 2, 16, 0.1, rng);
+  EmbeddingBank bank = MakeBank(100, 2, 2, 16, 0.1, /*seed=*/3);
   // Embedding entries are random with std 0.1.
   double sum = 0.0;
   double sq = 0.0;
@@ -241,8 +287,7 @@ TEST(EmbeddingBankTest, RandomInitNonDegenerate) {
 }
 
 TEST(EmbeddingBankTest, DistinctRowsAreIndependent) {
-  Rng rng(4);
-  EmbeddingBank bank = MakeBank(4, 2, 1, 4, 0.1, rng);
+  EmbeddingBank bank = MakeBank(4, 2, 1, 4, 0.1, /*seed=*/4);
   bank.LongMem(0)[0] = 42.0f;
   bank.ShortMem(0)[0] = 43.0f;
   bank.Context(0, 0)[0] = 44.0f;
@@ -255,8 +300,7 @@ TEST(EmbeddingBankTest, DistinctRowsAreIndependent) {
 }
 
 TEST(EmbeddingBankTest, SnapshotRestoreRoundTrip) {
-  Rng rng(5);
-  EmbeddingBank bank = MakeBank(10, 2, 1, 8, 0.1, rng);
+  EmbeddingBank bank = MakeBank(10, 2, 1, 8, 0.1, /*seed=*/5);
   const std::vector<float> snap = bank.Snapshot();
   bank.LongMem(0)[0] += 1.0f;
   bank.Context(9, 1)[7] -= 2.0f;
@@ -266,8 +310,7 @@ TEST(EmbeddingBankTest, SnapshotRestoreRoundTrip) {
 }
 
 TEST(EmbeddingBankTest, AccessorDimensions) {
-  Rng rng(6);
-  EmbeddingBank bank = MakeBank(3, 4, 2, 12, 0.05, rng);
+  EmbeddingBank bank = MakeBank(3, 4, 2, 12, 0.05, /*seed=*/6);
   EXPECT_EQ(bank.layout().dim(), 12);
   EXPECT_EQ(bank.layout().num_nodes(), 3u);
   EXPECT_EQ(bank.layout().num_relations(), 4u);
@@ -592,8 +635,7 @@ TEST(GraphStoreTest, ShardBytesEstimateCountsAdjacencyAndEmbeddings) {
   for (size_t s = 0; s < store.num_shards(); ++s) {
     before[s] = store.ShardBytesEstimate(s);
   }
-  Rng rng(5);
-  store.AttachEmbeddings(2, 1, 8, 0.1, rng);
+  store.AttachEmbeddings(2, 1, 8, 0.1, /*seed=*/5);
   for (size_t s = 0; s < store.num_shards(); ++s) {
     const size_t row_floats = store.embeddings().layout().shard_end(s) -
                               store.embeddings().layout().shard_begin(s);
@@ -610,8 +652,7 @@ TEST(GraphStoreTest, ShardBytesEstimateCountsAdjacencyAndEmbeddings) {
 
 TEST(GraphStoreTest, SnapshotServesEmbeddingRows) {
   GraphStore store = MakeStore(16, 4);
-  Rng rng(9);
-  store.AttachEmbeddings(2, 2, 4, 0.1, rng);
+  store.AttachEmbeddings(2, 2, 4, 0.1, /*seed=*/9);
   auto snap = store.AcquireSnapshot();
   ASSERT_TRUE(snap->has_embeddings());
   for (NodeId v = 0; v < 16; ++v) {

@@ -34,9 +34,8 @@ class LeaseStressTest : public ::testing::Test {
     opts.num_shards = kShards;
     store_ = std::make_unique<GraphStore>(
         /*num_edge_types=*/2, std::vector<NodeTypeId>(kNodes, 0), opts);
-    Rng rng(7);
     store_->AttachEmbeddings(/*num_relations=*/2, /*num_node_types=*/1,
-                             kDim, /*init_scale=*/0.1, rng);
+                             kDim, /*init_scale=*/0.1, /*seed=*/7);
   }
 
   std::unique_ptr<GraphStore> store_;

@@ -141,8 +141,7 @@ TEST_P(StorePublishTest, RandomInterleavingsMatchFullCopies) {
   std::vector<NodeTypeId> types(kNodes);
   for (NodeId v = 0; v < kNodes; ++v) types[v] = v % kTypes;
   GraphStore store(kRelations, types, Quiet(GetParam()));
-  Rng init(11);
-  store.AttachEmbeddings(kRelations, kTypes, kDim, 0.1, init);
+  store.AttachEmbeddings(kRelations, kTypes, kDim, 0.1, /*seed=*/11);
   const EmbeddingLayout& layout = store.embeddings().layout();
   const size_t shards = store.num_shards();
 
@@ -228,8 +227,7 @@ TEST_P(StorePublishTest, RandomInterleavingsMatchFullCopies) {
 TEST_P(StorePublishTest, SlabBoundRebasesAndKeepsOldEpochs) {
   constexpr size_t kNodes = 64;
   GraphStore store(1, std::vector<NodeTypeId>(kNodes, 0), Quiet(GetParam()));
-  Rng init(5);
-  store.AttachEmbeddings(1, 1, 8, 0.1, init);
+  store.AttachEmbeddings(1, 1, 8, 0.1, /*seed=*/5);
   const EmbeddingLayout& layout = store.embeddings().layout();
   EpochChecker checker(64);
   checker.PublishAndCheck(store, [&] { return store.AcquireSnapshot(); },
@@ -270,8 +268,7 @@ TEST_P(StorePublishTest, DeclaredWritesCopyOnlyTheirRows) {
   constexpr size_t kNodes = 512;
   constexpr int kDim = 16;
   GraphStore store(2, std::vector<NodeTypeId>(kNodes, 0), Quiet(GetParam()));
-  Rng init(5);
-  store.AttachEmbeddings(2, 1, kDim, 0.1, init);
+  store.AttachEmbeddings(2, 1, kDim, 0.1, /*seed=*/5);
   const EmbeddingLayout& layout = store.embeddings().layout();
   const size_t bank_bytes = layout.alpha_begin() * sizeof(float);
   store.AcquireSnapshot();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -146,9 +147,9 @@ struct AdamRowInput {
 };
 
 // Mixes, element by element, the cases AdamRow must agree on: random
-// values with negative params, zero, denormal and 1e30 gradients, fresh
+// values with negative params, zero, denormal and ±1e30 gradients, fresh
 // moments (m = v = 0), and two cancellations. Where β1·m + (1−β1)·g or
-// p − lr·update nearly cancels, only the roundings of the products are
+// p − (α·u + λ·p) nearly cancels, only the roundings of the products are
 // left in the result, so a kernel that fuses a multiply into its add
 // changes bytes there.
 AdamRowInput MakeAdamRowInput(size_t n, const simd::AdamCoeffs& c, Rng& rng) {
@@ -174,14 +175,14 @@ AdamRowInput MakeAdamRowInput(size_t n, const simd::AdamCoeffs& c, Rng& rng) {
         m = v = 0.0f;
         break;
       case 5:
-        g = static_cast<float>(-m * c.beta1 / (1.0 - c.beta1));
+        g = -m * c.beta1 / c.one_minus_beta1;
         break;
       case 6: {
-        // At p = 0 the reference writes −lr·u; pick p = lr·u / (1 − lr·wd)
-        // so that p − lr·(u + wd·p) is close to zero.
+        // At p = 0 the kernel writes −α·u; pick p = α·u / (1 − λ) so that
+        // p − (α·u + λ·p) is close to zero.
         float m0 = m, v0 = v, p0 = 0.0f;
         simd::portable::AdamRow(c, &g, &p0, &m0, &v0, 1);
-        p = static_cast<float>(-p0 / (1.0 - c.lr * c.weight_decay));
+        p = -p0 / (1.0f - c.lr_wd);
         break;
       }
     }
@@ -203,10 +204,9 @@ TEST(SimdTest, AdamRowMatchesPortable) {
   std::vector<size_t> lengths;
   for (size_t n = 1; n <= 67; ++n) lengths.push_back(n);
   lengths.push_back(128);
-  for (const double step : {1.0, 1e6}) {
-    const simd::AdamCoeffs c{0.9,  0.999, 1e-8, 3e-3, 1e-4,
-                             1.0 - std::pow(0.9, step),
-                             1.0 - std::pow(0.999, step)};
+  for (const uint64_t step : {uint64_t{1}, uint64_t{1000000}}) {
+    const simd::AdamCoeffs c =
+        simd::FoldAdam(0.9, 0.999, 1e-8, 3e-3, 1e-4, step);
     for (size_t n : lengths) {
       for (size_t off : kOffsets) {
         const AdamRowInput in = MakeAdamRowInput(n + off, c, rng);
