@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 
@@ -19,6 +20,7 @@
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
 #include "obs/trace.h"
+#include "serve/engine.h"
 #include "store/embedding_bank.h"
 #include "util/crc32c.h"
 #include "util/rng.h"
@@ -181,54 +183,130 @@ void BM_SimdScoreDot(benchmark::State& state) {
 }
 BENCHMARK(BM_SimdScoreDot)->Arg(32)->Arg(64)->Arg(128);
 
-// The serving engine's per-item kernels at d = 64, one item per iteration
-// (so the time per iteration is ns per item): HDot scores an item from its
-// cached h_v row, HDotRefresh rebuilds a stale h_v from the item's three
-// float rows while scoring it. h_u is built once, as per request.
-template <bool kPortable, bool kRefresh>
-void HDotBench(benchmark::State& state) {
+// The serving engine's per-item kernels at d = 64: FloatH rebuilds a
+// stale cached float row and its norm bound from the item's three rows
+// (one item per iteration, so the time is ns per item), and FloatDots
+// estimates the scores of cached rows against h_u, one row per iteration
+// and as the engine calls it, a block of 16 rows (items_per_second gives
+// the rate per item). h_u is built once, as per request.
+template <bool kPortable>
+void FloatHBench(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  const auto al = KernelVec(n, 5), as = KernelVec(n, 6), ac = KernelVec(n, 7),
-             bl = KernelVec(n, 8), bs = KernelVec(n, 9), bc = KernelVec(n, 10);
-  std::vector<double> hu(n), hv(n);
-  simd::portable::HRow(al.data(), as.data(), ac.data(), 1.0, hu.data(), n);
-  simd::portable::HRow(bl.data(), bs.data(), bc.data(), 1.0, hv.data(), n);
+  const auto l = KernelVec(n, 8), s = KernelVec(n, 9), c = KernelVec(n, 10);
+  std::vector<float> h(n);
   for (auto _ : state) {
-    double score;
-    if (kRefresh) {
-      score = kPortable ? simd::portable::HDotRefresh(hu.data(), bl.data(),
-                                                      bs.data(), bc.data(),
-                                                      1.0, hv.data(), n)
-                        : simd::HDotRefresh(hu.data(), bl.data(), bs.data(),
-                                            bc.data(), 1.0, hv.data(), n);
-    } else {
-      score = kPortable ? simd::portable::HDot(hu.data(), hv.data(), n)
-                        : simd::HDot(hu.data(), hv.data(), n);
-    }
-    benchmark::DoNotOptimize(score);
+    const float norm =
+        kPortable
+            ? simd::portable::FloatH(l.data(), s.data(), c.data(), 1.0,
+                                     h.data(), n)
+            : simd::FloatH(l.data(), s.data(), c.data(), 1.0, h.data(), n);
+    benchmark::DoNotOptimize(norm);
+    benchmark::DoNotOptimize(h.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations());
   if (!kPortable) state.SetLabel(simd::BackendName());
 }
 
-void BM_SimdHDot(benchmark::State& state) { HDotBench<false, false>(state); }
-BENCHMARK(BM_SimdHDot)->Arg(64);
-
-void BM_PortableHDot(benchmark::State& state) {
-  HDotBench<true, false>(state);
+template <bool kPortable>
+void FloatDotsBench(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const size_t rows = static_cast<size_t>(state.range(1));
+  const auto ul = KernelVec(n, 5), us = KernelVec(n, 6), uc = KernelVec(n, 7);
+  std::vector<float> hu(n), hv(rows * n), estimates(rows);
+  simd::portable::FloatH(ul.data(), us.data(), uc.data(), 1.0, hu.data(), n);
+  for (size_t r = 0; r < rows; ++r) {
+    const auto l = KernelVec(n, 8 + 3 * r), s = KernelVec(n, 9 + 3 * r),
+               c = KernelVec(n, 10 + 3 * r);
+    simd::portable::FloatH(l.data(), s.data(), c.data(), 1.0,
+                           hv.data() + r * n, n);
+  }
+  for (auto _ : state) {
+    if (kPortable) {
+      simd::portable::FloatDots(hu.data(), hv.data(), rows, n,
+                                estimates.data());
+    } else {
+      simd::FloatDots(hu.data(), hv.data(), rows, n, estimates.data());
+    }
+    benchmark::DoNotOptimize(estimates.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+  if (!kPortable) state.SetLabel(simd::BackendName());
 }
-BENCHMARK(BM_PortableHDot)->Arg(64);
 
-void BM_SimdHDotRefresh(benchmark::State& state) {
-  HDotBench<false, true>(state);
-}
-BENCHMARK(BM_SimdHDotRefresh)->Arg(64);
+void BM_SimdFloatH(benchmark::State& state) { FloatHBench<false>(state); }
+BENCHMARK(BM_SimdFloatH)->Arg(64);
 
-void BM_PortableHDotRefresh(benchmark::State& state) {
-  HDotBench<true, true>(state);
+void BM_PortableFloatH(benchmark::State& state) { FloatHBench<true>(state); }
+BENCHMARK(BM_PortableFloatH)->Arg(64);
+
+void BM_SimdFloatDots(benchmark::State& state) {
+  FloatDotsBench<false>(state);
 }
-BENCHMARK(BM_PortableHDotRefresh)->Arg(64);
+BENCHMARK(BM_SimdFloatDots)->Args({64, 1})->Args({64, 16});
+
+void BM_PortableFloatDots(benchmark::State& state) {
+  FloatDotsBench<true>(state);
+}
+BENCHMARK(BM_PortableFloatDots)->Args({64, 1})->Args({64, 16});
+
+// One top-10 request per iteration against an idle single-worker engine
+// over a 10k-item, d = 64 catalogue, the size of perfbench's wide_durable
+// serve phase. After the first request the item cache is warm and never
+// stale, so an iteration is the queue hop plus one pass over the cache.
+// Users rotate; the time is wall time, since a worker thread scores.
+void BM_ServeRecommend(benchmark::State& state) {
+  static const Dataset data = [] {
+    SyntheticSpec spec;
+    spec.name = "ServeBench";
+    spec.node_types = {{"User", 2000}, {"Item", 10000}};
+    spec.relations = {{"Click", "User", "Item", 1.0, false}};
+    spec.num_events = 20000;
+    spec.metapaths = "User -{Click}-> Item -{Click}-> User";
+    spec.query_type = "User";
+    spec.target_type = "Item";
+    spec.target_relations = {"Click"};
+    return GenerateSynthetic(spec, 78).value();
+  }();
+  SupaModel model(data, BenchConfig(64));
+  for (const TemporalEdge& e : data.edges) (void)model.ObserveEdge(e);
+  serve::ServeOptions options;
+  options.workers = 1;
+  serve::ServeEngine engine(&model, &data, options);
+  engine.Start();
+  std::vector<NodeId> users;
+  for (NodeId v = 0; v < data.num_nodes(); ++v) {
+    if (data.node_types[v] == data.query_type) users.push_back(v);
+  }
+  serve::RecommendRequest req;
+  req.user = users[0];
+  req.relation = data.target_relations[0];
+  req.k = 10;
+  serve::RecommendResponse resp;
+  (void)engine.Recommend(req, &resp);  // builds the cache
+  const auto exact_scores = [] {
+    return obs::MetricsRegistry::Global().Snapshot().CounterValue(
+        "serve.exact_scores");
+  };
+  const uint64_t exact_before = exact_scores();
+  size_t i = 0;
+  for (auto _ : state) {
+    req.user = users[i++ % users.size()];
+    if (!engine.Recommend(req, &resp).ok()) {
+      state.SkipWithError("Recommend failed");
+      break;
+    }
+    benchmark::DoNotOptimize(resp.items.data());
+  }
+  engine.Stop();
+  state.counters["exact_per_request"] =
+      static_cast<double>(exact_scores() - exact_before) /
+      static_cast<double>(std::max<int64_t>(state.iterations(), 1));
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(simd::BackendName());
+}
+BENCHMARK(BM_ServeRecommend)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 // One AdamW row step on a 64-float embedding row or a 1-float α row,
 // repeated on the same row as consecutive training steps would.

@@ -31,21 +31,17 @@ Result<std::vector<ScoredItem>> RecommendTopK(const Recommender& model,
     }
   }
 
-  // Min-heap of the current best K; ordering favors higher score, then
-  // smaller id for determinism.
-  auto worse = [](const ScoredItem& a, const ScoredItem& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.item < b.item;
-  };
-  std::priority_queue<ScoredItem, std::vector<ScoredItem>, decltype(worse)>
-      heap(worse);
+  // Heap of the current best K whose top is the lowest-ranked of them.
+  std::priority_queue<ScoredItem, std::vector<ScoredItem>,
+                      decltype(&RanksAbove)>
+      heap(&RanksAbove);
 
   for (NodeId item : data.TargetNodes()) {
     if (item == user || seen_items.contains(item)) continue;
     const ScoredItem entry{item, model.Score(user, item, relation)};
     if (heap.size() < options.k) {
       heap.push(entry);
-    } else if (worse(entry, heap.top())) {
+    } else if (RanksAbove(entry, heap.top())) {
       heap.pop();
       heap.push(entry);
     }

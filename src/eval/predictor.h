@@ -5,6 +5,7 @@
 #ifndef SUPA_EVAL_PREDICTOR_H_
 #define SUPA_EVAL_PREDICTOR_H_
 
+#include <cmath>
 #include <vector>
 
 #include "data/dataset.h"
@@ -20,6 +21,17 @@ struct ScoredItem {
   bool operator==(const ScoredItem&) const = default;
 };
 
+/// The rank order of top-K answers: true when a ranks above b — higher
+/// score, then smaller node id, with NaN below every number (NaNs by id),
+/// so the order is total. RecommendTopK and the serving engine rank by it.
+inline bool RanksAbove(const ScoredItem& a, const ScoredItem& b) {
+  const bool a_nan = std::isnan(a.score);
+  const bool b_nan = std::isnan(b.score);
+  if (a_nan || b_nan) return a_nan == b_nan ? a.item < b.item : b_nan;
+  if (a.score != b.score) return a.score > b.score;
+  return a.item < b.item;
+}
+
 /// Options for top-K retrieval.
 struct TopKOptions {
   size_t k = 10;
@@ -30,8 +42,8 @@ struct TopKOptions {
 };
 
 /// Returns the top-K target-type nodes for `user` under `relation`,
-/// descending by score (ties broken by smaller node id). K is clipped to
-/// the candidate count.
+/// descending by score (ties broken by smaller node id; a NaN score ranks
+/// below every number). K is clipped to the candidate count.
 Result<std::vector<ScoredItem>> RecommendTopK(const Recommender& model,
                                               const Dataset& data,
                                               NodeId user,

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <functional>
+#include <limits>
 
 #include "obs/model_monitor.h"
 #include "obs/perf_counters.h"
@@ -14,18 +17,13 @@
 namespace supa::serve {
 namespace {
 
-/// Ordering of the top-K heap: a orders before b when a is *worse* —
-/// lower score, or equal score and larger id. Identical to the pinned
-/// tie-break of eval/predictor RecommendTopK, so the two paths agree on
-/// exact ranks.
-bool Worse(const ScoredItem& a, const ScoredItem& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.item < b.item;
-}
+/// Candidates the pass takes at a time: their stale rows are rebuilt, then
+/// simd::FloatDots estimates the block while its rows are in L1.
+constexpr size_t kBlockItems = 8;
 
-/// Candidates ahead of the one being scored whose cached h_v rows are
-/// prefetched: the scan streams candidates × dim doubles per request.
-constexpr size_t kPrefetchItems = 4;
+/// Candidates ahead of a block whose cached float rows are prefetched: the
+/// pass streams candidates × dim floats per request.
+constexpr size_t kPrefetchItems = 16;
 
 double MicrosSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::micro>(
@@ -49,8 +47,11 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   if (options_.workers == 0) options_.workers = 1;
   if (options_.max_batch == 0) options_.max_batch = 1;
   if (options_.max_queue == 0) options_.max_queue = 1;
-  if (options_.default_k == 0) options_.default_k = 1;
   candidates_ = data_->TargetNodes();
+  // Start() reserves default_k + 1 heap slots per worker, so default_k is
+  // clipped here, as ScoreRequest clips a request's k.
+  options_.default_k = std::clamp<size_t>(
+      options_.default_k, 1, std::max<size_t>(candidates_.size(), 1));
 
   auto& reg = obs::MetricsRegistry::Global();
   requests_counter_ = reg.GetCounter("serve.requests");
@@ -58,6 +59,7 @@ ServeEngine::ServeEngine(const SupaModel* model, const Dataset* data,
   batches_counter_ = reg.GetCounter("serve.batches");
   scored_candidates_counter_ = reg.GetCounter("serve.scored_candidates");
   item_refreshes_counter_ = reg.GetCounter("serve.item_refreshes");
+  exact_scores_counter_ = reg.GetCounter("serve.exact_scores");
   latency_hist_ = reg.GetHistogram(
       "serve.latency_us", obs::MetricsRegistry::ExponentialBounds(10, 2, 16));
   batch_size_hist_ = reg.GetHistogram("serve.batch_size",
@@ -106,11 +108,14 @@ void ServeEngine::Start() {
     arena->batch.reserve(options_.max_batch);
     arena->heap.reserve(options_.default_k + 1);
     arena->ranked.reserve(options_.default_k + 1);
+    arena->lower_bounds.reserve(options_.default_k);
     arena->user_h.resize(dim);
-    arena->item_h.resize(candidates_.size() * dim);
+    arena->item_floats.resize(candidates_.size() * dim);
+    arena->item_norms.resize(candidates_.size());
     arena->item_rows.resize(candidates_.size());
-    cache_bytes += arena->user_h.size() * sizeof(double) +
-                   arena->item_h.size() * sizeof(double) +
+    cache_bytes += arena->user_h.size() * sizeof(float) +
+                   arena->item_floats.size() * sizeof(float) +
+                   arena->item_norms.size() * sizeof(float) +
                    arena->item_rows.size() * sizeof(ScoringArena::ItemRows);
     arenas_.push_back(std::move(arena));
   }
@@ -260,78 +265,128 @@ void ServeEngine::ScoreRequest(
                       arena->seen.end());
   }
 
-  // h_u once per request; then one pass over the candidates that scores
-  // each from its cached h_v, rebuilding the rows whose snapshot pointers
-  // changed. Every candidate is brought up to `snapshot`, skipped ones
-  // included, so afterwards the cache matches the snapshot it pins.
+  // h_u once per request, in float with its norm bound; then one pass over
+  // the candidates that rebuilds the cached rows whose snapshot pointers
+  // changed and bounds every item's score by its float estimate, so that
+  // afterwards the cache matches the snapshot it pins.
   const SupaConfig& config = model_->config();
   const size_t dim = static_cast<size_t>(config.dim);
   const EdgeTypeId ctx_rel =
       config.shared_context ? static_cast<EdgeTypeId>(0) : req.relation;
   const double short_w = config.use_short_term ? 1.0 : 0.0;
-  double* hu = arena->user_h.data();
-  simd::HRow(snapshot.LongMem(req.user), snapshot.ShortMem(req.user),
-             snapshot.Context(req.user, ctx_rel), short_w, hu, dim);
+  const float* user_long = snapshot.LongMem(req.user);
+  const float* user_short = snapshot.ShortMem(req.user);
+  const float* user_ctx = snapshot.Context(req.user, ctx_rel);
+  float* hu = arena->user_h.data();
+  const simd::EstimateBound bound = simd::FloatDotBound(
+      simd::FloatH(user_long, user_short, user_ctx, short_w, hu, dim),
+      dim);
 
-  arena->heap.clear();
-  if (arena->heap.capacity() < k + 1) arena->heap.reserve(k + 1);
-  size_t scored = 0;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // The k-th best lower bound so far; −∞ until k items were bounded.
+  double kth_lower = -kInf;
+  std::vector<double>& lows = arena->lower_bounds;
+  lows.clear();
+  arena->collected.clear();
   size_t refreshed = 0;
   // A cache that last served this very epoch under this context relation
   // already matches it: no pointer needs comparing.
   const bool unchanged =
       arena->item_snapshot == snapshot_ptr && arena->item_relation == ctx_rel;
-  // candidates_ ascend (Dataset::TargetNodes order), and so does `seen`,
-  // so one cursor finds the seen items.
-  auto next_seen = arena->seen.cbegin();
-  const size_t row_bytes = dim * sizeof(double);
-  for (size_t c = 0; c < candidates_.size(); ++c) {
-    const NodeId item = candidates_[c];
-    double* hv = arena->item_h.data() + c * dim;
-    if (c + kPrefetchItems < candidates_.size()) {
-      const auto* ahead =
-          reinterpret_cast<const char*>(hv + kPrefetchItems * dim);
-      for (size_t b = 0; b < row_bytes; b += 64) __builtin_prefetch(ahead + b);
+  const size_t count = candidates_.size();
+  float* const item_floats = arena->item_floats.data();
+  float estimates[kBlockItems];
+  for (size_t begin = 0; begin < count; begin += kBlockItems) {
+    const size_t end = std::min(begin + kBlockItems, count);
+    const size_t ahead = std::min(begin + kPrefetchItems, count);
+    const auto* ahead_row =
+        reinterpret_cast<const char*>(item_floats + ahead * dim);
+    const size_t ahead_bytes =
+        (std::min(ahead + kBlockItems, count) - ahead) * dim * sizeof(float);
+    for (size_t b = 0; b < ahead_bytes; b += 64) {
+      __builtin_prefetch(ahead_row + b);
     }
-    ScoringArena::ItemRows rows;
-    bool fresh = unchanged;
-    if (!fresh) {
-      rows = {snapshot.LongMem(item), snapshot.ShortMem(item),
-              snapshot.Context(item, ctx_rel)};
-      fresh = rows == arena->item_rows[c];
-      if (!fresh) {
-        arena->item_rows[c] = rows;
+    if (!unchanged) {
+      for (size_t c = begin; c < end; ++c) {
+        const NodeId item = candidates_[c];
+        const ScoringArena::ItemRows now{snapshot.LongMem(item),
+                                         snapshot.ShortMem(item),
+                                         snapshot.Context(item, ctx_rel)};
+        ScoringArena::ItemRows& rows = arena->item_rows[c];
+        if (now == rows) continue;
+        rows = now;
+        arena->item_norms[c] =
+            simd::FloatH(rows.long_mem, rows.short_mem, rows.context, short_w,
+                         item_floats + c * dim, dim);
         ++refreshed;
       }
     }
-    while (next_seen != arena->seen.cend() && *next_seen < item) ++next_seen;
-    if (item == req.user ||
-        (next_seen != arena->seen.cend() && *next_seen == item)) {
-      if (!fresh) {
-        simd::HRow(rows.long_mem, rows.short_mem, rows.context, short_w, hv,
-                   dim);
+    simd::FloatDots(hu, item_floats + begin * dim, end - begin, dim,
+                    estimates);
+    for (size_t c = begin; c < end; ++c) {
+      const double estimate = estimates[c - begin];
+      const double error = bound.slope * arena->item_norms[c] + bound.offset;
+      double upper = estimate + error;
+      // Most items end here: k items have a lower bound above this one's
+      // upper bound. Strict, so that an item whose score may tie the k-th
+      // goes on and its id decides; a −∞ estimate bounds nothing.
+      if (upper < kth_lower && estimate != -kInf) continue;
+      // The user and the seen items are estimated with the rest, which
+      // keeps the loop above free of their tests, and left out here.
+      const NodeId item = candidates_[c];
+      if (item == req.user || std::binary_search(arena->seen.cbegin(),
+                                                 arena->seen.cend(), item)) {
+        continue;
       }
-      continue;
-    }
-    const double score =
-        fresh ? simd::HDot(hu, hv, dim)
-              : simd::HDotRefresh(hu, rows.long_mem, rows.short_mem,
-                                  rows.context, short_w, hv, dim);
-    ++scored;
-    const ScoredItem entry{item, score};
-    if (arena->heap.size() < k) {
-      arena->heap.push_back(entry);
-      std::push_heap(arena->heap.begin(), arena->heap.end(), Worse);
-    } else if (Worse(entry, arena->heap.front())) {
-      std::pop_heap(arena->heap.begin(), arena->heap.end(), Worse);
-      arena->heap.back() = entry;
-      std::push_heap(arena->heap.begin(), arena->heap.end(), Worse);
+      double lower = estimate - error;
+      if (!std::isfinite(estimate) || !std::isfinite(error)) {
+        lower = -kInf;  // no bound: the item is always scored exactly
+        upper = kInf;
+      }
+      arena->collected.push_back({c, upper});
+      if (lows.size() < k) {
+        lows.push_back(lower);
+        std::push_heap(lows.begin(), lows.end(), std::greater<>());
+        if (lows.size() == k) kth_lower = lows.front();
+      } else if (lower > kth_lower) {
+        std::pop_heap(lows.begin(), lows.end(), std::greater<>());
+        lows.back() = lower;
+        std::push_heap(lows.begin(), lows.end(), std::greater<>());
+        kth_lower = lows.front();
+      }
     }
   }
   arena->item_snapshot = snapshot_ptr;
   arena->item_relation = ctx_rel;
-  scored_candidates_counter_.Increment(scored);
+
+  // Exact scores for the items that can still enter the top K: k items
+  // have a lower bound of at least kth_lower, so an item whose upper
+  // bound is below it ranks under all k of them. The heap orders by
+  // RanksAbove, RecommendTopK's order, so its front is the lowest-ranked
+  // item kept.
+  arena->heap.clear();
+  if (arena->heap.capacity() < k + 1) arena->heap.reserve(k + 1);
+  size_t exact = 0;
+  for (const ScoringArena::Collected& collected : arena->collected) {
+    if (collected.upper < kth_lower) continue;
+    const ScoringArena::ItemRows& rows = arena->item_rows[collected.index];
+    const ScoredItem entry{
+        candidates_[collected.index],
+        simd::ScoreDot(user_long, user_short, user_ctx, rows.long_mem,
+                       rows.short_mem, rows.context, short_w, dim)};
+    ++exact;
+    if (arena->heap.size() < k) {
+      arena->heap.push_back(entry);
+      std::push_heap(arena->heap.begin(), arena->heap.end(), RanksAbove);
+    } else if (RanksAbove(entry, arena->heap.front())) {
+      std::pop_heap(arena->heap.begin(), arena->heap.end(), RanksAbove);
+      arena->heap.back() = entry;
+      std::push_heap(arena->heap.begin(), arena->heap.end(), RanksAbove);
+    }
+  }
+  scored_candidates_counter_.Increment(candidates_.size());
   item_refreshes_counter_.Increment(refreshed);
+  exact_scores_counter_.Increment(exact);
 
   // Drain the min-heap worst-first into rank order.
   arena->ranked.clear();
@@ -339,7 +394,7 @@ void ServeEngine::ScoreRequest(
     arena->ranked.reserve(arena->heap.size());
   }
   while (!arena->heap.empty()) {
-    std::pop_heap(arena->heap.begin(), arena->heap.end(), Worse);
+    std::pop_heap(arena->heap.begin(), arena->heap.end(), RanksAbove);
     arena->ranked.push_back(arena->heap.back());
     arena->heap.pop_back();
   }

@@ -22,15 +22,22 @@
 //     the whole batch on one snapshot acquisition — request batching
 //     amortizes both the queue mutex and the snapshot shared_ptr hop.
 //   * Scoring reads a per-worker cache of item embeddings: h_v =
-//     ½(h^L + h^S + c^r) in double for every candidate, with the three
-//     snapshot row pointers it was built from. A request builds h_u once
-//     and walks the candidates; an item whose pointers in the batch
-//     snapshot equal its cached ones is scored with simd::HDot over its
-//     cached row, any other is rebuilt and scored in one pass
-//     (simd::HDotRefresh). Slabs are immutable and the cache pins the
-//     snapshot its pointers came from, so an equal pointer means equal
-//     bytes, and scores are bit-identical to SupaModel::ScoreOn's
-//     simd::ScoreDot on the same snapshot — which is what lets
+//     ½(h^L + h^S + c^r) rounded to float for every candidate, with an
+//     upper bound on its norm and the three snapshot row pointers it was
+//     built from. A request builds h_u the same way once, then makes one
+//     pass over the candidates, a block of 8 at a time: the rows of a
+//     block whose pointers in the batch snapshot differ from the cached
+//     ones are rebuilt (simd::FloatH), then every item of the block gets
+//     a float estimate ŝ (simd::FloatDots) with a proven bound
+//     B ≥ |ŝ − s|, s being simd::ScoreDot's score. The pass keeps the k
+//     best lower bounds ŝ − B and collects each eligible item whose upper
+//     bound ŝ + B reaches the running k-th lower bound; only the collected
+//     items that still reach the final one are scored, by simd::ScoreDot
+//     over the snapshot rows.
+//     Slabs are immutable and the cache pins the snapshot its pointers
+//     came from, so an equal pointer means equal bytes; every returned
+//     score is ScoreDot's, as in SupaModel::ScoreOn, and every item left
+//     out has k items strictly above it. That is what lets
 //     serve_topk_test demand *exact* rank agreement with a brute-force
 //     reference (DESIGN.md §12.3).
 //   * Each worker owns a ScoringArena (item cache, seen-set, top-K heap)
@@ -75,7 +82,8 @@ struct ServeOptions {
   size_t max_batch = 8;
   /// Admission bound; a full queue rejects with ResourceExhausted.
   size_t max_queue = 1024;
-  /// K when a request leaves `k` as 0 (0 is taken as 1).
+  /// K when a request leaves `k` as 0 (0 is taken as 1). Clipped to the
+  /// candidate count.
   size_t default_k = 10;
   /// Remove items the user already interacted with under the query
   /// relation (read from the snapshot's adjacency).
@@ -115,13 +123,24 @@ struct ScoringArena {
     bool operator==(const ItemRows&) const = default;
   };
 
+  /// An item that may still enter the top K: its candidate index and the
+  /// upper bound ŝ + B of its score.
+  struct Collected {
+    size_t index = 0;
+    double upper = 0.0;
+  };
+
   /// Batch drained from the queue (slot pointers, see engine internals).
   std::vector<void*> batch;
-  /// h_u of the request being scored (dim doubles).
-  std::vector<double> user_h;
-  /// h_v of every candidate in double, candidate-major (candidates × dim).
-  std::vector<double> item_h;
-  /// The rows each item_h row was built from, by candidate index.
+  /// h_u of the request being scored, rounded to float (dim floats).
+  std::vector<float> user_h;
+  /// h_v of every candidate rounded to float, candidate-major
+  /// (candidates × dim).
+  std::vector<float> item_floats;
+  /// An upper bound on the norm of each item_floats row and of the h_v
+  /// it was rounded from (simd::FloatH), by candidate index.
+  std::vector<float> item_norms;
+  /// The rows each item_floats row was built from, by candidate index.
   std::vector<ItemRows> item_rows;
   /// The snapshot every item_rows pointer came from; keeps their slabs
   /// alive, so a pointer equal to one in a newer snapshot is the same
@@ -131,7 +150,11 @@ struct ScoringArena {
   EdgeTypeId item_relation = 0;
   /// Item ids the user already interacted with (sorted, deduplicated).
   std::vector<NodeId> seen;
-  /// Fixed-capacity top-K min-heap.
+  /// The k best lower bounds ŝ − B of the request (a min-heap).
+  std::vector<double> lower_bounds;
+  /// Items whose upper bound reached the running k-th lower bound.
+  std::vector<Collected> collected;
+  /// Fixed-capacity top-K min-heap of exact scores.
   std::vector<ScoredItem> heap;
   /// Draining-order scratch for emitting the heap in rank order.
   std::vector<ScoredItem> ranked;
@@ -224,6 +247,7 @@ class ServeEngine {
   obs::Counter batches_counter_;
   obs::Counter scored_candidates_counter_;
   obs::Counter item_refreshes_counter_;
+  obs::Counter exact_scores_counter_;
   obs::Histogram latency_hist_;
   obs::Histogram batch_size_hist_;
   obs::Gauge queue_depth_gauge_;

@@ -13,19 +13,23 @@
 // code call the dispatched entry points without thinking about hardware.
 // It is achieved by construction:
 //
-//   * Reductions (Dot, ScoreDot, HDot) are defined over a fixed lane
-//     decomposition — lane j accumulates elements j, j+L, j+2L, ... — with
-//     a fixed combination tree, and the portable code replicates that
-//     decomposition exactly. float×float products are exact in double
-//     (24+24 < 53 mantissa bits), so FMA and mul-then-add agree on them.
-//   * Where a product is *not* exact (ScoreDot's hu·hv, CombineHalf's
-//     short_w·h^S), both paths use IEEE fused multiply-add (std::fma /
-//     vfmadd), which pins a single rounding on every platform.
+//   * Reductions (Dot, ScoreDot, FloatH's sum of squares, FloatDot) are
+//     defined over a fixed lane decomposition — lane j accumulates
+//     elements j, j+L, j+2L, ... — with a fixed combination tree, and the
+//     portable code replicates that decomposition exactly. float×float
+//     products are exact in double (24+24 < 53 mantissa bits), so FMA and
+//     mul-then-add agree on them.
+//   * Where a product is *not* exact (ScoreDot's hu·hv, FloatH's h·h,
+//     FloatDot's float hu·hv, CombineHalf's short_w·h^S), both paths use
+//     IEEE fused multiply-add (std::fma / vfmadd), which pins a single
+//     rounding on every platform.
 //   * The final embedding h = ½(h^L + w·h^S + c^r) has one definition,
 //     portable::H (avx2::H4 in lanes). ScoreDot builds both sides' h from
-//     it on the fly; HRow materializes an h row in double, and HDot /
-//     HDotRefresh score cached rows in ScoreDot's lane order, so
-//     HDot(HRow(a), HRow(b)) == ScoreDot(a, b) bit for bit.
+//     it on the fly; FloatH rounds an h row to float for the serving
+//     cache, portable::FloatDot defines the float estimate of ScoreDot
+//     from two such rows within a proven bound (FloatDotBound), and
+//     FloatDots gives FloatDot's bits for a block of rows. The estimate
+//     only filters: every score the engine returns is ScoreDot's.
 //   * Elementwise kernels (Axpy, Scale, Add, AddInto, HalfSum,
 //     CombineHalf, AdamRow) have no cross-lane dependency at all; both
 //     paths apply the same per-element rounding sequence.
@@ -114,12 +118,55 @@ inline AdamCoeffs FoldAdam(double beta1, double beta2, double eps, double lr,
                     static_cast<float>(lr * weight_decay)};
 }
 
+/// How far FloatDot's estimate may lie from ScoreDot's value. For rows
+/// that FloatH wrote from the final embeddings u and v, returning the
+/// norm bounds N_u and N_v,
+///   |FloatDot(f_u, f_v, n) − ScoreDot(u, v, n)| ≤ slope·N_v + offset
+/// whenever the estimate and the bound are finite, with margin enough
+/// that the bound and estimate ± bound may be evaluated in double.
+struct EstimateBound {
+  double slope;
+  double offset;
+};
+
+/// The bound for one user row with norm bound N_u, at length n:
+///   slope  = ρ·((2u + γ_f + γ_d)·N_u + n·η)
+///   offset = ρ·(n·η·N_u + 2(n + 8)·η)
+/// with u = 2^-24, η = 2^-150, ρ = 1 + 2^-20, γ_f = h_f·u / (1 − h_f·u)
+/// over FloatDot's depth h_f = ⌊n/8⌋ + 3 + n mod 8, and γ_d the same in
+/// double (2^-53) over ScoreDot's depth h_d = ⌊n/4⌋ + 2 + n mod 4.
+/// DESIGN.md §12.3 proves it.
+inline EstimateBound FloatDotBound(float user_norm, size_t n) {
+  constexpr double kU = 0x1p-24, kUd = 0x1p-53, kEta = 0x1p-150;
+  constexpr double kRho = 1.0 + 0x1p-20;
+  const double nd = static_cast<double>(n);
+  const double hf = static_cast<double>(n / 8 + 3 + n % 8);
+  const double hd = static_cast<double>(n / 4 + 2 + n % 4);
+  // (1 + u)^h_f ≤ 2 while h_f·u < 1/2 (< ln 2); past that the slope is
+  // +∞ and no item is skipped.
+  const double gamma_f =
+      hf * kU < 0.5 ? hf * kU / (1.0 - hf * kU) : HUGE_VAL;
+  const double gamma_d = hd * kUd / (1.0 - hd * kUd);
+  const double nu = user_norm;
+  return EstimateBound{
+      kRho * ((2.0 * kU + gamma_f + gamma_d) * nu + nd * kEta),
+      kRho * (nd * kEta * nu + 2.0 * (nd + 8.0) * kEta)};
+}
+
 // ---------------------------------------------------------------------------
 // Portable reference implementations. These define the semantics; the AVX2
 // path below reproduces them bit-for-bit.
 // ---------------------------------------------------------------------------
 
 namespace portable {
+
+/// The 8-lane combination tree of Dot, FloatH and FloatDot:
+/// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)).
+template <typename T>
+inline T CombineEight(const T (&lane)[8]) {
+  return ((lane[0] + lane[4]) + (lane[2] + lane[6])) +
+         ((lane[1] + lane[5]) + (lane[3] + lane[7]));
+}
 
 /// Dot product with double accumulation over 8 fixed lanes:
 /// lane j sums elements j, j+8, ...; lanes combine as
@@ -135,11 +182,7 @@ inline double Dot(const float* a, const float* b, size_t n) {
       lane[j] += static_cast<double>(a[i + j]) * static_cast<double>(b[i + j]);
     }
   }
-  const double r0 = lane[0] + lane[4];
-  const double r1 = lane[1] + lane[5];
-  const double r2 = lane[2] + lane[6];
-  const double r3 = lane[3] + lane[7];
-  double acc = (r0 + r2) + (r1 + r3);
+  double acc = CombineEight(lane);
   for (; i < n; ++i) {
     acc += static_cast<double>(a[i]) * static_cast<double>(b[i]);
   }
@@ -227,38 +270,73 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
   return acc;
 }
 
-/// h[i] = H(l, s, c, short_w, i) for i < n: one final embedding
-/// materialized in double.
-inline void HRow(const float* l, const float* s, const float* c,
-                 double short_w, double* h, size_t n) {
-  for (size_t i = 0; i < n; ++i) h[i] = H(l, s, c, short_w, i);
+/// An upper bound, as a float, on the norm of a final embedding row x and
+/// on the norm of its float rounding, from q = Σ x_i² as FloatH sums it:
+/// float(fma(√q, (1 + (n+3)·2^-52)·(1 + 2^-22),
+///           2n·2^-150·(1 + 2^-22) + 2^-149)).
+/// A non-finite q gives a non-finite bound. DESIGN.md §12.3 proves it.
+inline float NormBound(double q, size_t n) {
+  const double nd = static_cast<double>(n);
+  const double scale = (1.0 + (nd + 3.0) * 0x1p-52) * (1.0 + 0x1p-22);
+  const double lift = 2.0 * nd * 0x1p-150 * (1.0 + 0x1p-22) + 0x1p-149;
+  return static_cast<float>(std::fma(std::sqrt(q), scale, lift));
 }
 
-/// Σ hu_i · hv_i over two materialized h rows in ScoreDot's order: 4 fma
-/// lanes (lane j takes the elements i ≡ j mod 4) combined as
-/// (l0+l2) + (l1+l3), then a sequential fma tail. So
-/// HDot(HRow(a), HRow(b)) == ScoreDot(a, b) exactly.
-inline double HDot(const double* hu, const double* hv, size_t n) {
-  double lane[4] = {0.0, 0.0, 0.0, 0.0};
-  const size_t n4 = n & ~static_cast<size_t>(3);
+/// FloatH from element i on, given the lanes' sum q so far: the
+/// sequential tail and the norm bound, shared so both backends agree.
+inline float FloatHTail(double q, const float* l, const float* s,
+                        const float* c, double short_w, float* h, size_t i,
+                        size_t n) {
+  for (; i < n; ++i) {
+    const double x = H(l, s, c, short_w, i);
+    h[i] = static_cast<float>(x);
+    q = std::fma(x, x, q);
+  }
+  return NormBound(q, n);
+}
+
+/// h[i] = float(H(l, s, c, short_w, i)) for i < n: one final embedding
+/// rounded to float (the row CombineHalf writes), the serving engine's
+/// cached row. Returns NormBound(q, n) for q = Σ H_i², the squares of the
+/// double values accumulated by fma in Dot's 8 lanes and combination
+/// tree, then a sequential fma tail.
+inline float FloatH(const float* l, const float* s, const float* c,
+                    double short_w, float* h, size_t n) {
+  double lane[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  const size_t n8 = n & ~static_cast<size_t>(7);
   size_t i = 0;
-  for (; i < n4; i += 4) {
-    for (int j = 0; j < 4; ++j) {
-      lane[j] = std::fma(hu[i + j], hv[i + j], lane[j]);
+  for (; i < n8; i += 8) {
+    for (int j = 0; j < 8; ++j) {
+      const double x = H(l, s, c, short_w, i + j);
+      h[i + j] = static_cast<float>(x);
+      lane[j] = std::fma(x, x, lane[j]);
     }
   }
-  double acc = (lane[0] + lane[2]) + (lane[1] + lane[3]);
-  for (; i < n; ++i) acc = std::fma(hu[i], hv[i], acc);
+  return FloatHTail(CombineEight(lane), l, s, c, short_w, h, i, n);
+}
+
+/// Σ a_i·b_i in float: 8 fma lanes (lane j takes i ≡ j mod 8) combined as
+/// ((l0+l4)+(l2+l6)) + ((l1+l5)+(l3+l7)), then a sequential fma tail. The
+/// serving engine's estimate of ScoreDot from two FloatH rows.
+inline float FloatDot(const float* a, const float* b, size_t n) {
+  float lane[8] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  size_t i = 0;
+  for (; i < n8; i += 8) {
+    for (int j = 0; j < 8; ++j) {
+      lane[j] = std::fma(a[i + j], b[i + j], lane[j]);
+    }
+  }
+  float acc = CombineEight(lane);
+  for (; i < n; ++i) acc = std::fma(a[i], b[i], acc);
   return acc;
 }
 
-/// Rebuilds hv = HRow(bl, bs, bc) and returns HDot(hu, hv): a stale cached
-/// row is refreshed in the pass that scores it.
-inline double HDotRefresh(const double* hu, const float* bl, const float* bs,
-                          const float* bc, double short_w, double* hv,
-                          size_t n) {
-  HRow(bl, bs, bc, short_w, hv, n);
-  return HDot(hu, hv, n);
+/// out[r] = FloatDot(a, rows + r·n, n) for r < count: the estimates of
+/// `count` consecutive cached rows, a block of the serving engine's pass.
+inline void FloatDots(const float* a, const float* rows, size_t count,
+                      size_t n, float* out) {
+  for (size_t r = 0; r < count; ++r) out[r] = FloatDot(a, rows + r * n, n);
 }
 
 /// One AdamW row update with decoupled weight decay, in float with every
@@ -448,49 +526,84 @@ SUPA_TARGET_AVX2 inline double ScoreDot(const float* al, const float* as,
   return out;
 }
 
-SUPA_TARGET_AVX2 inline void HRow(const float* l, const float* s,
-                                  const float* c, double short_w, double* h,
-                                  size_t n) {
+SUPA_TARGET_AVX2 inline float FloatH(const float* l, const float* s,
+                                     const float* c, double short_w, float* h,
+                                     size_t n) {
   const __m256d vw = _mm256_set1_pd(short_w);
-  const size_t n4 = n & ~static_cast<size_t>(3);
+  __m256d acc_lo = _mm256_setzero_pd();  // lanes 0..3
+  __m256d acc_hi = _mm256_setzero_pd();  // lanes 4..7
+  const size_t n8 = n & ~static_cast<size_t>(7);
   size_t i = 0;
-  for (; i < n4; i += 4) _mm256_storeu_pd(h + i, H4(l, s, c, vw, i));
-  for (; i < n; ++i) h[i] = portable::H(l, s, c, short_w, i);
+  for (; i < n8; i += 8) {
+    const __m256d lo = H4(l, s, c, vw, i);
+    const __m256d hi = H4(l, s, c, vw, i + 4);
+    _mm_storeu_ps(h + i, _mm256_cvtpd_ps(lo));
+    _mm_storeu_ps(h + i + 4, _mm256_cvtpd_ps(hi));
+    acc_lo = _mm256_fmadd_pd(lo, lo, acc_lo);
+    acc_hi = _mm256_fmadd_pd(hi, hi, acc_hi);
+  }
+  // r[j] = lane_j + lane_{j+4}; then (r0+r2) + (r1+r3).
+  return portable::FloatHTail(CombineLanes(_mm256_add_pd(acc_lo, acc_hi)), l,
+                              s, c, short_w, h, i, n);
 }
 
-SUPA_TARGET_AVX2 inline double HDot(const double* hu, const double* hv,
-                                    size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const size_t n4 = n & ~static_cast<size_t>(3);
+/// The 8 float lanes folded as portable::CombineEight, given
+/// r[j] = l_j + l_{j+4}: (r0+r2) + (r1+r3).
+SUPA_TARGET_AVX2 inline float CombineFloatLanes(__m128 r) {
+  const __m128 t = _mm_add_ps(r, _mm_movehl_ps(r, r));  // r0+r2, r1+r3
+  return _mm_cvtss_f32(_mm_add_ss(t, _mm_shuffle_ps(t, t, 1)));
+}
+
+/// r[j] = l_j + l_{j+4} of an 8-lane float accumulator.
+SUPA_TARGET_AVX2 inline __m128 FoldFloatLanes(__m256 acc) {
+  return _mm_add_ps(_mm256_castps256_ps128(acc),
+                    _mm256_extractf128_ps(acc, 1));
+}
+
+SUPA_TARGET_AVX2 inline float FloatDot(const float* a, const float* b,
+                                       size_t n) {
+  __m256 acc = _mm256_setzero_ps();
+  const size_t n8 = n & ~static_cast<size_t>(7);
   size_t i = 0;
-  for (; i < n4; i += 4) {
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(hu + i), _mm256_loadu_pd(hv + i),
+  for (; i < n8; i += 8) {
+    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i),
                           acc);
   }
-  double out = CombineLanes(acc);
-  for (; i < n; ++i) out = std::fma(hu[i], hv[i], out);
+  float out = CombineFloatLanes(FoldFloatLanes(acc));
+  for (; i < n; ++i) out = std::fma(a[i], b[i], out);
   return out;
 }
 
-SUPA_TARGET_AVX2 inline double HDotRefresh(const double* hu, const float* bl,
-                                           const float* bs, const float* bc,
-                                           double short_w, double* hv,
-                                           size_t n) {
-  const __m256d vw = _mm256_set1_pd(short_w);
-  __m256d acc = _mm256_setzero_pd();
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  size_t i = 0;
-  for (; i < n4; i += 4) {
-    const __m256d h = H4(bl, bs, bc, vw, i);
-    _mm256_storeu_pd(hv + i, h);
-    acc = _mm256_fmadd_pd(_mm256_loadu_pd(hu + i), h, acc);
+/// Four rows at a time, so four independent fma chains share each load
+/// of `a`; the four folded accumulators are transposed and combined as
+/// (r0+r2) + (r1+r3) in one vector, the same tree as CombineFloatLanes.
+SUPA_TARGET_AVX2 inline void FloatDots(const float* a, const float* rows,
+                                       size_t count, size_t n, float* out) {
+  const size_t n8 = n & ~static_cast<size_t>(7);
+  size_t r = 0;
+  for (; r + 4 <= count; r += 4) {
+    const float* b = rows + r * n;
+    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
+    __m256 acc2 = _mm256_setzero_ps(), acc3 = _mm256_setzero_ps();
+    for (size_t i = 0; i < n8; i += 8) {
+      const __m256 va = _mm256_loadu_ps(a + i);
+      acc0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + i), acc0);
+      acc1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + n + i), acc1);
+      acc2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + 2 * n + i), acc2);
+      acc3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(b + 3 * n + i), acc3);
+    }
+    __m128 r0 = FoldFloatLanes(acc0), r1 = FoldFloatLanes(acc1);
+    __m128 r2 = FoldFloatLanes(acc2), r3 = FoldFloatLanes(acc3);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);  // r_j now holds lane j of each row
+    _mm_storeu_ps(out + r,
+                  _mm_add_ps(_mm_add_ps(r0, r2), _mm_add_ps(r1, r3)));
+    for (size_t i = n8; i < n; ++i) {
+      for (size_t q = 0; q < 4; ++q) {
+        out[r + q] = std::fma(a[i], b[q * n + i], out[r + q]);
+      }
+    }
   }
-  double out = CombineLanes(acc);
-  for (; i < n; ++i) {
-    hv[i] = portable::H(bl, bs, bc, short_w, i);
-    out = std::fma(hu[i], hv[i], out);
-  }
-  return out;
+  for (; r < count; ++r) out[r] = FloatDot(a, rows + r * n, n);
 }
 
 // target("avx2") without fma: see the no-fusion rule at the top of the file.
@@ -598,28 +711,20 @@ inline double ScoreDot(const float* al, const float* as, const float* ac,
   return portable::ScoreDot(al, as, ac, bl, bs, bc, short_w, n);
 }
 
-inline void HRow(const float* l, const float* s, const float* c,
-                 double short_w, double* h, size_t n) {
+inline float FloatH(const float* l, const float* s, const float* c,
+                    double short_w, float* h, size_t n) {
 #if SUPA_SIMD_X86
-  if (HasAvx2()) return avx2::HRow(l, s, c, short_w, h, n);
+  if (HasAvx2()) return avx2::FloatH(l, s, c, short_w, h, n);
 #endif
-  portable::HRow(l, s, c, short_w, h, n);
+  return portable::FloatH(l, s, c, short_w, h, n);
 }
 
-inline double HDot(const double* hu, const double* hv, size_t n) {
+inline void FloatDots(const float* a, const float* rows, size_t count,
+                      size_t n, float* out) {
 #if SUPA_SIMD_X86
-  if (HasAvx2()) return avx2::HDot(hu, hv, n);
+  if (HasAvx2()) return avx2::FloatDots(a, rows, count, n, out);
 #endif
-  return portable::HDot(hu, hv, n);
-}
-
-inline double HDotRefresh(const double* hu, const float* bl, const float* bs,
-                          const float* bc, double short_w, double* hv,
-                          size_t n) {
-#if SUPA_SIMD_X86
-  if (HasAvx2()) return avx2::HDotRefresh(hu, bl, bs, bc, short_w, hv, n);
-#endif
-  return portable::HDotRefresh(hu, bl, bs, bc, short_w, hv, n);
+  portable::FloatDots(a, rows, count, n, out);
 }
 
 inline void AdamRow(const AdamCoeffs& c, const float* g, float* params,

@@ -184,6 +184,10 @@ TEST(ModelMonitorTest, StreamStatsTrackDistinctsAndNewNodes) {
   EXPECT_EQ(snapshot.degree.count(), 10000u);
 }
 
+// Every batch is a rotation of the same 8 values, multiples of 1/8 whose
+// sums are exact in any order. A batch enters under one lock, so each
+// 16-score window holds two whole batches and has the same mean under any
+// interleaving of the threads: the drift detector sees a flat series.
 TEST(ModelMonitorTest, ServeScoresAreThreadSafeAndSketched) {
   ModelMonitor monitor;
   monitor.Configure(SmallWindows());
@@ -194,7 +198,7 @@ TEST(ModelMonitorTest, ServeScoresAreThreadSafeAndSketched) {
       std::vector<float> scores(8);
       for (int i = 0; i < 250; ++i) {
         for (size_t j = 0; j < scores.size(); ++j) {
-          scores[j] = 0.1f * static_cast<float>((t + i + j) % 10);
+          scores[j] = 0.125f * static_cast<float>((t + i + j) % 8);
         }
         monitor.RecordServeScores(scores.data(), scores.size());
       }

@@ -19,6 +19,7 @@
 #include "data/synthetic.h"
 #include "obs/admin_server.h"
 #include "obs/json_parse.h"
+#include "obs/metrics.h"
 #include "serve/engine.h"
 
 namespace supa::serve {
@@ -266,6 +267,10 @@ TEST_F(ServeHttpTest, HugeKIsClippedToTheCandidates) {
   EXPECT_LE(items->array().size(), engine_->candidates().size());
 }
 
+// Each worker caches, per candidate, a float row, its norm bound and the
+// three row pointers it was built from, plus one float user row; the
+// gauge and /statusz must report exactly that, so a cache that grows back
+// to double rows fails here.
 TEST_F(ServeHttpTest, ItemCacheIsOnMetricsAndStatusz) {
   ASSERT_EQ(Get(server_->port(),
                 "/recommend?user=" + std::to_string(AnyUser()))
@@ -276,9 +281,37 @@ TEST_F(ServeHttpTest, ItemCacheIsOnMetricsAndStatusz) {
   EXPECT_NE(metrics.body.find("serve_item_refreshes_total"),
             std::string::npos);
   EXPECT_NE(metrics.body.find("serve_item_cache_bytes"), std::string::npos);
+  EXPECT_NE(metrics.body.find("serve_exact_scores_total"), std::string::npos);
+
+  const size_t dim = static_cast<size_t>(model_->config().dim);
+  const size_t per_candidate =
+      dim * sizeof(float) + sizeof(float) + 3 * sizeof(const float*);
+  const size_t expected =
+      engine_->options().workers *
+      (engine_->candidates().size() * per_candidate + dim * sizeof(float));
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  const auto* gauge = snapshot.Find("serve.item_cache_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->gauge, static_cast<double>(expected));
+
   const auto statusz = Get(server_->port(), "/statusz?format=json");
   ASSERT_TRUE(statusz.ok);
-  EXPECT_NE(statusz.body.find("item_cache_bytes"), std::string::npos);
+  obs::JsonValue doc;
+  ASSERT_TRUE(obs::ParseJson(statusz.body, &doc, nullptr)) << statusz.body;
+  const obs::JsonValue* sections = doc.Find("sections");
+  ASSERT_NE(sections, nullptr);
+  const obs::JsonValue* cache_bytes = nullptr;
+  for (const obs::JsonValue& section : sections->array()) {
+    const obs::JsonValue* name = section.Find("name");
+    if (name != nullptr && name->string_value() == "serve") {
+      const obs::JsonValue* items = section.Find("items");
+      ASSERT_NE(items, nullptr);
+      cache_bytes = items->Find("item_cache_bytes");
+    }
+  }
+  ASSERT_NE(cache_bytes, nullptr);
+  EXPECT_EQ(cache_bytes->string_value(), std::to_string(expected));
 }
 
 TEST_F(ServeHttpTest, ErrorBodyIsJsonWithErrorField) {

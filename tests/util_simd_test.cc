@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -257,24 +258,34 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-struct HKernels {
+struct FloatKernels {
   const char* name;
-  void (*h_row)(const float*, const float*, const float*, double, double*,
-                size_t);
-  double (*h_dot)(const double*, const double*, size_t);
-  double (*h_dot_refresh)(const double*, const float*, const float*,
-                          const float*, double, double*, size_t);
+  float (*float_h)(const float*, const float*, const float*, double, float*,
+                   size_t);
+  void (*float_dots)(const float*, const float*, size_t, size_t, float*);
 };
 
-// The serving engine scores from cached h rows: HRow materializes them,
-// HDot scores a cached row, HDotRefresh rebuilds and scores a stale one.
-// Each must reproduce ScoreDot's bits exactly, in both backends, or the
-// engine's top-K would drift from SupaModel::ScoreOn.
+// True when ScoreDot's value s lies in [ŝ − B, ŝ + B] evaluated in double,
+// as the serving engine evaluates it, or when the estimate or its bound is
+// not finite (the engine then scores the item exactly).
+bool EstimateBrackets(float estimate, const simd::EstimateBound& bound,
+                      float item_norm, double s) {
+  const double error = bound.slope * item_norm + bound.offset;
+  if (!std::isfinite(estimate) || !std::isfinite(error)) return true;
+  return estimate - error <= s && s <= estimate + error;
+}
+
+// The serving engine caches h rows in float: FloatH rounds one and
+// bounds its norm, and FloatDots estimates the scores of a block of
+// cached rows, each row's estimate being portable::FloatDot's. Both must
+// give the portable reference's bits in both backends, on one row and on
+// a block, the row must be CombineHalf's rounding of h, and the estimate
+// must lie within FloatDotBound of ScoreDot's value, or the engine's
+// top-K would drift from SupaModel::ScoreOn.
 TEST(SimdTest, CachedScoreKernelsMatchScoreDotBitForBit) {
-  const HKernels backends[] = {
-      {"portable", simd::portable::HRow, simd::portable::HDot,
-       simd::portable::HDotRefresh},
-      {"dispatched", simd::HRow, simd::HDot, simd::HDotRefresh}};
+  const FloatKernels backends[] = {
+      {"portable", simd::portable::FloatH, simd::portable::FloatDots},
+      {"dispatched", simd::FloatH, simd::FloatDots}};
   std::vector<size_t> lengths;
   for (size_t n = 1; n <= 67; ++n) lengths.push_back(n);
   lengths.push_back(128);
@@ -294,38 +305,118 @@ TEST(SimdTest, CachedScoreKernelsMatchScoreDotBitForBit) {
                            w, n),
             want))
             << "n=" << n << " off=" << off << " w=" << w;
-        std::vector<double> ref_hv(n + off);
-        simd::portable::HRow(bl.data() + off, bs.data() + off,
-                             bc.data() + off, w, ref_hv.data() + off, n);
-        for (const HKernels& k : backends) {
-          std::vector<double> hu(n + off), hv(n + off), fused(n + off, -7.0);
-          k.h_row(al.data() + off, as.data() + off, ac.data() + off, w,
-                  hu.data() + off, n);
-          k.h_row(bl.data() + off, bs.data() + off, bc.data() + off, w,
-                  hv.data() + off, n);
-          EXPECT_EQ(std::memcmp(hv.data(), ref_hv.data(),
-                                hv.size() * sizeof(double)),
-                    0)
-              << k.name << " HRow n=" << n << " off=" << off << " w=" << w;
-          EXPECT_TRUE(
-              SameBits(k.h_dot(hu.data() + off, hv.data() + off, n), want))
-              << k.name << " HDot n=" << n << " off=" << off << " w=" << w;
-          EXPECT_TRUE(SameBits(
-              k.h_dot_refresh(hu.data() + off, bl.data() + off,
-                              bs.data() + off, bc.data() + off, w,
-                              fused.data() + off, n),
-              want))
-              << k.name << " HDotRefresh n=" << n << " off=" << off
+        std::vector<float> ref_hu(n + off), ref_hv(n + off);
+        const float ref_nu = simd::portable::FloatH(
+            al.data() + off, as.data() + off, ac.data() + off, w,
+            ref_hu.data() + off, n);
+        const float ref_nv = simd::portable::FloatH(
+            bl.data() + off, bs.data() + off, bc.data() + off, w,
+            ref_hv.data() + off, n);
+        const float ref_estimate = simd::portable::FloatDot(
+            ref_hu.data() + off, ref_hv.data() + off, n);
+        std::vector<float> combined(n + off);
+        simd::portable::CombineHalf(bl.data() + off, bs.data() + off,
+                                    bc.data() + off, w, combined.data() + off,
+                                    n);
+        EXPECT_TRUE(SameBytes(ref_hv, combined))
+            << "FloatH row n=" << n << " off=" << off << " w=" << w;
+        EXPECT_TRUE(EstimateBrackets(ref_estimate,
+                                     simd::FloatDotBound(ref_nu, n), ref_nv,
+                                     want))
+            << "bound n=" << n << " off=" << off << " w=" << w;
+        for (const FloatKernels& k : backends) {
+          std::vector<float> hu(n + off), hv(n + off);
+          const float nu = k.float_h(al.data() + off, as.data() + off,
+                                     ac.data() + off, w, hu.data() + off, n);
+          const float nv = k.float_h(bl.data() + off, bs.data() + off,
+                                     bc.data() + off, w, hv.data() + off, n);
+          EXPECT_TRUE(SameBytes(hu, ref_hu) && SameBytes(hv, ref_hv))
+              << k.name << " FloatH n=" << n << " off=" << off
               << " w=" << w;
-          EXPECT_EQ(std::memcmp(fused.data() + off, ref_hv.data() + off,
-                                n * sizeof(double)),
-                    0)
-              << k.name << " HDotRefresh row n=" << n << " off=" << off
+          EXPECT_EQ(std::memcmp(&nu, &ref_nu, sizeof(float)), 0)
+              << k.name << " FloatH norm n=" << n << " off=" << off;
+          EXPECT_EQ(std::memcmp(&nv, &ref_nv, sizeof(float)), 0)
+              << k.name << " FloatH norm n=" << n << " off=" << off;
+          float estimate = -7.0f;
+          k.float_dots(hu.data() + off, hv.data() + off, 1, n, &estimate);
+          EXPECT_EQ(std::memcmp(&estimate, &ref_estimate, sizeof(float)), 0)
+              << k.name << " FloatDots one row n=" << n << " off=" << off
               << " w=" << w;
+          // A block of four rows and one more (the AVX2 twin's grouped
+          // path and its remainder), alternating the item's and the
+          // user's row.
+          constexpr size_t kRows = 5;
+          std::vector<float> block(kRows * n + off);
+          for (size_t r = 0; r < kRows; ++r) {
+            std::copy_n((r % 2 == 0 ? ref_hv : ref_hu).data() + off, n,
+                        block.data() + off + r * n);
+          }
+          const float ref_self = simd::portable::FloatDot(
+              ref_hu.data() + off, ref_hu.data() + off, n);
+          std::vector<float> estimates(kRows, -7.0f);
+          k.float_dots(hu.data() + off, block.data() + off, kRows, n,
+                       estimates.data());
+          for (size_t r = 0; r < kRows; ++r) {
+            const float want_r = r % 2 == 0 ? ref_estimate : ref_self;
+            EXPECT_EQ(std::memcmp(&estimates[r], &want_r, sizeof(float)), 0)
+                << k.name << " FloatDots row " << r << " n=" << n
+                << " off=" << off << " w=" << w;
+          }
         }
       }
     }
   }
+}
+
+// FloatDotBound against ScoreDot on rows at every scale the proof covers:
+// float denormals, where only the absolute terms hold the estimate; 1e18,
+// where products near float's range still fit; and rows whose float
+// accumulation loses a term that the double one keeps (2^30 + 1 − 2^30).
+TEST(SimdTest, FloatDotBoundCoversScoreDotAcrossScales) {
+  Rng rng(21);
+  const float scales[] = {1e-40f, 1e-30f, 1.0f, 1e18f};
+  size_t bounded = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const size_t n = 1 + rng.Index(130);
+    const float su = scales[rng.Index(4)], sv = scales[rng.Index(4)];
+    std::vector<float> ul(n), us(n), uc(n), vl(n), vs(n), vc(n);
+    for (size_t i = 0; i < n; ++i) {
+      ul[i] = su * static_cast<float>(rng.Uniform(-2.0, 2.0));
+      us[i] = su * static_cast<float>(rng.Uniform(-2.0, 2.0));
+      uc[i] = su * static_cast<float>(rng.Uniform(-2.0, 2.0));
+      vl[i] = sv * static_cast<float>(rng.Uniform(-2.0, 2.0));
+      vs[i] = sv * static_cast<float>(rng.Uniform(-2.0, 2.0));
+      vc[i] = sv * static_cast<float>(rng.Uniform(-2.0, 2.0));
+    }
+    if (n > 16 && trial % 4 == 0) {
+      // h_v = (2^30, 1, −2^30) on one float lane, h_u = 1 there.
+      for (size_t i : {size_t{0}, size_t{8}, size_t{16}}) {
+        ul[i] = 2.0f;
+        us[i] = uc[i] = vs[i] = vc[i] = 0.0f;
+      }
+      vl[0] = 0x1p31f;
+      vl[8] = 2.0f;
+      vl[16] = -0x1p31f;
+    }
+    for (double w : {0.0, 1.0}) {
+      std::vector<float> hu(n), hv(n);
+      const float nu =
+          simd::FloatH(ul.data(), us.data(), uc.data(), w, hu.data(), n);
+      const float nv =
+          simd::FloatH(vl.data(), vs.data(), vc.data(), w, hv.data(), n);
+      float estimate = 0.0f;
+      simd::FloatDots(hu.data(), hv.data(), 1, n, &estimate);
+      const double s = simd::ScoreDot(ul.data(), us.data(), uc.data(),
+                                      vl.data(), vs.data(), vc.data(), w, n);
+      EXPECT_TRUE(
+          EstimateBrackets(estimate, simd::FloatDotBound(nu, n), nv, s))
+          << "trial " << trial << " n=" << n << " w=" << w << " s=" << s
+          << " estimate=" << estimate;
+      if (std::isfinite(estimate)) ++bounded;
+    }
+  }
+  // Only the 1e18 × 1e18 pairs overflow float.
+  EXPECT_GT(bounded, 6000u);
 }
 
 // ScoreDot is a fused form of "materialize both final embeddings with
